@@ -10,17 +10,17 @@ by bisection on the level whose super/sub-level relative density vanishes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .density import count_ratio
+from .density import count_ratio, require_null
 from .errors import NotDensitySet, PreconditionError
 from .fields import ScalarField, VectorField
-from .geometry import (DeltaSchedule, QuadratureConfig, Region, as_point,
-                       cloud_distance, point_cloud, shell_lattice)
-from .sampling import BallSamples, LevelSamples, ball_samples, refine_extremum
+from .geometry import DeltaSchedule, QuadratureConfig, Region
+from .sampling import (BallSamples, LevelSamples, ball_samples,
+                       neighborhood_levels, refine_extremum)
 
 DEFAULT_CAP = 1e6
 DEFAULT_DENSITY_TOL = 1e-3
@@ -45,7 +45,7 @@ class DensityInterval:
         return self.lo - tol <= value <= self.hi + tol
 
     def to_json_dict(self) -> dict:
-        return {"lo": _ext(self.lo), "hi": _ext(self.hi),
+        return {"lo": self.lo, "hi": self.hi,
                 "lo_witness": getattr(self.lo_attained_on, "label", None),
                 "hi_witness": getattr(self.hi_attained_on, "label", None)}
 
@@ -61,51 +61,13 @@ class ApproxLimitResult:
     agreement_tol: float
 
     def to_json_dict(self) -> dict:
-        return {"f_lower": _ext(self.f_lower), "f_upper": _ext(self.f_upper),
+        return {"f_lower": self.f_lower, "f_upper": self.f_upper,
                 "ap_limit": self.ap_limit, "cap": self.cap,
                 "agreement_tol": self.agreement_tol}
 
 
-def _ext(v: float):
-    """Extended reals serialize as explicit strings, never sentinel floats."""
-    if math.isinf(v):
-        return "+inf" if v > 0 else "-inf"
-    return v
-
-
 # ---------------------------------------------------------------------------
 # Essential bounds near a set
-
-
-def _near_set_levels(f: ScalarField, Omega: Region, C: Region,
-                     sched: DeltaSchedule, cfg: QuadratureConfig):
-    from .density import null_within
-
-    if null_within(C, Omega, cfg) > 0:
-        raise NotDensitySet(
-            f"{C.label!r}: lambda(C & Omega) > 0 at working resolution")
-    cloud = point_cloud(C, cfg)
-    dist = cloud_distance(cloud)
-    levels, members = [], []
-    for d in sched.deltas:
-        pts = shell_lattice(cloud, float(d), cfg.resolution)
-        mask = (dist(pts) < d) & Omega.contains(pts) if pts.size else np.zeros(0, bool)
-        if not np.any(mask):
-            raise NotDensitySet(
-                f"neighborhood of {C.label!r} at delta={d:g} carries no lattice "
-                f"points of the domain")
-        pts = pts[mask]
-        vals = f(pts)
-        levels.append(LevelSamples(float(d), pts, vals,
-                                   2.0 * float(d) / cfg.resolution,
-                                   int(mask.sum()),
-                                   int(np.count_nonzero(np.isnan(vals)))))
-
-        def member(p, d=float(d)):
-            return (dist(p) < d) & Omega.contains(p)
-
-        members.append(member)
-    return levels, members
 
 
 def ess_sup_series(f: ScalarField, Omega: Region, C: Region, sched: DeltaSchedule,
@@ -116,11 +78,11 @@ def ess_sup_series(f: ScalarField, Omega: Region, C: Region, sched: DeltaSchedul
     series respects the nesting of the neighborhoods; every entry is +inf
     when the refined sup exceeds the cap at every delta.
     """
-    levels, members = _near_set_levels(f, Omega, C, sched, cfg)
+    require_null(C, Omega, cfg)
     sups, exceeded = [], []
     running = math.inf
-    for level, member in zip(levels, members):
-        s = refine_extremum(f, member, level, cfg, sign=+1.0, cap=cap)
+    for level in neighborhood_levels(Omega, C, sched, cfg, f):
+        s = refine_extremum(f, level.member, level, cfg, sign=+1.0, cap=cap)
         if math.isnan(s):
             raise NotDensitySet(
                 f"all samples of {f.label!r} near {C.label!r} were discarded "
@@ -197,17 +159,13 @@ def _level_fraction(level: LevelSamples, alpha: float) -> float:
     return count_ratio(above, total)
 
 
-def _limsup_from_samples(f: ScalarField, Omega: Region, samples: BallSamples,
+def _limsup_from_samples(f: ScalarField, samples: BallSamples,
                          cfg: QuadratureConfig, cap: float,
                          density_tol: float, alpha_rtol: float) -> tuple[float, float]:
     """Upper approximate limit from cached ball samples; returns (value, atol)."""
-    x = samples.x
     all_exceeded = True
     for level in samples.levels:
-        def member(p, d=level.delta):
-            return (np.linalg.norm(np.atleast_2d(p) - x, axis=1) < d) & Omega.contains(p)
-
-        s = refine_extremum(f, member, level, cfg, sign=+1.0, cap=cap)
+        s = refine_extremum(f, level.member, level, cfg, sign=+1.0, cap=cap)
         if math.isnan(s) or not s > cap:
             all_exceeded = False
             break  # the +inf verdict needs the cap exceeded at every delta
@@ -245,8 +203,7 @@ def _limsup_from_samples(f: ScalarField, Omega: Region, samples: BallSamples,
 
 
 def _negated(samples: BallSamples) -> BallSamples:
-    neg = [LevelSamples(lv.delta, lv.points, -lv.values, lv.cell, lv.count,
-                        lv.discarded) for lv in samples.levels]
+    neg = [replace(lv, values=-lv.values) for lv in samples.levels]
     return BallSamples(samples.x, neg, samples.tail_window)
 
 
@@ -260,9 +217,8 @@ def ap_limsup(f: ScalarField, Omega: Region, x, sched: DeltaSchedule,
     below ``density_tol``; +inf is reported when the refined sample sup
     exceeds the cap at every delta (unbounded concentration at x).
     """
-    samples = ball_samples(f, Omega, as_point(x, Omega.dim), sched, cfg)
-    value, _ = _limsup_from_samples(f, Omega, samples, cfg, cap, density_tol,
-                                    alpha_rtol)
+    samples = ball_samples(f, Omega, x, sched, cfg)
+    value, _ = _limsup_from_samples(f, samples, cfg, cap, density_tol, alpha_rtol)
     return value
 
 
@@ -271,8 +227,8 @@ def ap_liminf(f: ScalarField, Omega: Region, x, sched: DeltaSchedule,
               density_tol: float = DEFAULT_DENSITY_TOL,
               alpha_rtol: float = DEFAULT_ALPHA_RTOL) -> float:
     """Negation-dual of ap_limsup: ap_liminf(f) = -ap_limsup(-f) exactly."""
-    samples = ball_samples(f, Omega, as_point(x, Omega.dim), sched, cfg)
-    value, _ = _limsup_from_samples(-f, Omega, _negated(samples), cfg, cap,
+    samples = ball_samples(f, Omega, x, sched, cfg)
+    value, _ = _limsup_from_samples(-f, _negated(samples), cfg, cap,
                                     density_tol, alpha_rtol)
     return -value
 
@@ -287,11 +243,17 @@ def ap_limit(f: ScalarField, Omega: Region, x, sched: DeltaSchedule,
     The agreement tolerance scales with the magnitude of the bounds so that
     smooth fields at resolution-limited separations still report a limit.
     """
-    x = as_point(x, Omega.dim)
-    samples = ball_samples(f, Omega, x, sched, cfg)
-    upper, atol_u = _limsup_from_samples(f, Omega, samples, cfg, cap,
-                                         density_tol, alpha_rtol)
-    neg, atol_l = _limsup_from_samples(-f, Omega, _negated(samples), cfg, cap,
+    return ap_limit_from_samples(f, ball_samples(f, Omega, x, sched, cfg), cfg,
+                                 cap, density_tol, alpha_rtol, agree_tol)
+
+
+def ap_limit_from_samples(f: ScalarField, samples: BallSamples,
+                          cfg: QuadratureConfig, cap: float, density_tol: float,
+                          alpha_rtol: float, agree_tol: float) -> ApproxLimitResult:
+    """ap_limit on ball samples of f that the caller already holds."""
+    upper, atol_u = _limsup_from_samples(f, samples, cfg, cap, density_tol,
+                                         alpha_rtol)
+    neg, atol_l = _limsup_from_samples(-f, _negated(samples), cfg, cap,
                                        density_tol, alpha_rtol)
     lower = -neg
     agreement = max(2.0 * max(atol_u, atol_l),

@@ -240,9 +240,7 @@ def gen_gradient(f: ScalarField, x, sched: DeltaSchedule, cfg: QuadratureConfig,
     return hull
 
 
-def contains(hull: GradientHull, xi, f: Optional[ScalarField] = None,
-             x=None, cfg: Optional[QuadratureConfig] = None,
-             tol: float = DEFAULT_SUPPORT_TOL) -> bool:
+def contains(hull: GradientHull, xi, tol: float = DEFAULT_SUPPORT_TOL) -> bool:
     """Membership test: xi . v <= support(v) + tol on the probe set."""
     xi = np.asarray(xi, dtype=float)
     return all(float(xi @ v) <= hull.support(v) + tol for v in hull.probe_dirs)

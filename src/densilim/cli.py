@@ -2,7 +2,8 @@
 
 Every subcommand emits a JSON report embedding the full run configuration.
 Exit codes: 0 success, 2 precondition violation, 3 numerical
-non-convergence (the report is still emitted).
+non-convergence (the report is still emitted), 141 stdout closed before
+the report was written (as for a process ended by SIGPIPE).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ def _jsonify(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        return _jsonify(obj.item())
     if isinstance(obj, np.ndarray):
         return _jsonify(obj.tolist())
     if isinstance(obj, float) and math.isinf(obj):
@@ -45,9 +46,8 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--at", help="query point, comma-separated coordinates")
     p.add_argument("--dim", type=int, help="ambient dimension (inferred from --at)")
     p.add_argument("--schedule", help="delta schedule as d0,ratio,K,w")
-    p.add_argument("--quad", choices=["grid", "mc"], default="grid")
     p.add_argument("--res", type=int, default=128,
-                   help="grid points per delta-diameter (or MC sample count)")
+                   help="grid points per delta-diameter")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--threads", type=int, default=1,
                    help="parallelism hint; results are thread-count independent")
@@ -62,7 +62,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--cap", type=float, default=1e6)
     p.add_argument("--atan2-range", choices=[ATAN2_02PI, ATAN2_PMPI],
                    default=ATAN2_PMPI)
-    p.add_argument("--json", action="store_true", default=True)
     p.add_argument("--csv", action="store_true",
                    help="CSV output (gauss-green sweep mode)")
 
@@ -96,7 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("jump", help="jump structure of a field at a point")
     p.add_argument("--f", required=True)
     p.add_argument("--domain", default="plane")
-    p.add_argument("--n-dirs", type=int)
     _add_common(p)
 
     p = sub.add_parser("clarke", help="generalized gradient and calculus rules")
@@ -194,8 +192,7 @@ def _schedule(args, domain_bbox: Box) -> DeltaSchedule:
 
 def _run_config(args, sched: DeltaSchedule) -> tuple[RunConfig, QuadratureConfig]:
     seed = int(os.environ.get("DENSILIM_SEED", args.seed))
-    quad = QuadratureConfig(mode="grid" if args.quad == "grid" else "monte_carlo",
-                            resolution=args.res, seed=seed,
+    quad = QuadratureConfig(resolution=args.res, seed=seed,
                             parallel=args.threads > 1)
     tol = Tolerances(limit_tol=args.tol_limit, density_tol=args.tol_density,
                      alpha_rtol=args.tol_alpha, agree_tol=args.tol_agree,
@@ -290,8 +287,7 @@ def cmd_jump(args) -> int:
     sched = _schedule(args, Omega.bbox)
     rc, quad = _run_config(args, sched)
     rep = representative.detect_jump(
-        f, Omega, x, sched, quad, n_dirs=args.n_dirs,
-        jump_rtol=rc.tol.jump_rtol, cap=rc.tol.cap,
+        f, Omega, x, sched, quad, jump_rtol=rc.tol.jump_rtol, cap=rc.tol.cap,
         density_tol=rc.tol.density_tol, alpha_rtol=rc.tol.alpha_rtol,
         agree_tol=rc.tol.agree_tol)
     _emit("jump", rc, rep.to_json_dict())
@@ -382,7 +378,13 @@ _HANDLERS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away (`| head`); keep the exit-time flush quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (PreconditionError, ExprError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)

@@ -13,10 +13,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NotDensityPoint, NotDensitySet, PreconditionError
+from .errors import NotDensitySet, PreconditionError
 from .geometry import (Box, DeltaSchedule, QuadratureConfig, Region, as_point,
-                       ball_window, cloud_distance, lattice, point_cloud,
-                       shell_lattice)
+                       intersect, lebesgue, point_cloud)
+from .sampling import neighborhood_levels
 
 DEFAULT_LIMIT_TOL = 1e-3
 
@@ -107,28 +107,16 @@ class DensitySetReport:
 # Densities at points
 
 
-def _ratio_series(A: Region, Omega: Region, x: np.ndarray, sched: DeltaSchedule,
+def _ratio_series(A: Region, Omega: Region, anchor, sched: DeltaSchedule,
                   cfg: QuadratureConfig, tol: float) -> LimitEstimate:
-    deltas = sched.deltas
-    values = np.empty(len(deltas))
-    nums = np.empty(len(deltas), dtype=int)
-    dens = np.empty(len(deltas), dtype=int)
-    for k, d in enumerate(deltas):
-        window = ball_window(x, float(d))
-        pts, _ = lattice(window, cfg.resolution)
-        in_ball = np.linalg.norm(pts - x, axis=1) < d
-        in_omega = in_ball & Omega.contains(pts)
-        den = int(np.count_nonzero(in_omega))
-        if den == 0:
-            raise NotDensityPoint(
-                f"measure of domain ball at delta={d:g} vanished at resolution "
-                f"{cfg.resolution}")
-        num = int(np.count_nonzero(in_omega & A.contains(pts)))
-        values[k] = count_ratio(num, den)
-        nums[k], dens[k] = num, den
-    return LimitEstimate.from_values(values, deltas, sched.tail_window, tol,
-                                     numerator_counts=nums,
-                                     denominator_counts=dens)
+    nums, dens = [], []
+    for lv in neighborhood_levels(Omega, anchor, sched, cfg):
+        nums.append(int(np.count_nonzero(A.contains(lv.points))))
+        dens.append(lv.count)
+    values = [count_ratio(num, den) for num, den in zip(nums, dens)]
+    return LimitEstimate.from_values(values, sched.deltas, sched.tail_window, tol,
+                                     numerator_counts=np.array(nums),
+                                     denominator_counts=np.array(dens))
 
 
 def density_at_point(A: Region, Omega: Region, x, sched: DeltaSchedule,
@@ -140,75 +128,56 @@ def density_at_point(A: Region, Omega: Region, x, sched: DeltaSchedule,
     by construction since the numerator mask is contained in the denominator
     mask.  Raises NotDensityPoint when a denominator vanishes.
     """
-    x = as_point(x, Omega.dim)
-    return _ratio_series(A, Omega, x, sched, cfg, tol)
+    return _ratio_series(A, Omega, as_point(x, Omega.dim), sched, cfg, tol)
 
 
 def null_within(C: Region, Omega: Region, cfg: QuadratureConfig) -> int:
     """Lattice hits of C & Omega over their common bbox (0 means null set)."""
-    from .geometry import intersect, lebesgue
-
     inter_box = C.bbox.intersect(Omega.bbox)
     if inter_box.is_degenerate():
         return 0
     return lebesgue(intersect(C, Omega), inter_box, cfg).hits
 
 
+def require_null(C: Region, Omega: Region, cfg: QuadratureConfig) -> None:
+    """Raise NotDensitySet unless C & Omega is null at working resolution."""
+    if null_within(C, Omega, cfg) > 0:
+        raise NotDensitySet(
+            f"{C.label!r}: lambda(C & Omega) > 0 at working resolution")
+
+
 def density_at_set(A: Region, Omega: Region, C: Region, sched: DeltaSchedule,
                    cfg: QuadratureConfig, tol: float = DEFAULT_LIMIT_TOL) -> LimitEstimate:
     """Relative density of A within Omega along shrinking neighborhoods of C.
 
-    The positive-neighborhood condition is enforced level by level (the
-    denominators below); the null condition through the lattice hits of
-    C & Omega.
+    The positive-neighborhood condition is enforced level by level (a level
+    without domain lattice points raises NotDensitySet); the null condition
+    through the lattice hits of C & Omega.
     """
-    if null_within(C, Omega, cfg) > 0:
-        raise NotDensitySet(
-            f"{C.label!r}: lambda(C & Omega) > 0 at working resolution")
-    cloud = point_cloud(C, cfg)
-    dist = cloud_distance(cloud)
-    deltas = sched.deltas
-    values = np.empty(len(deltas))
-    nums = np.empty(len(deltas), dtype=int)
-    dens = np.empty(len(deltas), dtype=int)
-    for k, d in enumerate(deltas):
-        pts = shell_lattice(cloud, float(d), cfg.resolution)
-        near = dist(pts) < d
-        in_omega = near & Omega.contains(pts)
-        den = int(np.count_nonzero(in_omega))
-        if den == 0:
-            raise NotDensitySet(
-                f"neighborhood of {C.label!r} at delta={d:g} carries no lattice "
-                f"points of the domain")
-        num = int(np.count_nonzero(in_omega & A.contains(pts)))
-        values[k] = count_ratio(num, den)
-        nums[k], dens[k] = num, den
-    return LimitEstimate.from_values(values, deltas, sched.tail_window, tol,
-                                     numerator_counts=nums,
-                                     denominator_counts=dens)
+    require_null(C, Omega, cfg)
+    return _ratio_series(A, Omega, C, sched, cfg, tol)
 
 
 def is_density_set(C: Region, Omega: Region, sched: DeltaSchedule,
                    cfg: QuadratureConfig) -> DensitySetReport:
-    """Check lambda(C & Omega) = 0 and lambda(C_delta & Omega) > 0 for all deltas."""
+    """Check lambda(C & Omega) = 0 and lambda(C_delta & Omega) > 0 for all deltas.
+
+    Levels after the first empty neighborhood are not sampled; their hits
+    read 0.
+    """
+    hits = np.zeros(sched.steps, dtype=int)
     null_hits = null_within(C, Omega, cfg)
     if null_hits > 0:
-        return DensitySetReport(False, null_hits, np.zeros(sched.steps, dtype=int),
+        return DensitySetReport(False, null_hits, hits,
                                 failed="lambda(C & Omega) > 0 at working resolution")
     try:
-        cloud = point_cloud(C, cfg)
+        point_cloud(C, cfg)  # a set without samples is a verdict, not an error
     except PreconditionError as exc:
-        return DensitySetReport(False, 0, np.zeros(sched.steps, dtype=int),
-                                failed=str(exc))
-    dist = cloud_distance(cloud)
-    hits = np.zeros(sched.steps, dtype=int)
-    for k, d in enumerate(sched.deltas):
-        pts = shell_lattice(cloud, float(d), cfg.resolution)
-        if pts.shape[0] == 0:
-            continue
-        mask = (dist(pts) < d) & Omega.contains(pts)
-        hits[k] = int(np.count_nonzero(mask))
-    if np.any(hits == 0):
+        return DensitySetReport(False, 0, hits, failed=str(exc))
+    try:
+        for k, lv in enumerate(neighborhood_levels(Omega, C, sched, cfg)):
+            hits[k] = lv.count
+    except NotDensitySet:
         bad = sched.deltas[int(np.argmax(hits == 0))]
         return DensitySetReport(False, 0, hits,
                                 failed=f"lambda(C_delta & Omega) = 0 at delta={bad:g}")
@@ -297,27 +266,17 @@ def concentration_direction(Omega: Region, x, sched: DeltaSchedule,
     ladder = [alpha0 / (2 ** j) for j in range(4)]
     cos_ladder = np.array([math.cos(a) for a in ladder])
 
-    deltas = sched.deltas
-    per_alpha = np.zeros((len(ladder), len(dirs), len(deltas)))
-    for k, d in enumerate(deltas):
-        window = ball_window(x, float(d))
-        pts, _ = lattice(window, cfg.resolution)
-        off = pts - x
+    per_alpha = np.zeros((len(ladder), len(dirs), sched.steps))
+    for k, lv in enumerate(neighborhood_levels(Omega, x, sched, cfg)):
+        off = lv.points - x
         r = np.linalg.norm(off, axis=1)
-        in_omega = (r < d) & Omega.contains(pts)
-        den = int(np.count_nonzero(in_omega))
-        if den == 0:
-            raise NotDensityPoint(
-                f"measure of domain ball at delta={d:g} vanished at resolution "
-                f"{cfg.resolution}")
         with np.errstate(invalid="ignore"):
             unit = off / np.where(r > 0.0, r, 1.0)[:, None]
         dots = unit @ dirs.T  # (points, dirs)
-        masked = np.where(in_omega[:, None], dots, -2.0)
         for j, cos_a in enumerate(cos_ladder):
-            counts = np.count_nonzero(masked > cos_a, axis=0)
+            counts = np.count_nonzero(dots > cos_a, axis=0)
             per_alpha[j, :, k] = np.array(
-                [count_ratio(int(c), den) for c in counts])
+                [count_ratio(int(c), lv.count) for c in counts])
 
     # aggregate each direction: mean over the ladder of tail-windowed values
     tail = per_alpha[:, :, -sched.tail_window:]

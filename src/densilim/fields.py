@@ -81,10 +81,6 @@ class ScalarField:
         return ScalarField(self.dim, lambda p: np.asarray(self.fn(p)) * np.asarray(other.fn(p)),
                            grad=g, label=f"({self.label})*({other.label})")
 
-    def shift(self, c: float) -> "ScalarField":
-        return ScalarField(self.dim, lambda p: np.asarray(self.fn(p)) + c,
-                           grad=self.grad, label=f"({self.label})+{c:g}")
-
 
 def constant_field(dim: int, c: float, label: str = "") -> ScalarField:
     return ScalarField(dim, lambda p: np.full(np.atleast_2d(p).shape[0], float(c)),
@@ -118,14 +114,3 @@ class VectorField:
 
         return ScalarField(self.dim, fn, label=f"({'|'.join(c.label for c in comps)}).v")
 
-
-def fd_gradient(field: ScalarField, points: np.ndarray, h: float) -> np.ndarray:
-    """Central-difference gradient, (m, n)."""
-    points = np.atleast_2d(points)
-    m, n = points.shape
-    out = np.empty((m, n))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h
-        out[:, i] = (field(points + e) - field(points - e)) / (2.0 * h)
-    return out

@@ -4,7 +4,8 @@ A region is a measurable subset of R^n given by a vectorized boolean
 predicate plus a bounding box.  Null sets (points, curves) additionally
 declare an explicit sample generator, since rejection sampling cannot
 find them.  All measure estimates are deterministic given the quadrature
-configuration; grid mode is the reference, Monte Carlo exists for n > 3.
+configuration; every estimator samples the grid lattice, and ``lebesgue``
+alone also offers seeded Monte Carlo.
 """
 
 from __future__ import annotations
@@ -290,7 +291,8 @@ class QuadratureConfig:
     """Measure-estimation settings.
 
     ``resolution`` is points per axis in grid mode and total sample count in
-    Monte Carlo mode.  Identical (mode, resolution, seed) give bit-identical
+    Monte Carlo mode; only ``lebesgue`` reads ``mode``, every estimator
+    samples the grid lattice.  Identical (mode, resolution, seed) give bit-identical
     estimates regardless of the parallel flag: work is always partitioned
     deterministically, so results do not depend on thread count.
     """
@@ -335,7 +337,7 @@ def lattice(window: Box, resolution: int) -> tuple[np.ndarray, float]:
     if resolution ** window.dim > 2 ** 24:
         raise PreconditionError(
             f"grid lattice of {resolution}^{window.dim} points is infeasible; "
-            "use monte_carlo mode for higher dimensions")
+            "lower the resolution to at most 2^24 lattice points")
     axes = [window.lo[i] + (np.arange(resolution) + 0.5) * (window.sides[i] / resolution)
             for i in range(window.dim)]
     grids = np.meshgrid(*axes, indexing="ij")

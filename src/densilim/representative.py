@@ -2,9 +2,9 @@
 
 A point value of an L^1-class field is recovered either from the
 approximate limit (measure-independent when it exists) or from shrinking
-ball means; at jump points the two one-sided half-space limits and the
-separating normal are estimated by sweeping candidate directions and
-refining the best one.
+ball means; at jump points the two one-sided half-space limits are
+estimated across the moment normal, the direction of the first moment
+sum (f - mean f)(y - x) over the tail balls.
 """
 
 from __future__ import annotations
@@ -16,8 +16,9 @@ from typing import Optional
 import numpy as np
 
 from .aplimits import (DEFAULT_AGREE_TOL, DEFAULT_ALPHA_RTOL, DEFAULT_CAP,
-                       DEFAULT_DENSITY_TOL, ApproxLimitResult, ap_limit)
-from .density import DEFAULT_LIMIT_TOL, LimitEstimate, unit_directions
+                       DEFAULT_DENSITY_TOL, ApproxLimitResult, ap_limit,
+                       ap_limit_from_samples)
+from .density import DEFAULT_LIMIT_TOL, LimitEstimate
 from .errors import NotBoundaryPoint, NotDensityPoint, PreconditionError, UnboundedNearX
 from .fields import ScalarField
 from .geometry import (DeltaSchedule, QuadratureConfig, Region, as_point,
@@ -109,8 +110,7 @@ def _means_from_samples(samples: BallSamples, tol: float) -> MeanLimitResult:
 def mean_limit(f: ScalarField, Omega: Region, x, sched: DeltaSchedule,
                cfg: QuadratureConfig, tol: float = DEFAULT_LIMIT_TOL) -> MeanLimitResult:
     """Limit of ball means of f over B_delta(x) within Omega."""
-    samples = ball_samples(f, Omega, as_point(x, Omega.dim), sched, cfg)
-    return _means_from_samples(samples, tol)
+    return _means_from_samples(ball_samples(f, Omega, x, sched, cfg), tol)
 
 
 def is_lebesgue_point(f: ScalarField, Omega: Region, x, sched: DeltaSchedule,
@@ -143,12 +143,12 @@ def precise_representative(f: ScalarField, Omega: Region, x, sched: DeltaSchedul
                            agree_tol: float = DEFAULT_AGREE_TOL) -> PreciseRepresentative:
     """Point value at x: approximate limit if it exists, else the ball-mean
     limit, else the zero fallback."""
-    x = as_point(x, Omega.dim)
-    ap = ap_limit(f, Omega, x, sched, cfg, cap=cap, density_tol=density_tol,
-                  alpha_rtol=alpha_rtol, agree_tol=agree_tol)
+    samples = ball_samples(f, Omega, x, sched, cfg)
+    ap = ap_limit_from_samples(f, samples, cfg, cap, density_tol, alpha_rtol,
+                               agree_tol)
     if ap.ap_limit is not None:
         return PreciseRepresentative(ap.ap_limit, "ap-limit", ap=ap)
-    mean = mean_limit(f, Omega, x, sched, cfg, tol=tol)
+    mean = _means_from_samples(samples, tol)
     if mean.estimate.converged and mean.abs_bounded:
         return PreciseRepresentative(mean.estimate.point_value, "mean",
                                      ap=ap, mean=mean)
@@ -172,7 +172,8 @@ def _moment_direction(samples: BallSamples) -> Optional[np.ndarray]:
     """First-moment normal estimate: direction of sum (f - mean f)(y - x).
 
     For an oriented two-value step this is exact up to lattice symmetry,
-    with no angular quantization, so it beats any finite direction sweep.
+    with no angular quantization.  None when f is constant over the tail
+    balls.
     """
     acc = np.zeros(samples.x.size)
     for lv in samples.levels[-samples.tail_window:]:
@@ -212,116 +213,30 @@ def _gap_profile(samples: BallSamples, dirs: np.ndarray) -> np.ndarray:
     return gaps / max(used, 1)
 
 
-def _refine_direction_2d(samples: BallSamples, v0: np.ndarray,
-                         spacing: float) -> np.ndarray:
-    """Golden-section refinement of the gap over the angle around v0."""
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    t0 = math.atan2(v0[1], v0[0])
-    a, b = t0 - spacing, t0 + spacing
-
-    def gap_of(t: float) -> float:
-        d = np.array([[math.cos(t), math.sin(t)]])
-        return float(_gap_profile(samples, d)[0])
-
-    c = b - phi * (b - a)
-    d_ = a + phi * (b - a)
-    fc, fd = gap_of(c), gap_of(d_)
-    for _ in range(40):
-        if fc > fd:
-            b, d_, fd = d_, c, fc
-            c = b - phi * (b - a)
-            fc = gap_of(c)
-        else:
-            a, c, fc = c, d_, fd
-            d_ = a + phi * (b - a)
-            fd = gap_of(d_)
-    t = 0.5 * (a + b)
-    return np.array([math.cos(t), math.sin(t)])
-
-
-def _refine_direction_3d(samples: BallSamples, v0: np.ndarray,
-                         spacing: float) -> np.ndarray:
-    """Coordinate golden-section on two great-circle parameters around v0."""
-    v = v0.copy()
-    for _ in range(4):
-        basis = _orthonormal_complement(v)
-        for e in basis:
-            phi = (math.sqrt(5.0) - 1.0) / 2.0
-            a, b = -spacing, spacing
-
-            def gap_of(t: float) -> float:
-                cand = math.cos(t) * v + math.sin(t) * e
-                return float(_gap_profile(samples, cand[None, :])[0])
-
-            c = b - phi * (b - a)
-            d_ = a + phi * (b - a)
-            fc, fd = gap_of(c), gap_of(d_)
-            for _ in range(20):
-                if fc > fd:
-                    b, d_, fd = d_, c, fc
-                    c = b - phi * (b - a)
-                    fc = gap_of(c)
-                else:
-                    a, c, fc = c, d_, fd
-                    d_ = a + phi * (b - a)
-                    fd = gap_of(d_)
-            t = 0.5 * (a + b)
-            v = math.cos(t) * v + math.sin(t) * e
-            v /= np.linalg.norm(v)
-        spacing /= 4.0
-    return v
-
-
-def _orthonormal_complement(v: np.ndarray) -> list:
-    idx = int(np.argmin(np.abs(v)))
-    e = np.zeros_like(v)
-    e[idx] = 1.0
-    u1 = np.cross(v, e)
-    u1 /= np.linalg.norm(u1)
-    u2 = np.cross(v, u1)
-    u2 /= np.linalg.norm(u2)
-    return [u1, u2]
-
-
 def detect_jump(f: ScalarField, Omega: Region, x, sched: DeltaSchedule,
-                cfg: QuadratureConfig, n_dirs: Optional[int] = None,
-                jump_rtol: float = 1e-2, cap: float = DEFAULT_CAP,
+                cfg: QuadratureConfig, jump_rtol: float = 1e-2,
+                cap: float = DEFAULT_CAP,
                 density_tol: float = DEFAULT_DENSITY_TOL,
                 alpha_rtol: float = DEFAULT_ALPHA_RTOL,
                 agree_tol: float = DEFAULT_AGREE_TOL) -> JumpReport:
-    """One-sided limits of f at x across the best separating hyperplane.
+    """One-sided limits of f at x across the moment normal.
 
-    The normal candidate sweep maximizes the difference of half-space
-    means, then golden-section refinement sharpens it; f_minus/f_plus are
-    one-sided approximate limits within the two open half-spaces.
+    The normal is the first-moment direction of f over the tail balls (e1
+    when f is constant there); ``direction_confident`` says whether the
+    half-space mean difference across it exceeds the jump tolerance.
+    f_minus/f_plus are one-sided approximate limits within the two open
+    half-spaces.
     """
     x = as_point(x, Omega.dim)
-    if n_dirs is None:
-        n_dirs = 192 if Omega.dim == 3 else 64
     samples = ball_samples(f, Omega, x, sched, cfg)
     lo, hi = samples.finite_range()
     local_range = max(hi - lo, 0.0)
     jump_tol = jump_rtol * max(local_range, 1e-9)
 
-    dirs = unit_directions(n_dirs, Omega.dim)
-    gaps = _gap_profile(samples, dirs)
-    best = int(np.argmax(gaps))
-    ties = np.flatnonzero(gaps >= gaps[best] - 1e-12)
-    best = min(ties, key=lambda i: tuple(dirs[i]))
-    nu = dirs[best]
-    spacing = 2.0 * math.pi / n_dirs
-    if Omega.dim == 2:
-        nu = _refine_direction_2d(samples, nu, spacing)
-    elif Omega.dim == 3:
-        nu = _refine_direction_3d(samples, nu, spacing)
-    confident = bool(gaps[best] > jump_tol)
-    moment = _moment_direction(samples)
-    if moment is not None:
-        # quantization-free candidate; keep whichever separates better
-        g_m = float(_gap_profile(samples, moment[None, :])[0])
-        g_r = float(_gap_profile(samples, nu[None, :])[0])
-        if g_m >= g_r - 1e-12:
-            nu = moment
+    nu = _moment_direction(samples)
+    if nu is None:
+        nu = np.eye(Omega.dim)[0]
+    confident = bool(_gap_profile(samples, nu[None, :])[0] > jump_tol)
 
     # one-sided limits must not be corrupted by the O(theta) sliver of
     # misassigned lattice points near the separating hyperplane

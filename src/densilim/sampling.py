@@ -1,4 +1,15 @@
-"""Shared shrinking-neighborhood samplers and local extremum refinement.
+"""The shrinking-neighborhood sampler shared by every estimator, and local
+extremum refinement.
+
+``neighborhood_levels`` is the one per-delta loop of the library: for each
+schedule delta it yields the lattice points of the delta-neighborhood of
+an anchor within the domain, the field values there and the level's
+membership predicate.  The anchor is a point, whose neighborhoods are
+balls, or a region, whose neighborhoods are tubes around its point cloud.
+A point is the degenerate one-point cloud: ``shell_lattice`` returns the
+ball-window lattice for it and its distance is a plain norm, so densities
+at points and at null sets, essential bounds, approximate limits and ball
+means all read the same samples.
 
 The refinement pass zooms a small sub-lattice around the current best
 sample, which moves the lattice sup/inf toward the pointwise sup/inf.
@@ -11,14 +22,16 @@ consequently misread, a documented limitation of predicate-defined data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .errors import NotDensityPoint
+from .errors import NotDensityPoint, NotDensitySet
 from .fields import ScalarField
 from .geometry import (DeltaSchedule, QuadratureConfig, Region, as_point,
-                       ball_window, lattice)
+                       cloud_distance, point_cloud, shell_lattice)
+
+Membership = Callable[[np.ndarray], np.ndarray]  # (m, n) points -> (m,) bool
 
 
 @dataclass
@@ -26,11 +39,18 @@ class LevelSamples:
     """Lattice samples of one delta level restricted to the neighborhood."""
 
     delta: float
-    points: np.ndarray       # (m, n) lattice points inside the neighborhood
-    values: np.ndarray       # (m,) field values, NaN = discarded
-    cell: float              # lattice spacing (largest axis step)
-    count: int               # m
-    discarded: int
+    points: np.ndarray            # (m, n) lattice points in neighborhood & domain
+    values: Optional[np.ndarray]  # (m,) field values, NaN = discarded
+    cell: float                   # lattice spacing
+    member: Membership            # membership of the neighborhood & domain
+
+    @property
+    def count(self) -> int:
+        return self.points.shape[0]
+
+    @property
+    def discarded(self) -> int:
+        return int(np.count_nonzero(np.isnan(self.values)))
 
     @property
     def finite_values(self) -> np.ndarray:
@@ -57,6 +77,52 @@ class BallSamples:
         return lo, hi
 
 
+def neighborhood_levels(Omega: Region, anchor, sched: DeltaSchedule,
+                        cfg: QuadratureConfig,
+                        f: Optional[ScalarField] = None) -> Iterator[LevelSamples]:
+    """Lattice samples of the shrinking neighborhoods of ``anchor`` in Omega.
+
+    ``anchor`` is a point (balls B_delta(x)) or a Region (tubes around its
+    point cloud).  Each level holds the lattice points with distance below
+    delta that lie in Omega, f at those points when f is given, and the
+    membership predicate that refinement must stay within.  Raises
+    NotDensityPoint (point) or NotDensitySet (region) at the first level
+    that carries no lattice point of the domain.
+    """
+    if isinstance(anchor, Region):
+        cloud = point_cloud(anchor, cfg)
+
+        def vanished(d):
+            return NotDensitySet(f"neighborhood of {anchor.label!r} at delta={d:g} "
+                                 "carries no lattice points of the domain")
+    else:
+        cloud = as_point(anchor, Omega.dim)[None, :]
+
+        def vanished(d):
+            return NotDensityPoint(f"measure of domain ball at delta={d:g} "
+                                   f"vanished at resolution {cfg.resolution}")
+    if cloud.shape[0] == 1:  # a KD tree of one point gives the same distances
+        centre = cloud[0]
+
+        def dist(p):
+            return np.linalg.norm(np.atleast_2d(p) - centre, axis=1)
+    else:
+        dist = cloud_distance(cloud)
+    for d in sched.deltas:
+        d = float(d)
+
+        def member(p, d=d):
+            return (dist(p) < d) & Omega.contains(p)
+
+        pts = shell_lattice(cloud, d, cfg.resolution)
+        if pts.shape[0]:
+            pts = pts[member(pts)]
+        if pts.shape[0] == 0:
+            raise vanished(d)
+        yield LevelSamples(d, pts, None if f is None else f(pts),
+                           2.0 * d / cfg.resolution, member)
+
+
 def ball_samples(f: ScalarField, Omega: Region, x, sched: DeltaSchedule,
                  cfg: QuadratureConfig) -> BallSamples:
     """Sample f over B_delta(x) within Omega for every schedule delta.
@@ -64,25 +130,11 @@ def ball_samples(f: ScalarField, Omega: Region, x, sched: DeltaSchedule,
     Raises NotDensityPoint when some level has no domain lattice points.
     """
     x = as_point(x, Omega.dim)
-    levels = []
-    for d in sched.deltas:
-        window = ball_window(x, float(d))
-        pts, _ = lattice(window, cfg.resolution)
-        mask = (np.linalg.norm(pts - x, axis=1) < d) & Omega.contains(pts)
-        m = int(np.count_nonzero(mask))
-        if m == 0:
-            raise NotDensityPoint(
-                f"measure of domain ball at delta={d:g} vanished at resolution "
-                f"{cfg.resolution}")
-        pts = pts[mask]
-        vals = f(pts)
-        levels.append(LevelSamples(float(d), pts, vals,
-                                   float(np.max(window.sides) / cfg.resolution),
-                                   m, int(np.count_nonzero(np.isnan(vals)))))
-    return BallSamples(x, levels, sched.tail_window)
+    return BallSamples(x, list(neighborhood_levels(Omega, x, sched, cfg, f)),
+                       sched.tail_window)
 
 
-def refine_extremum(f: ScalarField, membership: Callable[[np.ndarray], np.ndarray],
+def refine_extremum(f: ScalarField, membership: Membership,
                     level: LevelSamples, cfg: QuadratureConfig,
                     sign: float = 1.0, cap: Optional[float] = None) -> float:
     """Push the lattice extremum of one level toward the pointwise extremum.

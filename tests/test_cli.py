@@ -157,3 +157,15 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["value"] == 0.5
+
+
+def test_closed_stdout_exits_quietly():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "densilim.cli", "density", "--set", "x2>0",
+         "--domain", "true", "--at", "0,0", "--res", "16"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()  # the reader leaves before the report is written
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 141
+    assert b"BrokenPipeError" not in err and b"Traceback" not in err

@@ -1,0 +1,133 @@
+"""Property tests of the invariants every estimator inherits from the shared
+neighborhood sampler, on small drawn grids (res <= 32, <= 6 levels)."""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from densilim.aplimits import ap_liminf, ap_limsup
+from densilim.density import cone_region, density_at_point, density_at_set
+from densilim.errors import PreconditionError
+from densilim.expr import compile_field, compile_region
+from densilim.geometry import (Box, DeltaSchedule, QuadratureConfig,
+                               ball_region, circle_region, cloud_distance,
+                               complement, point_region, shell_lattice)
+
+BOX = Box([-2.0, -2.0], [2.0, 2.0])
+PROPERTY = settings(max_examples=15, deadline=None, derandomize=True,
+                    database=None)
+
+coord = st.floats(-0.5, 0.5, allow_nan=False)
+points = st.tuples(coord, coord).map(np.array)
+angles = st.floats(0.0, 2.0 * math.pi, allow_nan=False)
+grids = st.tuples(st.sampled_from([8, 16, 32]),          # resolution
+                  st.floats(0.1, 1.0, allow_nan=False),  # delta0
+                  st.integers(2, 6))                     # steps
+
+
+def _unit(t):
+    return np.array([math.cos(t), math.sin(t)])
+
+
+def _affine(c0, c, x0):
+    c0, c1, c2, a1, a2 = (float(v) for v in (c0, c[0], c[1], x0[0], x0[1]))
+    return f"({c0!r}) + ({c1!r})*(x1 - ({a1!r})) + ({c2!r})*(x2 - ({a2!r}))"
+
+
+@st.composite
+def regions(draw):
+    """A half-plane, a cone or a wedge with its corner at a drawn point."""
+    p = draw(points)
+    kind = draw(st.sampled_from(["half", "cone", "wedge"]))
+    if kind == "cone":
+        return cone_region(p, _unit(draw(angles)), draw(st.floats(0.2, 1.3)), 2)
+    n = _unit(draw(angles))
+    src = f"{_affine(0.0, n, p)} > 0"
+    if kind == "wedge":
+        src += f" and {_affine(0.0, _unit(draw(angles)), p)} > 0"
+    return compile_region(src, 2, BOX)
+
+
+@st.composite
+def domains(draw):
+    kind = draw(st.sampled_from(["plane", "disk", "half"]))
+    if kind == "plane":
+        return compile_region("true", 2, BOX)
+    if kind == "disk":
+        return ball_region(draw(points), draw(st.floats(0.3, 1.5)))
+    return compile_region(f"{_affine(0.0, _unit(draw(angles)), draw(points))} > 0",
+                          2, BOX)
+
+
+def _schedule(grid):
+    res, delta0, steps = grid
+    return DeltaSchedule(delta0, 0.5, steps, 2), QuadratureConfig(resolution=res)
+
+
+def _outcome(fn):
+    """The estimate, or None when the run is refused as a precondition."""
+    try:
+        return fn()
+    except PreconditionError:
+        return None
+
+
+@PROPERTY
+@given(x=st.lists(coord, min_size=1, max_size=3).map(np.array),
+       delta=st.floats(0.01, 1.0), res=st.sampled_from([8, 16, 32]))
+def test_one_point_norm_matches_kd_tree(x, delta, res):
+    # the sampler measures distance to a one-point cloud with a plain norm
+    pts = shell_lattice(x[None, :], delta, res)
+    assert np.array_equal(np.linalg.norm(pts - x, axis=1),
+                          cloud_distance(x[None, :])(pts))
+
+
+@PROPERTY
+@given(A=regions(), Omega=domains(), x=points, grid=grids)
+def test_point_density_equals_density_at_point_region(A, Omega, x, grid):
+    sched, cfg = _schedule(grid)
+    at_point = _outcome(lambda: density_at_point(A, Omega, x, sched, cfg))
+    at_set = _outcome(lambda: density_at_set(A, Omega, point_region(x), sched, cfg))
+    assert (at_point is None) == (at_set is None)
+    if at_point is not None:
+        assert np.array_equal(at_point.values, at_set.values)
+        assert np.array_equal(at_point.numerator_counts, at_set.numerator_counts)
+        assert np.array_equal(at_point.denominator_counts,
+                              at_set.denominator_counts)
+
+
+@PROPERTY
+@given(A=regions(), Omega=domains(), x=points, grid=grids,
+       radius=st.one_of(st.none(), st.floats(0.2, 0.6)))
+def test_complement_densities_sum_to_one(A, Omega, x, grid, radius):
+    sched, cfg = _schedule(grid)
+    not_A = complement(A, Omega.bbox)
+    if radius is None:
+        def run(S):
+            return density_at_point(S, Omega, x, sched, cfg)
+    else:
+        C = circle_region(x, radius)
+
+        def run(S):
+            return density_at_set(S, Omega, C, sched, cfg)
+    est, est_not = _outcome(lambda: run(A)), _outcome(lambda: run(not_A))
+    assert (est is None) == (est_not is None)
+    if est is not None:
+        assert np.all(est.values + est_not.values == 1.0)
+
+
+@PROPERTY
+@given(x0=points, c0=st.floats(-1.0, 1.0), c=points.map(lambda p: 2.0 * p),
+       kink=st.one_of(st.none(), st.tuples(st.floats(0.3, 1.2), angles)),
+       grid=grids)
+def test_ap_liminf_is_negated_ap_limsup_of_negation(x0, c0, c, kink, grid):
+    sched, cfg = _schedule(grid)
+    src = _affine(c0, c, x0)
+    if kink is not None:
+        s, t = kink
+        src += f" + ({float(s)!r})*abs({_affine(0.0, _unit(t), x0)})"
+    f = compile_field(src, 2)
+    plane = compile_region("true", 2, BOX)
+    assert ap_liminf(f, plane, x0, sched, cfg) == -ap_limsup(-f, plane, x0, sched, cfg)
