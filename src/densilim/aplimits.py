@@ -15,17 +15,13 @@ from typing import Optional
 
 import numpy as np
 
+from .config import Tolerances
 from .density import count_ratio, require_null
 from .errors import NotDensitySet, PreconditionError
 from .fields import ScalarField, VectorField
 from .geometry import DeltaSchedule, QuadratureConfig, Region
 from .sampling import (BallSamples, LevelSamples, ball_samples,
                        neighborhood_levels, refine_extremum)
-
-DEFAULT_CAP = 1e6
-DEFAULT_DENSITY_TOL = 1e-3
-DEFAULT_ALPHA_RTOL = 1e-4
-DEFAULT_AGREE_TOL = 4e-3
 
 
 @dataclass(frozen=True)
@@ -71,7 +67,7 @@ class ApproxLimitResult:
 
 
 def ess_sup_series(f: ScalarField, Omega: Region, C: Region, sched: DeltaSchedule,
-                   cfg: QuadratureConfig, cap: float = DEFAULT_CAP) -> np.ndarray:
+                   cfg: QuadratureConfig, cap: float = Tolerances.cap) -> np.ndarray:
     """Per-delta sups over shrinking neighborhoods, non-increasing as sampled.
 
     Lattice sups are pushed outward by local refinement and clamped so the
@@ -96,7 +92,7 @@ def ess_sup_series(f: ScalarField, Omega: Region, C: Region, sched: DeltaSchedul
 
 
 def ess_sup_near(f: ScalarField, Omega: Region, C: Region, sched: DeltaSchedule,
-                 cfg: QuadratureConfig, cap: float = DEFAULT_CAP) -> float:
+                 cfg: QuadratureConfig, cap: float = Tolerances.cap) -> float:
     """Limit of the supremum of f over shrinking neighborhoods of C in Omega.
 
     The limit of the non-increasing per-delta series is its value at the
@@ -107,13 +103,13 @@ def ess_sup_near(f: ScalarField, Omega: Region, C: Region, sched: DeltaSchedule,
 
 
 def ess_inf_near(f: ScalarField, Omega: Region, C: Region, sched: DeltaSchedule,
-                 cfg: QuadratureConfig, cap: float = DEFAULT_CAP) -> float:
+                 cfg: QuadratureConfig, cap: float = Tolerances.cap) -> float:
     """Mirror of ess_sup_near with the infimum (returns -inf past the cap)."""
     return -ess_sup_near(-f, Omega, C, sched, cfg, cap=cap)
 
 
 def dens_interval(f: ScalarField, Omega: Region, C: Region, sched: DeltaSchedule,
-                  cfg: QuadratureConfig, cap: float = DEFAULT_CAP,
+                  cfg: QuadratureConfig, cap: float = Tolerances.cap,
                   witness_eps: float = 1e-3) -> DensityInterval:
     """Interval [ess-inf, ess-sup] near C with attainment witness regions.
 
@@ -138,7 +134,7 @@ def dens_interval(f: ScalarField, Omega: Region, C: Region, sched: DeltaSchedule
 
 def support_function(F: VectorField, Omega: Region, C: Region, v,
                      sched: DeltaSchedule, cfg: QuadratureConfig,
-                     cap: float = DEFAULT_CAP) -> float:
+                     cap: float = Tolerances.cap) -> float:
     """Support function of the attainable integral set of F near C: ess-sup of F.v."""
     v = np.asarray(v, dtype=float)
     if np.linalg.norm(v) == 0.0:
@@ -208,9 +204,9 @@ def _negated(samples: BallSamples) -> BallSamples:
 
 
 def ap_limsup(f: ScalarField, Omega: Region, x, sched: DeltaSchedule,
-              cfg: QuadratureConfig, cap: float = DEFAULT_CAP,
-              density_tol: float = DEFAULT_DENSITY_TOL,
-              alpha_rtol: float = DEFAULT_ALPHA_RTOL) -> float:
+              cfg: QuadratureConfig, cap: float = Tolerances.cap,
+              density_tol: float = Tolerances.density_tol,
+              alpha_rtol: float = Tolerances.alpha_rtol) -> float:
     """Smallest level whose super-level set has vanishing relative density at x.
 
     The "vanishes" test is a tail limsup of lattice super-level fractions
@@ -223,9 +219,9 @@ def ap_limsup(f: ScalarField, Omega: Region, x, sched: DeltaSchedule,
 
 
 def ap_liminf(f: ScalarField, Omega: Region, x, sched: DeltaSchedule,
-              cfg: QuadratureConfig, cap: float = DEFAULT_CAP,
-              density_tol: float = DEFAULT_DENSITY_TOL,
-              alpha_rtol: float = DEFAULT_ALPHA_RTOL) -> float:
+              cfg: QuadratureConfig, cap: float = Tolerances.cap,
+              density_tol: float = Tolerances.density_tol,
+              alpha_rtol: float = Tolerances.alpha_rtol) -> float:
     """Negation-dual of ap_limsup: ap_liminf(f) = -ap_limsup(-f) exactly."""
     samples = ball_samples(f, Omega, x, sched, cfg)
     value, _ = _limsup_from_samples(-f, _negated(samples), cfg, cap,
@@ -234,10 +230,10 @@ def ap_liminf(f: ScalarField, Omega: Region, x, sched: DeltaSchedule,
 
 
 def ap_limit(f: ScalarField, Omega: Region, x, sched: DeltaSchedule,
-             cfg: QuadratureConfig, cap: float = DEFAULT_CAP,
-             density_tol: float = DEFAULT_DENSITY_TOL,
-             alpha_rtol: float = DEFAULT_ALPHA_RTOL,
-             agree_tol: float = DEFAULT_AGREE_TOL) -> ApproxLimitResult:
+             cfg: QuadratureConfig, cap: float = Tolerances.cap,
+             density_tol: float = Tolerances.density_tol,
+             alpha_rtol: float = Tolerances.alpha_rtol,
+             agree_tol: float = Tolerances.agree_tol) -> ApproxLimitResult:
     """Approximate limit: present iff the one-sided limits agree and are finite.
 
     The agreement tolerance scales with the magnitude of the bounds so that

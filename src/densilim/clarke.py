@@ -2,28 +2,27 @@
 
 For locally Lipschitz f the directional derivative is estimated two ways:
 as a shrinking-ball sup of difference quotients and as a shrinking-ball
-sup of sampled gradients; the two must agree.  The generalized gradient
-is the convex hull of gradient samples concentrated at the smallest
-schedule delta, cross-checked against the directional derivative through
-its support function.
+sup of sampled gradients; the two must agree.  Gradients are the exact
+derivatives of the field's expression, taken at sample points where f is
+differentiable; points where the gradient is not finite are dropped.  The
+generalized gradient is the convex hull of gradient samples concentrated
+at the smallest schedule delta (Clarke's representation as the hull of
+limits of gradients), cross-checked against the directional derivative
+through its support function.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from .config import Tolerances
 from .errors import NonLipschitz, PreconditionError, SupportMismatch
 from .fields import ScalarField
 from .geometry import DeltaSchedule, QuadratureConfig, as_point
 from .sampling import halton_ball
-
-DEFAULT_CAP = 1e6
-DEFAULT_FD_TOL = 1e-1
-DEFAULT_SUPPORT_TOL = 2e-3
-FD_STEP_RATIO = 1e-3
 
 
 def probe_directions(dim: int, seed: int, extra: int = 64) -> np.ndarray:
@@ -41,44 +40,11 @@ def probe_directions(dim: int, seed: int, extra: int = 64) -> np.ndarray:
     return np.concatenate([axes, sphere], axis=0)
 
 
-def _filtered_gradients(f: ScalarField, pts: np.ndarray, h: float,
-                        fd_tol: float) -> np.ndarray:
-    """Gradient samples with non-differentiable points discarded.
-
-    Analytic gradients pass through; finite differences keep a sample only
-    when forward/backward/central differences agree within fd_tol times the
-    local Lipschitz scale (kink-straddling stencils get dropped).
-    """
-    if f.grad is not None:
-        g = f.gradient_at(pts)
-        keep = np.all(np.isfinite(g), axis=1)
-        return g[keep]
-    m, n = pts.shape
-    ctr = np.empty((m, n))
-    spread = np.zeros(m)
-    f0 = f(pts)
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h
-        fp = f(pts + e)
-        fm = f(pts - e)
-        fwd = (fp - f0) / h
-        bwd = (f0 - fm) / h
-        ctr[:, i] = (fp - fm) / (2.0 * h)
-        spread = np.maximum(spread, np.abs(fwd - bwd))
-    finite = np.all(np.isfinite(ctr), axis=1) & np.isfinite(spread)
-    if not np.any(finite):
-        return np.empty((0, n))
-    lip_scale = max(1.0, float(np.max(np.linalg.norm(ctr[finite], axis=1))))
-    keep = finite & (spread <= fd_tol * lip_scale)
-    return ctr[keep]
-
-
 def _gradient_levels(f: ScalarField, x: np.ndarray, sched: DeltaSchedule,
-                     cfg: QuadratureConfig, n_samples: int, fd_tol: float,
-                     cap: float, along: Optional[np.ndarray] = None,
+                     cfg: QuadratureConfig, n_samples: int, cap: float,
+                     along: Optional[np.ndarray] = None,
                      rays: Optional[np.ndarray] = None) -> list:
-    """Filtered gradient samples for every schedule delta.
+    """Finite gradient samples for every schedule delta.
 
     ``along`` adds samples on the +/- ray through x in that direction; the
     sup of Df . v for norm-like kinks is attained along the query ray, which
@@ -96,10 +62,11 @@ def _gradient_levels(f: ScalarField, x: np.ndarray, sched: DeltaSchedule,
         for u in ray_dirs:
             t = float(d) * (np.arange(1, 17) - 0.5) / 16.0
             pts = np.concatenate([pts, x + t[:, None] * u, x - t[:, None] * u])
-        g = _filtered_gradients(f, pts, FD_STEP_RATIO * float(d), fd_tol)
+        g = f.gradient_at(pts)
+        g = g[np.all(np.isfinite(g), axis=1)]
         if g.shape[0] == 0:
-            raise NonLipschitz(
-                f"no differentiability points survived filtering at delta={d:g}")
+            raise NonLipschitz(f"no sample point of {f.label!r} has a finite "
+                               f"gradient at delta={d:g}")
         if float(np.max(np.linalg.norm(g, axis=1))) > cap:
             raise NonLipschitz(
                 f"gradient norm exceeds cap {cap:g} at delta={d:g}")
@@ -109,7 +76,7 @@ def _gradient_levels(f: ScalarField, x: np.ndarray, sched: DeltaSchedule,
 
 def dir_derivative_quotient(f: ScalarField, x, v, sched: DeltaSchedule,
                             cfg: QuadratureConfig, n_samples: int = 256,
-                            cap: float = DEFAULT_CAP) -> float:
+                            cap: float = Tolerances.cap) -> float:
     """Directional derivative as sup of difference quotients (f(y+tv)-f(y))/t
     over y in B_delta(x), t in (0, delta), at the smallest schedule delta."""
     from scipy.stats import qmc
@@ -135,12 +102,11 @@ def dir_derivative_quotient(f: ScalarField, x, v, sched: DeltaSchedule,
 
 def dir_derivative_gradsup(f: ScalarField, x, v, sched: DeltaSchedule,
                            cfg: QuadratureConfig, n_samples: int = 256,
-                           cap: float = DEFAULT_CAP,
-                           fd_tol: float = DEFAULT_FD_TOL) -> float:
+                           cap: float = Tolerances.cap) -> float:
     """Directional derivative as the shrinking-ball sup of sampled Df . v."""
     x = as_point(x)
     v = np.asarray(v, dtype=float)
-    levels = _gradient_levels(f, x, sched, cfg, n_samples, fd_tol, cap, along=v)
+    levels = _gradient_levels(f, x, sched, cfg, n_samples, cap, along=v)
     return float(np.max(levels[-1] @ v))
 
 
@@ -158,7 +124,6 @@ class GradientHull:
     delta_used: float
     hull_vertices: np.ndarray
     probe_dirs: np.ndarray
-    level_points: list = field(default_factory=list, repr=False)
 
     def support(self, v) -> float:
         v = np.asarray(v, dtype=float)
@@ -206,9 +171,8 @@ def convex_hull_vertices(pts: np.ndarray) -> np.ndarray:
 
 
 def gen_gradient(f: ScalarField, x, sched: DeltaSchedule, cfg: QuadratureConfig,
-                 n_samples: int = 256, cap: float = DEFAULT_CAP,
-                 fd_tol: float = DEFAULT_FD_TOL,
-                 support_tol: float = DEFAULT_SUPPORT_TOL) -> GradientHull:
+                 n_samples: int = 256, cap: float = Tolerances.cap,
+                 support_tol: float = Tolerances.support_tol) -> GradientHull:
     """Generalized gradient as the hull of gradient samples at the smallest
     delta, verified against the directional derivative on a probe set.
 
@@ -217,14 +181,10 @@ def gen_gradient(f: ScalarField, x, sched: DeltaSchedule, cfg: QuadratureConfig,
     """
     x = as_point(x)
     probes = probe_directions(x.size, cfg.seed)
-    levels = _gradient_levels(f, x, sched, cfg, n_samples, fd_tol, cap,
-                              rays=probes)
-    # quantize away finite-difference jitter so duplicate gradients collapse
-    # and hull vertices attain the point-set support exactly
-    pts = np.unique(np.round(levels[-1], 12), axis=0)
+    levels = _gradient_levels(f, x, sched, cfg, n_samples, cap, rays=probes)
+    pts = np.unique(levels[-1], axis=0)
     hull = GradientHull(pts, x, float(sched.deltas[-1]),
-                        convex_hull_vertices(pts), probes,
-                        level_points=levels)
+                        convex_hull_vertices(pts), probes)
     # cross-check against the independent difference-quotient estimator on
     # the axis probes; a gap signals under-sampling or a bad gradient callback
     scale = max(1.0, float(np.max(np.linalg.norm(pts, axis=1))))
@@ -240,7 +200,7 @@ def gen_gradient(f: ScalarField, x, sched: DeltaSchedule, cfg: QuadratureConfig,
     return hull
 
 
-def contains(hull: GradientHull, xi, tol: float = DEFAULT_SUPPORT_TOL) -> bool:
+def contains(hull: GradientHull, xi, tol: float = Tolerances.support_tol) -> bool:
     """Membership test: xi . v <= support(v) + tol on the probe set."""
     xi = np.asarray(xi, dtype=float)
     return all(float(xi @ v) <= hull.support(v) + tol for v in hull.probe_dirs)
@@ -273,9 +233,8 @@ def _scaled_support(hull: GradientHull, s: float, v: np.ndarray) -> float:
 def check_calculus(f: ScalarField, g: Optional[ScalarField], x, rule: str,
                    sched: DeltaSchedule, cfg: QuadratureConfig,
                    s: float = 1.0, alpha: float = 1.0, beta: float = 1.0,
-                   n_samples: int = 256, cap: float = DEFAULT_CAP,
-                   fd_tol: float = DEFAULT_FD_TOL,
-                   support_tol: float = DEFAULT_SUPPORT_TOL) -> CalculusReport:
+                   n_samples: int = 256, cap: float = Tolerances.cap,
+                   support_tol: float = Tolerances.support_tol) -> CalculusReport:
     """Verify a generalized-gradient calculus rule through support functions.
 
     scale:   grad(s f) = s grad(f)                         (equality)
@@ -284,12 +243,11 @@ def check_calculus(f: ScalarField, g: Optional[ScalarField], x, rule: str,
     """
     x = as_point(x)
     slack = 1e-6 + 2.0 * support_tol
-    hull_f = gen_gradient(f, x, sched, cfg, n_samples, cap, fd_tol, support_tol)
+    hull_f = gen_gradient(f, x, sched, cfg, n_samples, cap, support_tol)
     dirs = hull_f.probe_dirs
 
     if rule == "scale":
-        comp = gen_gradient(f.scale(s), x, sched, cfg, n_samples, cap, fd_tol,
-                            support_tol)
+        comp = gen_gradient(f.scale(s), x, sched, cfg, n_samples, cap, support_tol)
         rhs = [_scaled_support(hull_f, s, v) for v in dirs]
         both = [abs(comp.support(v) - r) for v, r in zip(dirs, rhs)]
         worst = max(both)
@@ -297,11 +255,11 @@ def check_calculus(f: ScalarField, g: Optional[ScalarField], x, rule: str,
                               equality=True)
     if g is None:
         raise PreconditionError(f"rule {rule!r} needs a second field")
-    hull_g = gen_gradient(g, x, sched, cfg, n_samples, cap, fd_tol, support_tol)
+    hull_g = gen_gradient(g, x, sched, cfg, n_samples, cap, support_tol)
 
     if rule == "sum":
         comp = gen_gradient(f.scale(alpha) + g.scale(beta), x, sched, cfg,
-                            n_samples, cap, fd_tol, support_tol)
+                            n_samples, cap, support_tol)
         gaps = [comp.support(v) - (_scaled_support(hull_f, alpha, v)
                                    + _scaled_support(hull_g, beta, v))
                 for v in dirs]
@@ -309,8 +267,7 @@ def check_calculus(f: ScalarField, g: Optional[ScalarField], x, rule: str,
         return CalculusReport("sum", {"alpha": alpha, "beta": beta},
                               worst <= slack, worst, slack, equality=False)
     if rule == "product":
-        comp = gen_gradient(f * g, x, sched, cfg, n_samples, cap, fd_tol,
-                            support_tol)
+        comp = gen_gradient(f * g, x, sched, cfg, n_samples, cap, support_tol)
         fx, gx = f.at(x), g.at(x)
         gaps = [comp.support(v) - (_scaled_support(hull_g, fx, v)
                                    + _scaled_support(hull_f, gx, v))

@@ -25,8 +25,6 @@ from .fields import ScalarField, VectorField
 from .geometry import Box, DeltaSchedule, QuadratureConfig, Region
 from . import registry
 
-DEFAULT_SEED = 20260809
-
 
 def _jsonify(obj):
     if isinstance(obj, dict):
@@ -42,24 +40,25 @@ def _jsonify(obj):
     return obj
 
 
+_TOL_FLAGS = {"--tol-limit": "limit_tol", "--tol-density": "density_tol",
+              "--tol-alpha": "alpha_rtol", "--tol-agree": "agree_tol",
+              "--tol-jump": "jump_rtol", "--tol-support": "support_tol",
+              "--cap": "cap"}
+
+
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--at", help="query point, comma-separated coordinates")
     p.add_argument("--dim", type=int, help="ambient dimension (inferred from --at)")
     p.add_argument("--schedule", help="delta schedule as d0,ratio,K,w")
-    p.add_argument("--res", type=int, default=128,
+    p.add_argument("--res", type=int, default=QuadratureConfig.resolution,
                    help="grid points per delta-diameter")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=QuadratureConfig.seed)
     p.add_argument("--threads", type=int, default=1,
                    help="parallelism hint; results are thread-count independent")
     p.add_argument("--bbox", help="working bbox as lo1,..,lon,hi1,..,hin")
-    p.add_argument("--tol-limit", type=float, default=1e-3)
-    p.add_argument("--tol-density", type=float, default=1e-3)
-    p.add_argument("--tol-alpha", type=float, default=1e-4)
-    p.add_argument("--tol-agree", type=float, default=4e-3)
-    p.add_argument("--tol-jump", type=float, default=1e-2)
-    p.add_argument("--tol-fd", type=float, default=1e-1)
-    p.add_argument("--tol-support", type=float, default=2e-3)
-    p.add_argument("--cap", type=float, default=1e6)
+    for flag, name in _TOL_FLAGS.items():
+        p.add_argument(flag, type=float, dest=name,
+                       default=getattr(Tolerances, name))
     p.add_argument("--atan2-range", choices=[ATAN2_02PI, ATAN2_PMPI],
                    default=ATAN2_PMPI)
     p.add_argument("--csv", action="store_true",
@@ -194,10 +193,7 @@ def _run_config(args, sched: DeltaSchedule) -> tuple[RunConfig, QuadratureConfig
     seed = int(os.environ.get("DENSILIM_SEED", args.seed))
     quad = QuadratureConfig(resolution=args.res, seed=seed,
                             parallel=args.threads > 1)
-    tol = Tolerances(limit_tol=args.tol_limit, density_tol=args.tol_density,
-                     alpha_rtol=args.tol_alpha, agree_tol=args.tol_agree,
-                     jump_rtol=args.tol_jump, fd_tol=args.tol_fd,
-                     support_tol=args.tol_support, cap=args.cap)
+    tol = Tolerances(**{name: getattr(args, name) for name in _TOL_FLAGS.values()})
     rc = RunConfig(sched, quad, tol, args.atan2_range,
                    "csv" if args.csv else "json")
     return rc, quad
@@ -306,12 +302,11 @@ def cmd_clarke(args) -> int:
         rep = clarke.check_calculus(
             f, g, x, args.rule, sched, quad, s=args.s, alpha=args.alpha,
             beta=args.beta, n_samples=args.n_samples, cap=rc.tol.cap,
-            fd_tol=rc.tol.fd_tol, support_tol=rc.tol.support_tol)
+            support_tol=rc.tol.support_tol)
         _emit("clarke", rc, rep.to_json_dict())
         return 0
     hull = clarke.gen_gradient(f, x, sched, quad, n_samples=args.n_samples,
-                               cap=rc.tol.cap, fd_tol=rc.tol.fd_tol,
-                               support_tol=rc.tol.support_tol)
+                               cap=rc.tol.cap, support_tol=rc.tol.support_tol)
     out = hull.to_json_dict()
     if args.v:
         v = np.array([float(t) for t in args.v.split(",")])
@@ -320,8 +315,7 @@ def cmd_clarke(args) -> int:
             "quotient": clarke.dir_derivative_quotient(
                 f, x, v, sched, quad, n_samples=args.n_samples, cap=rc.tol.cap),
             "gradsup": clarke.dir_derivative_gradsup(
-                f, x, v, sched, quad, n_samples=args.n_samples, cap=rc.tol.cap,
-                fd_tol=rc.tol.fd_tol)}
+                f, x, v, sched, quad, n_samples=args.n_samples, cap=rc.tol.cap)}
     _emit("clarke", rc, out)
     return 0
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .expr import ATAN2_PMPI
 from .geometry import DeltaSchedule, QuadratureConfig
@@ -10,20 +10,18 @@ from .geometry import DeltaSchedule, QuadratureConfig
 
 @dataclass(frozen=True)
 class Tolerances:
+    """Tolerances of every estimator; the one home of their defaults."""
+
     limit_tol: float = 1e-3
     density_tol: float = 1e-3
     alpha_rtol: float = 1e-4
     agree_tol: float = 4e-3
     jump_rtol: float = 1e-2
-    fd_tol: float = 1e-1
     support_tol: float = 2e-3
     cap: float = 1e6
 
     def to_json_dict(self) -> dict:
-        return {"limit_tol": self.limit_tol, "density_tol": self.density_tol,
-                "alpha_rtol": self.alpha_rtol, "agree_tol": self.agree_tol,
-                "jump_rtol": self.jump_rtol, "fd_tol": self.fd_tol,
-                "support_tol": self.support_tol, "cap": self.cap}
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,11 @@ from typing import Optional
 
 import numpy as np
 
+from .config import Tolerances
 from .errors import NotDensitySet, PreconditionError
 from .geometry import (Box, DeltaSchedule, QuadratureConfig, Region, as_point,
                        intersect, lebesgue, point_cloud)
 from .sampling import neighborhood_levels
-
-DEFAULT_LIMIT_TOL = 1e-3
 
 
 def count_ratio(count: int, den: int) -> float:
@@ -56,7 +55,7 @@ class LimitEstimate:
 
     @classmethod
     def from_values(cls, values, deltas, tail_window: int,
-                    tol: float = DEFAULT_LIMIT_TOL, **extra) -> "LimitEstimate":
+                    tol: float = Tolerances.limit_tol, **extra) -> "LimitEstimate":
         values = np.asarray(values, dtype=float)
         deltas = np.asarray(deltas, dtype=float)
         tail = values[-tail_window:]
@@ -120,7 +119,7 @@ def _ratio_series(A: Region, Omega: Region, anchor, sched: DeltaSchedule,
 
 
 def density_at_point(A: Region, Omega: Region, x, sched: DeltaSchedule,
-                     cfg: QuadratureConfig, tol: float = DEFAULT_LIMIT_TOL) -> LimitEstimate:
+                     cfg: QuadratureConfig, tol: float = Tolerances.limit_tol) -> LimitEstimate:
     """Relative density of A within Omega at x along shrinking balls.
 
     The ratio at each delta is the lattice measure of A within the domain
@@ -147,7 +146,7 @@ def require_null(C: Region, Omega: Region, cfg: QuadratureConfig) -> None:
 
 
 def density_at_set(A: Region, Omega: Region, C: Region, sched: DeltaSchedule,
-                   cfg: QuadratureConfig, tol: float = DEFAULT_LIMIT_TOL) -> LimitEstimate:
+                   cfg: QuadratureConfig, tol: float = Tolerances.limit_tol) -> LimitEstimate:
     """Relative density of A within Omega along shrinking neighborhoods of C.
 
     The positive-neighborhood condition is enforced level by level (a level
@@ -204,7 +203,7 @@ def cone_region(x, v, alpha: float, dim: int, radius: float = 1e6) -> Region:
 
 
 def cone_density(Omega: Region, x, v, alpha: float, sched: DeltaSchedule,
-                 cfg: QuadratureConfig, tol: float = DEFAULT_LIMIT_TOL) -> LimitEstimate:
+                 cfg: QuadratureConfig, tol: float = Tolerances.limit_tol) -> LimitEstimate:
     """Density of the cone K(x, v, alpha) within Omega at its vertex."""
     v = np.asarray(v, dtype=float)
     if abs(np.linalg.norm(v) - 1.0) > 1e-12:
@@ -249,7 +248,7 @@ def unit_directions(n_dirs: int, dim: int) -> np.ndarray:
 def concentration_direction(Omega: Region, x, sched: DeltaSchedule,
                             cfg: QuadratureConfig, n_dirs: int | None = None,
                             alpha0: float = math.pi / 4.0,
-                            tol: float = DEFAULT_LIMIT_TOL) -> ConcentrationResult:
+                            tol: float = Tolerances.limit_tol) -> ConcentrationResult:
     """Direction along which Omega concentrates its mass at x.
 
     Candidates are ranked by cone density aggregated over a ladder of

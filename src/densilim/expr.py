@@ -392,6 +392,68 @@ def _eval(node, X: np.ndarray, mode: str):
 
 
 # ---------------------------------------------------------------------------
+# Differentiation: forward rules over the AST, evaluated by _eval
+
+
+_ZERO, _ONE = Num(0.0), Num(1.0)
+
+
+def _mul(a, b):
+    # a zero factor is a constant's derivative: keep it exact, never 0 * inf
+    return _ZERO if _ZERO in (a, b) else Bin("*", a, b)
+
+
+# outer derivative g'(a) of a one-argument call g(a), given a and g(a)
+_CHAIN = {"abs": lambda a, g: Call("if", (Cmp(">=", a, _ZERO), _ONE, Num(-1.0))),
+          "sqrt": lambda a, g: Bin("/", Num(0.5), g),
+          "exp": lambda a, g: g,
+          "log": lambda a, g: Bin("/", _ONE, a),
+          "sin": lambda a, g: Call("cos", (a,)),
+          "cos": lambda a, g: Neg(Call("sin", (a,)))}
+
+
+def derivative(node, i: int):
+    """AST of the partial derivative of a numeric node in x<i> (1-based).
+
+    min, max, abs and if differentiate the branch active at the point, so
+    the value is the exact gradient wherever f is differentiable; division
+    and sqrt keep the evaluator's NaN where a denominator or root vanishes.
+    """
+    if isinstance(node, Num):
+        return _ZERO
+    if isinstance(node, Var):
+        return _ONE if node.index == i else _ZERO
+    if isinstance(node, Neg):
+        return _mul(Num(-1.0), derivative(node.arg, i))
+    if not isinstance(node, (Bin, Call)):
+        raise TypeError(f"cannot differentiate {node!r}")
+    if isinstance(node, Call) and node.name in _CHAIN:
+        a = node.args[0]
+        return _mul(_CHAIN[node.name](a, node), derivative(a, i))
+    a, b = node.args[-2:] if isinstance(node, Call) else (node.left, node.right)
+    da, db = derivative(a, i), derivative(b, i)
+    if da == db == _ZERO:
+        return _ZERO
+    if isinstance(node, Call) and node.name == "atan2":  # (b a' - a b') / |(a, b)|^2
+        return Bin("/", Bin("-", _mul(b, da), _mul(a, db)),
+                   Bin("+", Bin("*", a, a), Bin("*", b, b)))
+    if isinstance(node, Call):  # if, min, max: the branch active at the point
+        c = node.args[0] if node.name == "if" else \
+            Cmp(">=" if node.name == "max" else "<=", a, b)
+        return Call("if", (c, da, db))
+    if node.op in "+-":
+        return Bin(node.op, da, db)
+    if node.op == "*":
+        return Bin("+", _mul(da, b), _mul(a, db))
+    if node.op == "/":  # (a' - (a/b) b') / b
+        return Bin("/", Bin("-", da, _mul(node, db)), b)
+    if db == _ZERO:  # a^c = c a^(c-1) a'
+        return _mul(_mul(b, Bin("^", a, Bin("-", b, _ONE))), da)
+    return _mul(node, Bin("+", _mul(db, Call("log", (a,))),
+                          _mul(b, Bin("/", da, a))))
+
+
+# ---------------------------------------------------------------------------
 # Printing
 
 
@@ -460,8 +522,17 @@ def compile_field(src: str, dim: int, atan2_range: str = ATAN2_PMPI,
     node = parse(src, dim)
     if _kind(node) != "num":
         raise ExprSyntaxError("field expression must be numeric, not boolean", 1)
+    partials = []
+
+    def grad(p):
+        if not partials:  # built on first use, so compiling costs no more
+            partials.extend(derivative(node, i) for i in range(1, dim + 1))
+        g = np.stack([evaluate(d, p, atan2_range) for d in partials], axis=1)
+        defined = np.isfinite(evaluate(node, p, atan2_range))
+        return np.where(defined[:, None], g, np.nan)
+
     return ScalarField(dim, lambda p: evaluate(node, p, atan2_range),
-                       label=label or src)
+                       grad=grad, label=label or src)
 
 
 def compile_region(src: str, dim: int, bbox: Box, label: str = "",

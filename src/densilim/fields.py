@@ -12,7 +12,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, PreconditionError
 
 
 def _sanitize(values: np.ndarray) -> np.ndarray:
@@ -42,9 +42,10 @@ class ScalarField:
     def at(self, x) -> float:
         return float(self(np.atleast_2d(np.asarray(x, dtype=float)))[0])
 
-    def gradient_at(self, points: np.ndarray) -> Optional[np.ndarray]:
+    def gradient_at(self, points: np.ndarray) -> np.ndarray:
         if self.grad is None:
-            return None
+            raise PreconditionError(f"field {self.label!r} has no gradient; "
+                                    "compile it from an expression")
         points = np.atleast_2d(np.asarray(points, dtype=float))
         with np.errstate(all="ignore"):
             g = np.asarray(self.grad(points), dtype=float)

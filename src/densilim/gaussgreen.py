@@ -1,20 +1,22 @@
 """Divergence-theorem residuals with the distance-gradient normal field.
 
-The boundary term is computed without boundary traces: boundary samples
-are pushed a sub-cell offset into the domain and the outward normal is the
-negated gradient of the distance-to-boundary field there.  Domains with
-inner boundaries are handled per component with independent reports.
+The volume side takes grad(f) and div(phi) from the exact gradients of the
+field expressions.  The boundary term is computed without boundary traces:
+boundary samples are pushed a sub-cell offset into the domain and the
+outward normal is the negated gradient of the distance-to-boundary field
+there.  Domains with inner boundaries are handled per component with
+independent reports.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .density import DEFAULT_LIMIT_TOL
+from .config import Tolerances
 from .errors import (AmbiguousNormal, NonLipschitzDomain,
                      PreconditionError, RegionsNotDisjoint)
 from .fields import ScalarField, VectorField
@@ -103,21 +105,12 @@ def _normals_at(tree: cKDTree, pts: np.ndarray, h: float) -> np.ndarray:
 
 
 def _volume_side(f: ScalarField, phi: VectorField, comp: Region,
-                 resolution: int) -> tuple[float, float]:
+                 resolution: int) -> float:
     pts, cellvol = lattice(comp.bbox, resolution)
-    mask = comp.contains(pts)
-    pts = pts[mask]
-    h = 0.5 * float(np.max(comp.bbox.sides)) / resolution
-    div = np.zeros(pts.shape[0])
-    grad_f = np.empty_like(pts)
-    for i in range(comp.dim):
-        e = np.zeros(comp.dim)
-        e[i] = h
-        div += (phi.components[i](pts + e) - phi.components[i](pts - e)) / (2 * h)
-        grad_f[:, i] = (f(pts + e) - f(pts - e)) / (2 * h)
-    phi_vals = phi(pts)
-    integrand = f(pts) * div + np.sum(phi_vals * grad_f, axis=1)
-    return float(np.nansum(integrand) * cellvol), 2.0 * h
+    pts = pts[comp.contains(pts)]
+    div = sum(c.gradient_at(pts)[:, i] for i, c in enumerate(phi.components))
+    integrand = f(pts) * div + np.sum(phi(pts) * f.gradient_at(pts), axis=1)
+    return float(np.nansum(integrand) * cellvol)
 
 
 def _boundary_side(f: ScalarField, phi: VectorField, comp: Region,
@@ -150,6 +143,9 @@ def gg_residual(f: ScalarField, phi: VectorField, Omega: Region,
     Domains made of several components (inner boundaries) are integrated
     per component; the report carries the per-component breakdown.
     """
+    if cfg.mode != "grid":
+        raise PreconditionError(f"gg_residual samples the grid lattice; "
+                                f"quadrature mode {cfg.mode!r} is not supported")
     comps = Omega.components if Omega.components else [Omega]
     for comp in comps:
         if comp.boundary_fn is None or not comp.lipschitz:
@@ -160,7 +156,7 @@ def gg_residual(f: ScalarField, phi: VectorField, Omega: Region,
     lhs_total = rhs_total = 0.0
     grid_h = eps = 0.0
     for comp in comps:
-        lhs, _ = _volume_side(f, phi, comp, cfg.resolution)
+        lhs = _volume_side(f, phi, comp, cfg.resolution)
         grid_h = float(np.max(comp.bbox.sides)) / cfg.resolution
         eps = eps_factor * grid_h
         rhs = _boundary_side(f, phi, comp, cfg.resolution, eps)
@@ -181,7 +177,7 @@ def gg_sweep(f: ScalarField, phi: VectorField, Omega: Region,
     res = cfg.resolution
     for _ in range(levels):
         rep = gg_residual(f, phi, Omega,
-                          QuadratureConfig(cfg.mode, res, cfg.seed, cfg.parallel),
+                          replace(cfg, resolution=res),
                           eps_factor=eps_factor)
         out.append((rep.grid_h, rep.residual))
         res *= 2
@@ -191,7 +187,7 @@ def gg_sweep(f: ScalarField, phi: VectorField, Omega: Region,
 def vanishing_functional_demo(f: ScalarField, x, E1: Region, E2: Region,
                               Omega: Region, sched: DeltaSchedule,
                               cfg: QuadratureConfig,
-                              tol: float = DEFAULT_LIMIT_TOL) -> float:
+                              tol: float = Tolerances.limit_tol) -> float:
     """Difference of concentrating means of f along two disjoint approach
     sets at x; vanishes for f continuous at x.
 

@@ -20,6 +20,7 @@ from scipy.spatial import cKDTree
 from .errors import DimensionMismatch, EmptyRegion, EmptyWindow, PreconditionError
 
 Indicator = Callable[[np.ndarray], np.ndarray]  # (m, n) float -> (m,) bool
+CLOUD_SIZE = 4096  # points asked of a region's declared sample generator
 
 
 def as_point(x, dim: int | None = None) -> np.ndarray:
@@ -291,8 +292,9 @@ class QuadratureConfig:
     """Measure-estimation settings.
 
     ``resolution`` is points per axis in grid mode and total sample count in
-    Monte Carlo mode; only ``lebesgue`` reads ``mode``, every estimator
-    samples the grid lattice.  Identical (mode, resolution, seed) give bit-identical
+    Monte Carlo mode.  Only ``lebesgue`` offers Monte Carlo mode; every
+    estimator samples the grid lattice and refuses any other mode with a
+    PreconditionError.  Identical (mode, resolution, seed) give bit-identical
     estimates regardless of the parallel flag: work is always partitioned
     deterministically, so results do not depend on thread count.
     """
@@ -301,9 +303,6 @@ class QuadratureConfig:
     resolution: int = 128
     seed: int = 20260809
     parallel: bool = False
-    cloud_size: int = 4096
-    refine_levels: int = 80
-    refine_top: int = 3
 
     def __post_init__(self):
         if self.mode not in ("grid", "monte_carlo"):
@@ -437,11 +436,11 @@ def lebesgue(region: Region, window: Box, cfg: QuadratureConfig) -> MeasureEstim
 
 def point_cloud(region: Region, cfg: QuadratureConfig) -> np.ndarray:
     """Sample points of the region (declared generator or rejection lattice)."""
-    key = ("cloud", cfg.cloud_size, cfg.resolution)
+    key = ("cloud", cfg.resolution)
     if key in region._cache:
         return region._cache[key]
     if region.cloud_fn is not None:
-        cloud = np.atleast_2d(np.asarray(region.cloud_fn(cfg.cloud_size), dtype=float))
+        cloud = np.atleast_2d(np.asarray(region.cloud_fn(CLOUD_SIZE), dtype=float))
         cloud = np.unique(cloud, axis=0)  # duplicates degenerate the KD-tree
     else:
         cloud = None

@@ -10,15 +10,14 @@ sum (f - mean f)(y - x) over the tail balls.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .aplimits import (DEFAULT_AGREE_TOL, DEFAULT_ALPHA_RTOL, DEFAULT_CAP,
-                       DEFAULT_DENSITY_TOL, ApproxLimitResult, ap_limit,
-                       ap_limit_from_samples)
-from .density import DEFAULT_LIMIT_TOL, LimitEstimate
+from .aplimits import ApproxLimitResult, ap_limit_from_samples
+from .config import Tolerances
+from .density import LimitEstimate
 from .errors import NotBoundaryPoint, NotDensityPoint, PreconditionError, UnboundedNearX
 from .fields import ScalarField
 from .geometry import (DeltaSchedule, QuadratureConfig, Region, as_point,
@@ -108,14 +107,14 @@ def _means_from_samples(samples: BallSamples, tol: float) -> MeanLimitResult:
 
 
 def mean_limit(f: ScalarField, Omega: Region, x, sched: DeltaSchedule,
-               cfg: QuadratureConfig, tol: float = DEFAULT_LIMIT_TOL) -> MeanLimitResult:
+               cfg: QuadratureConfig, tol: float = Tolerances.limit_tol) -> MeanLimitResult:
     """Limit of ball means of f over B_delta(x) within Omega."""
     return _means_from_samples(ball_samples(f, Omega, x, sched, cfg), tol)
 
 
 def is_lebesgue_point(f: ScalarField, Omega: Region, x, sched: DeltaSchedule,
                       cfg: QuadratureConfig,
-                      tol: float = DEFAULT_LIMIT_TOL) -> LebesguePointResult:
+                      tol: float = Tolerances.limit_tol) -> LebesguePointResult:
     """True iff the ball means of |f - f(x)| vanish along the schedule."""
     x = as_point(x, Omega.dim)
     fx = f.at(x)
@@ -136,11 +135,11 @@ def is_lebesgue_point(f: ScalarField, Omega: Region, x, sched: DeltaSchedule,
 
 
 def precise_representative(f: ScalarField, Omega: Region, x, sched: DeltaSchedule,
-                           cfg: QuadratureConfig, cap: float = DEFAULT_CAP,
-                           tol: float = DEFAULT_LIMIT_TOL,
-                           density_tol: float = DEFAULT_DENSITY_TOL,
-                           alpha_rtol: float = DEFAULT_ALPHA_RTOL,
-                           agree_tol: float = DEFAULT_AGREE_TOL) -> PreciseRepresentative:
+                           cfg: QuadratureConfig, cap: float = Tolerances.cap,
+                           tol: float = Tolerances.limit_tol,
+                           density_tol: float = Tolerances.density_tol,
+                           alpha_rtol: float = Tolerances.alpha_rtol,
+                           agree_tol: float = Tolerances.agree_tol) -> PreciseRepresentative:
     """Point value at x: approximate limit if it exists, else the ball-mean
     limit, else the zero fallback."""
     samples = ball_samples(f, Omega, x, sched, cfg)
@@ -159,13 +158,20 @@ def precise_representative(f: ScalarField, Omega: Region, x, sched: DeltaSchedul
 # Jump detection
 
 
-def halfspace_region(Omega: Region, x: np.ndarray, nu: np.ndarray,
-                     side: float) -> Region:
-    """Omega restricted to the open half-space side*nu.(y - x) > 0."""
-    return Region(Omega.dim,
-                  lambda p: ((np.atleast_2d(p) - x) @ (side * nu) > 0.0)
-                  & Omega.contains(p),
-                  Omega.bbox, label=f"{Omega.label}&H{'+' if side > 0 else '-'}")
+def _halfspace_samples(samples: BallSamples, normal: np.ndarray) -> BallSamples:
+    """The ball samples within the open half-space normal.(y - x) > 0."""
+    def inside(p):
+        return (np.atleast_2d(p) - samples.x) @ normal > 0.0
+
+    levels = []
+    for lv in samples.levels:
+        keep = inside(lv.points)
+        if not np.any(keep):
+            raise NotDensityPoint(f"half-ball at delta={lv.delta:g} holds no "
+                                  "lattice point of the domain")
+        levels.append(replace(lv, points=lv.points[keep], values=lv.values[keep],
+                              member=lambda p, m=lv.member: inside(p) & m(p)))
+    return BallSamples(samples.x, levels, samples.tail_window)
 
 
 def _moment_direction(samples: BallSamples) -> Optional[np.ndarray]:
@@ -214,11 +220,11 @@ def _gap_profile(samples: BallSamples, dirs: np.ndarray) -> np.ndarray:
 
 
 def detect_jump(f: ScalarField, Omega: Region, x, sched: DeltaSchedule,
-                cfg: QuadratureConfig, jump_rtol: float = 1e-2,
-                cap: float = DEFAULT_CAP,
-                density_tol: float = DEFAULT_DENSITY_TOL,
-                alpha_rtol: float = DEFAULT_ALPHA_RTOL,
-                agree_tol: float = DEFAULT_AGREE_TOL) -> JumpReport:
+                cfg: QuadratureConfig, jump_rtol: float = Tolerances.jump_rtol,
+                cap: float = Tolerances.cap,
+                density_tol: float = Tolerances.density_tol,
+                alpha_rtol: float = Tolerances.alpha_rtol,
+                agree_tol: float = Tolerances.agree_tol) -> JumpReport:
     """One-sided limits of f at x across the moment normal.
 
     The normal is the first-moment direction of f over the tail balls (e1
@@ -241,12 +247,9 @@ def detect_jump(f: ScalarField, Omega: Region, x, sched: DeltaSchedule,
     # one-sided limits must not be corrupted by the O(theta) sliver of
     # misassigned lattice points near the separating hyperplane
     side_tol = max(density_tol, 2e-2)
-    plus = ap_limit(f, halfspace_region(Omega, x, nu, +1.0), x, sched, cfg,
-                    cap=cap, density_tol=side_tol, alpha_rtol=alpha_rtol,
-                    agree_tol=agree_tol)
-    minus = ap_limit(f, halfspace_region(Omega, x, nu, -1.0), x, sched, cfg,
-                     cap=cap, density_tol=side_tol, alpha_rtol=alpha_rtol,
-                     agree_tol=agree_tol)
+    plus, minus = (ap_limit_from_samples(f, _halfspace_samples(samples, side * nu),
+                                         cfg, cap, side_tol, alpha_rtol, agree_tol)
+                   for side in (1.0, -1.0))
     f_plus = plus.ap_limit if plus.ap_limit is not None else \
         0.5 * (plus.f_lower + plus.f_upper)
     f_minus = minus.ap_limit if minus.ap_limit is not None else \
@@ -280,7 +283,7 @@ def _one_sided_residuals(samples: BallSamples, nu: np.ndarray,
 
 
 def boundary_trace(f: ScalarField, Omega: Region, x_boundary, sched: DeltaSchedule,
-                   cfg: QuadratureConfig, tol: float = DEFAULT_LIMIT_TOL) -> float:
+                   cfg: QuadratureConfig, tol: float = Tolerances.limit_tol) -> float:
     """Trace of f at a boundary point via interior ball means.
 
     x must sit on an indicator sign change (both member and non-member

@@ -26,12 +26,14 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .errors import NotDensityPoint, NotDensitySet
+from .errors import NotDensityPoint, NotDensitySet, PreconditionError
 from .fields import ScalarField
 from .geometry import (DeltaSchedule, QuadratureConfig, Region, as_point,
                        cloud_distance, point_cloud, shell_lattice)
 
 Membership = Callable[[np.ndarray], np.ndarray]  # (m, n) points -> (m,) bool
+REFINE_TOP = 3      # lattice samples that seed refinement walks
+REFINE_LEVELS = 80  # steps per refinement walk
 
 
 @dataclass
@@ -87,8 +89,12 @@ def neighborhood_levels(Omega: Region, anchor, sched: DeltaSchedule,
     delta that lie in Omega, f at those points when f is given, and the
     membership predicate that refinement must stay within.  Raises
     NotDensityPoint (point) or NotDensitySet (region) at the first level
-    that carries no lattice point of the domain.
+    that carries no lattice point of the domain, and PreconditionError for
+    a quadrature mode other than "grid".
     """
+    if cfg.mode != "grid":
+        raise PreconditionError(f"estimators sample the grid lattice; "
+                                f"quadrature mode {cfg.mode!r} is not supported")
     if isinstance(anchor, Region):
         cloud = point_cloud(anchor, cfg)
 
@@ -139,7 +145,7 @@ def refine_extremum(f: ScalarField, membership: Membership,
                     sign: float = 1.0, cap: Optional[float] = None) -> float:
     """Push the lattice extremum of one level toward the pointwise extremum.
 
-    Starts from the top ``cfg.refine_top`` lattice samples and repeatedly
+    Starts from the top ``REFINE_TOP`` lattice samples and repeatedly
     evaluates a 5^n sub-lattice around the running best inside a shrinking
     cell, staying within the neighborhood via ``membership``.  ``sign=+1``
     refines the supremum, ``sign=-1`` the infimum.  Stops early once the
@@ -149,7 +155,7 @@ def refine_extremum(f: ScalarField, membership: Membership,
     if not np.any(finite):
         return np.nan
     scores = np.where(finite, sign * level.values, -np.inf)
-    top = np.argsort(scores)[::-1][:cfg.refine_top]
+    top = np.argsort(scores)[::-1][:REFINE_TOP]
     top = top[np.isfinite(scores[top])]
     best_val = float(np.max(scores[top]))
     n = level.points.shape[1]
@@ -159,7 +165,7 @@ def refine_extremum(f: ScalarField, membership: Membership,
         width = level.cell / 2.0
         current = float(scores[seed_idx])
         stagnant = 0
-        for _ in range(cfg.refine_levels):
+        for _ in range(REFINE_LEVELS):
             cand = center + width * offsets
             ok = membership(cand)
             improved = False
@@ -196,9 +202,9 @@ def _sub_offsets(n: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def halton_ball(x: np.ndarray, delta: float, n_samples: int, seed: int,
-                skip_center: bool = True) -> np.ndarray:
-    """Low-discrepancy points inside B_delta(x), seed-deterministic."""
+def halton_ball(x: np.ndarray, delta: float, n_samples: int,
+                seed: int) -> np.ndarray:
+    """Low-discrepancy points inside B_delta(x) minus x, seed-deterministic."""
     from scipy.stats import qmc
 
     n = x.size
@@ -208,7 +214,7 @@ def halton_ball(x: np.ndarray, delta: float, n_samples: int, seed: int,
     while need > 0:
         raw = x + delta * (2.0 * sampler.random(2 * need + 8) - 1.0)
         r = np.linalg.norm(raw - x, axis=1)
-        keep = (r < delta) & (r > 0 if skip_center else np.ones_like(r, dtype=bool))
+        keep = (r < delta) & (r > 0)
         raw = raw[keep]
         pts.append(raw[:need])
         need -= len(raw[:need])

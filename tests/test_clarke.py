@@ -159,6 +159,14 @@ def test_support_mismatch_on_inconsistent_gradient():
         gen_gradient(bad, [0.0], SCHED, CFG)
 
 
+def test_field_without_gradient_is_refused():
+    from densilim.errors import PreconditionError
+    from densilim.fields import ScalarField
+    bare = ScalarField(1, lambda p: np.abs(p[:, 0]), label="bare")
+    with pytest.raises(PreconditionError, match="bare"):
+        gen_gradient(bare, [0.0], SCHED, CFG)
+
+
 def test_hull_degenerate_inputs():
     assert convex_hull_vertices(np.array([[2.0, 2.0]])).shape == (1, 2)
     collinear = np.array([[0.0, 0.0], [1.0, 1.0], [0.5, 0.5], [0.25, 0.25]])

@@ -78,6 +78,20 @@ def test_monte_carlo_determinism_and_error():
     assert abs(e1.value - math.pi) < 5 * e1.std_error + 1e-2
 
 
+def test_estimators_refuse_monte_carlo():
+    # only lebesgue() offers Monte Carlo; estimators would silently sample
+    # the grid instead, so they refuse the mode
+    from densilim.density import density_at_point
+    from densilim.expr import compile_field, compile_vector_field
+    from densilim.gaussgreen import gg_residual
+    mc = QuadratureConfig(mode="monte_carlo", seed=7)
+    with pytest.raises(PreconditionError):
+        density_at_point(HALF, PLANE, [0, 0], DeltaSchedule(0.5, 0.5, 4, 2), mc)
+    with pytest.raises(PreconditionError):
+        gg_residual(compile_field("x1", 2), compile_vector_field(["x1", "0"], 2),
+                    box_region([0, 0], [1, 1]), mc)
+
+
 def test_empty_window_rejected():
     with pytest.raises(EmptyWindow):
         lebesgue(PLANE, Box([0, 0], [0, 1]), GRID64)

@@ -1,19 +1,24 @@
 """Property tests of the invariants every estimator inherits from the shared
-neighborhood sampler, on small drawn grids (res <= 32, <= 6 levels)."""
+neighborhood sampler, on small drawn grids (res <= 32, <= 6 levels), and of
+the expression layer the gradients are derived from."""
 
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from densilim.aplimits import ap_liminf, ap_limsup
+from densilim.aplimits import ap_liminf, ap_limsup, ess_inf_near, ess_sup_near
+from densilim.clarke import gen_gradient
 from densilim.density import cone_region, density_at_point, density_at_set
 from densilim.errors import PreconditionError
-from densilim.expr import compile_field, compile_region
+from densilim.expr import (BoolLit, BoolOp, Bin, Call, Cmp, Neg, Not, Num, Var,
+                           compile_field, compile_region, derivative, evaluate,
+                           parse, to_source)
 from densilim.geometry import (Box, DeltaSchedule, QuadratureConfig,
                                ball_region, circle_region, cloud_distance,
                                complement, point_region, shell_lattice)
+from densilim.representative import mean_limit
 
 BOX = Box([-2.0, -2.0], [2.0, 2.0])
 PROPERTY = settings(max_examples=15, deadline=None, derandomize=True,
@@ -118,16 +123,102 @@ def test_complement_densities_sum_to_one(A, Omega, x, grid, radius):
         assert np.all(est.values + est_not.values == 1.0)
 
 
-@PROPERTY
-@given(x0=points, c0=st.floats(-1.0, 1.0), c=points.map(lambda p: 2.0 * p),
-       kink=st.one_of(st.none(), st.tuples(st.floats(0.3, 1.2), angles)),
-       grid=grids)
-def test_ap_liminf_is_negated_ap_limsup_of_negation(x0, c0, c, kink, grid):
-    sched, cfg = _schedule(grid)
+kinks = st.one_of(st.none(), st.tuples(st.floats(0.3, 1.2), angles))
+
+
+def _kinked(x0, c0, c, kink):
+    """An affine field, plus s*|n.(y - x0)| when a kink (s, angle of n) is drawn."""
     src = _affine(c0, c, x0)
     if kink is not None:
         s, t = kink
         src += f" + ({float(s)!r})*abs({_affine(0.0, _unit(t), x0)})"
-    f = compile_field(src, 2)
+    return compile_field(src, 2)
+
+
+@PROPERTY
+@given(x0=points, c0=st.floats(-1.0, 1.0), c=points.map(lambda p: 2.0 * p),
+       kink=kinks, grid=grids)
+def test_ap_liminf_is_negated_ap_limsup_of_negation(x0, c0, c, kink, grid):
+    sched, cfg = _schedule(grid)
+    f = _kinked(x0, c0, c, kink)
     plane = compile_region("true", 2, BOX)
     assert ap_liminf(f, plane, x0, sched, cfg) == -ap_limsup(-f, plane, x0, sched, cfg)
+
+
+@PROPERTY
+@given(x0=points, c0=st.floats(-1.0, 1.0), c=points.map(lambda p: 2.0 * p),
+       kink=kinks, grid=grids)
+def test_sandwich_chain(x0, c0, c, kink, grid):
+    # ess-inf <= ap-liminf <= mean <= ap-limsup <= ess-sup, with the
+    # tolerance of the registry sandwich suite
+    sched, cfg = _schedule(grid)
+    f = _kinked(x0, c0, c, kink)
+    plane = compile_region("true", 2, BOX)
+    chain = [ess_inf_near(f, plane, point_region(x0), sched, cfg),
+             ap_liminf(f, plane, x0, sched, cfg),
+             mean_limit(f, plane, x0, sched, cfg).estimate.point_value,
+             ap_limsup(f, plane, x0, sched, cfg),
+             ess_sup_near(f, plane, point_region(x0), sched, cfg)]
+    tol = 1e-3 * max(1.0, max(abs(v) for v in chain))
+    assert all(a <= b + tol for a, b in zip(chain, chain[1:])), chain
+
+
+@PROPERTY
+@given(x0=points, a=points.map(lambda p: 3.0 * p), b=points.map(lambda p: 3.0 * p))
+def test_max_of_affine_hull_is_its_two_gradients(x0, a, b):
+    assume(np.linalg.norm(a - b) >= 0.5)
+    f = compile_field(f"max({_affine(0.0, a, x0)}, {_affine(0.0, b, x0)})", 2)
+    hull = gen_gradient(f, x0, DeltaSchedule(0.5, 0.5, 8, 4),
+                        QuadratureConfig(resolution=32))
+    assert {tuple(v) for v in hull.hull_vertices} == {tuple(a), tuple(b)}
+
+
+constants = st.floats(0.0, 1e3, allow_nan=False)
+
+
+def _num_trees(leaves, unary, binary):
+    return st.recursive(leaves, lambda t: st.one_of(
+        st.builds(Neg, t),
+        st.builds(Bin, st.sampled_from(binary), t, t),
+        st.builds(lambda name, a: Call(name, (a,)), st.sampled_from(unary), t)),
+        max_leaves=6)
+
+
+variables = st.builds(Var, st.integers(1, 2))
+smooth_trees = _num_trees(st.one_of(variables, st.floats(0.0, 2.0).map(Num)),
+                          ["sin", "cos", "exp"], ["+", "-", "*"])
+
+
+@PROPERTY
+@given(node=smooth_trees, x=points)
+def test_derivative_matches_central_differences(node, x):
+    f = compile_field(to_source(node), 2)
+    h = 1e-6
+    fd = [(f(x + h * e) - f(x - h * e))[0] / (2.0 * h) for e in np.eye(2)]
+    exact = [evaluate(derivative(node, i), x)[0] for i in (1, 2)]
+    assert np.allclose(exact, fd, rtol=1e-6, atol=1e-6)
+    assert np.array_equal(f.gradient_at(x)[0], exact)
+
+
+@st.composite
+def trees(draw):
+    """Well-typed numeric expressions over every node kind of the grammar."""
+    num = draw(_num_trees(st.one_of(variables, constants.map(Num)),
+                          ["abs", "sqrt", "exp", "log", "sin", "cos"],
+                          ["+", "-", "*", "/", "^"]))
+    other = draw(_num_trees(variables, ["abs"], ["+", "^"]))
+    cond = draw(st.recursive(
+        st.one_of(st.builds(BoolLit, st.booleans()),
+                  st.builds(Cmp, st.sampled_from(["<", "<=", ">", ">="]),
+                            st.just(num), st.just(other))),
+        lambda t: st.one_of(st.builds(Not, t),
+                            st.builds(BoolOp, st.sampled_from(["and", "or"]), t, t)),
+        max_leaves=4))
+    name = draw(st.sampled_from(["atan2", "min", "max", "if"]))
+    return Call(name, (cond, num, other) if name == "if" else (num, other))
+
+
+@PROPERTY
+@given(node=trees())
+def test_parse_inverts_to_source(node):
+    assert parse(to_source(node), 2) == node
