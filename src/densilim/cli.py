@@ -54,7 +54,7 @@ def _add_common(p: argparse.ArgumentParser):
                    help="grid points per delta-diameter")
     p.add_argument("--seed", type=int, default=QuadratureConfig.seed)
     p.add_argument("--threads", type=int, default=1,
-                   help="parallelism hint; results are thread-count independent")
+                   help="accepted and ignored")
     p.add_argument("--bbox", help="working bbox as lo1,..,lon,hi1,..,hin")
     for flag, name in _TOL_FLAGS.items():
         p.add_argument(flag, type=float, dest=name,

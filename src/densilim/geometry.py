@@ -21,6 +21,7 @@ from .errors import DimensionMismatch, EmptyRegion, EmptyWindow, PreconditionErr
 
 Indicator = Callable[[np.ndarray], np.ndarray]  # (m, n) float -> (m,) bool
 CLOUD_SIZE = 4096  # points asked of a region's declared sample generator
+LATTICE_BUDGET = 2 ** 24  # points one lattice or tube lattice may hold
 
 
 def as_point(x, dim: int | None = None) -> np.ndarray:
@@ -294,9 +295,10 @@ class QuadratureConfig:
     ``resolution`` is points per axis in grid mode and total sample count in
     Monte Carlo mode.  Only ``lebesgue`` offers Monte Carlo mode; every
     estimator samples the grid lattice and refuses any other mode with a
-    PreconditionError.  Identical (mode, resolution, seed) give bit-identical
-    estimates regardless of the parallel flag: work is always partitioned
-    deterministically, so results do not depend on thread count.
+    PreconditionError.  ``parallel`` is read by nothing: running the tube
+    lattices' KD queries on both cores of a 2-vCPU host was slower, not
+    faster.  Identical (mode, resolution, seed) give bit-identical
+    estimates.
     """
 
     mode: str = "grid"
@@ -333,7 +335,7 @@ class MeasureEstimate:
 
 def lattice(window: Box, resolution: int) -> tuple[np.ndarray, float]:
     """Midpoint lattice over the window: (res**n, n) points and cell volume."""
-    if resolution ** window.dim > 2 ** 24:
+    if resolution ** window.dim > LATTICE_BUDGET:
         raise PreconditionError(
             f"grid lattice of {resolution}^{window.dim} points is infeasible; "
             "lower the resolution to at most 2^24 lattice points")
@@ -353,53 +355,88 @@ def ball_window(x, delta: float) -> Box:
     return Box(x - delta, x + delta)
 
 
-def shell_lattice(cloud: np.ndarray, delta: float, resolution: int) -> np.ndarray:
-    """Midpoint-lattice candidates covering the delta-tube around a cloud.
+def _index_grid(counts) -> np.ndarray:
+    """All integer indices 0 <= k < counts, (prod(counts), n), lexicographic."""
+    grids = np.meshgrid(*[np.arange(c, dtype=np.int64) for c in counts],
+                        indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
 
-    Spacing is 2*delta/resolution per axis (constant points per delta), the
-    grid is anchored at the cloud bbox inflated by delta, and only cells
-    within reach of the cloud are enumerated, so thin shells around long
-    structures stay resolved without rasterizing the whole bbox.  For a
-    degenerate (single-point) cloud this is exactly the full window lattice.
+
+def shell_lattice(cloud: np.ndarray, delta: float, resolution: int) -> np.ndarray:
+    """The lattice points of the delta-tube around a cloud.
+
+    The lattice has spacing h = 2*delta/resolution per axis (constant points
+    per delta) and is anchored at the cloud bbox inflated by delta: point k
+    is lo + (k + 0.5)*h.  Returned are exactly the points whose KD distance
+    to the cloud is below delta, lexicographic in k.  The search starts from
+    aligned cells of 2^j steps per axis: the fewest steps that are at least
+    base, the least power of two >= max(2, resolution // 4) (cells about
+    delta/2 wide), and that give at most 4096 cells.  It halves the cells it
+    cannot decide down to single points, whose query decides.  A cell whose
+    centre lies at least delta plus its half-diagonal from the cloud is
+    dropped and one within delta minus its half-diagonal is inside whole,
+    so a thin tube around a long structure costs its own size, not its
+    bbox's, and only points near the tube's boundary are queried.  A
+    degenerate (single-point) cloud gives the window lattice filtered by the
+    norm.  Raises PreconditionError, before allocating them, when the tube
+    points found plus the points of the cells left to split, counted as at
+    most base**n per cell, exceed LATTICE_BUDGET, and when the bbox lattice
+    outgrows int64 indices.
     """
     cloud = np.atleast_2d(cloud)
     n = cloud.shape[1]
     base_lo, base_hi = cloud.min(axis=0), cloud.max(axis=0)
     if np.all(base_hi - base_lo == 0.0):
         pts, _ = lattice(Box(base_lo - delta, base_hi + delta), resolution)
-        return pts
+        return pts[np.linalg.norm(pts - base_lo, axis=1) < delta]
     lo = base_lo - delta
     h = 2.0 * delta / resolution
+    steps = np.ceil((base_hi + delta - lo) / h) + 1  # lattice points per axis
+    if not math.prod(steps.tolist()) < 2.0 ** 62:  # NaN deltas too
+        raise PreconditionError(
+            "the lattice of the tube's bbox outgrows int64 indices; raise delta "
+            "or lower the resolution")
+    steps = steps.astype(np.int64)
+    stride = np.ones(n, dtype=np.int64)  # point k has key k @ stride, lexicographic
+    for i in range(n - 2, -1, -1):
+        stride[i] = stride[i + 1] * steps[i + 1]
+    base = 1 << (max(2, resolution // 4) - 1).bit_length()  # about delta/2 wide
+    size = base
+    while math.prod((-(-steps // size)).tolist()) > 4096:
+        size *= 2
+    # rounding of coordinates and distances: cells this close to a cut are
+    # split further, so the result equals a query of every point
+    scale = float(np.max(np.abs(np.concatenate([lo, base_hi + delta]))))
+    slack = 1e-9 * delta + 8.0 * math.sqrt(n) * np.finfo(float).eps * scale
     tree = cKDTree(cloud)
-    H = max(delta / 2.0, h)
-    cmin = base_lo - delta - H
-    cmax = base_hi + delta + H
-    counts = np.maximum(np.ceil((cmax - cmin) / H).astype(int), 1)
-    axes = [cmin[i] + (np.arange(counts[i]) + 0.5) * H for i in range(n)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    centers = np.stack([g.ravel() for g in grids], axis=1)
-    d, _ = tree.query(centers, k=1)
-    centers = centers[d < delta + H * math.sqrt(n)]
-    if centers.shape[0] == 0:
-        return np.empty((0, n))
-    # fine index block spanned by one coarse cell
-    span = int(math.ceil(H / h)) + 1
-    block_axes = [np.arange(span)] * n
-    block = np.stack([g.ravel() for g in np.meshgrid(*block_axes, indexing="ij")],
-                     axis=1)
-    k0 = np.floor((centers - 0.5 * H - lo) / h).astype(np.int64)
-    idx = (k0[:, None, :] + block[None, :, :]).reshape(-1, n)
-    kmin = idx.min(axis=0)
-    rng = idx.max(axis=0) - kmin + 1
-    key = np.zeros(idx.shape[0], dtype=np.int64)
+    corner, found, keys = _index_grid(-(-steps // size)) * size, 0, []
+    while corner.shape[0]:
+        half = 0.5 * (size - 1) * h * math.sqrt(n)  # centre to the farthest point
+        reach = delta + half + slack
+        dc, _ = tree.query(lo + (corner + 0.5 * size) * h, distance_upper_bound=reach)
+        # a single point's query is its own KD distance
+        whole = dc < delta if size == 1 else dc + half < delta - slack
+        split = (dc < reach) & ~whole & (size > 1)
+        found += np.count_nonzero(whole) * size ** n
+        # a cell left counts its points, at most base**n of them
+        count = found + np.count_nonzero(split) * min(size, base) ** n
+        if count > LATTICE_BUDGET:
+            raise PreconditionError(
+                f"{count} tube points and points of the cells left to split "
+                "exceed the budget of 2^24; raise delta or lower the resolution")
+        if np.any(whole):
+            keys.append(((corner[whole] @ stride)[:, None]
+                         + _index_grid([size] * n) @ stride).ravel())
+        size //= 2
+        corner = (corner[split][:, None, :]
+                  + _index_grid([2] * n) * size).reshape(-1, n)
+    key = np.concatenate(keys) if keys else np.empty(0, dtype=np.int64)
+    del keys
+    key.sort()
+    out = np.empty((key.size, n))
     for i in range(n):
-        key = key * int(rng[i]) + (idx[:, i] - kmin[i])
-    uniq = np.unique(key)
-    out = np.empty((uniq.size, n))
-    rem = uniq
-    for i in range(n - 1, -1, -1):
-        out[:, i] = lo[i] + ((rem % int(rng[i])) + kmin[i] + 0.5) * h
-        rem = rem // int(rng[i])
+        k, key = np.divmod(key, stride[i])
+        out[:, i] = lo[i] + (k + 0.5) * h
     return out
 
 

@@ -6,10 +6,12 @@ schedule delta it yields the lattice points of the delta-neighborhood of
 an anchor within the domain, the field values there and the level's
 membership predicate.  The anchor is a point, whose neighborhoods are
 balls, or a region, whose neighborhoods are tubes around its point cloud.
-A point is the degenerate one-point cloud: ``shell_lattice`` returns the
-ball-window lattice for it and its distance is a plain norm, so densities
-at points and at null sets, essential bounds, approximate limits and ball
-means all read the same samples.
+``shell_lattice`` returns the lattice points of the tube, so a level only
+drops those outside the domain.  A point is the degenerate one-point cloud:
+its tube is the ball-window lattice within the norm, and refinement
+measures its distance with the same norm, so densities at points and at
+null sets, essential bounds, approximate limits and ball means all read
+the same samples.
 
 The refinement pass zooms a small sub-lattice around the current best
 sample, which moves the lattice sup/inf toward the pointwise sup/inf.
@@ -85,12 +87,12 @@ def neighborhood_levels(Omega: Region, anchor, sched: DeltaSchedule,
     """Lattice samples of the shrinking neighborhoods of ``anchor`` in Omega.
 
     ``anchor`` is a point (balls B_delta(x)) or a Region (tubes around its
-    point cloud).  Each level holds the lattice points with distance below
-    delta that lie in Omega, f at those points when f is given, and the
-    membership predicate that refinement must stay within.  Raises
-    NotDensityPoint (point) or NotDensitySet (region) at the first level
-    that carries no lattice point of the domain, and PreconditionError for
-    a quadrature mode other than "grid".
+    point cloud).  Each level holds the lattice points of the tube (distance
+    below delta) that lie in Omega, in lattice order, f at those points when
+    f is given, and the membership predicate that refinement must stay
+    within.  Raises NotDensityPoint (point) or NotDensitySet (region) at the
+    first level that carries no lattice point of the domain, and
+    PreconditionError for a quadrature mode other than "grid".
     """
     if cfg.mode != "grid":
         raise PreconditionError(f"estimators sample the grid lattice; "
@@ -122,7 +124,9 @@ def neighborhood_levels(Omega: Region, anchor, sched: DeltaSchedule,
 
         pts = shell_lattice(cloud, d, cfg.resolution)
         if pts.shape[0]:
-            pts = pts[member(pts)]
+            inside = Omega.contains(pts)
+            if not inside.all():  # no copy when the domain holds the whole tube
+                pts = pts[inside]
         if pts.shape[0] == 0:
             raise vanished(d)
         yield LevelSamples(d, pts, None if f is None else f(pts),

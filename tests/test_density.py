@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from densilim import registry
+from densilim import registry, sampling
 from densilim.density import (concentration_direction, cone_density,
                               density_at_point, density_at_set, is_density_set)
 from densilim.errors import NotDensityPoint, NotDensitySet, PreconditionError
 from densilim.expr import compile_region
 from densilim.geometry import (Box, DeltaSchedule, QuadratureConfig, Region,
-                               ball_region, circle_region, point_region,
-                               segment_region)
+                               ball_region, circle_region, cloud_distance,
+                               point_region, segment_region)
 
 CFG = QuadratureConfig(resolution=128)
 PLANE = registry.get_region("plane")
@@ -89,6 +89,29 @@ def test_density_at_circle():
     est = density_at_set(A, PLANE, C, DeltaSchedule(0.4, 0.5, 7, 3),
                          QuadratureConfig(resolution=64))
     assert abs(est.point_value - 0.5) <= 1e-2
+
+
+def test_density_at_set_queries_no_lattice_point(monkeypatch):
+    # shell_lattice returns the tube's points; the sampler only tests the domain
+    queried = []
+
+    def counting(cloud):
+        dist = cloud_distance(cloud)
+        return lambda p: queried.append(len(p)) or dist(p)
+
+    monkeypatch.setattr(sampling, "cloud_distance", counting)
+    est = density_at_set(ball_region([0, 0], 1.0), PLANE, circle_region([0, 0], 1.0),
+                         DeltaSchedule(0.4, 0.5, 4, 3), QuadratureConfig(resolution=32))
+    assert est.denominator_counts.min() > 0 and sum(queried) == 0
+
+
+def test_density_at_unit_circle_on_the_default_schedule():
+    # delta falls to 2^-10: about 2.9 million tube points at the last level
+    sched = DeltaSchedule.default_for(PLANE.bbox)
+    est = density_at_set(ball_region([0, 0], 1.0), PLANE, circle_region([0, 0], 1.0),
+                         sched, QuadratureConfig(resolution=32))
+    assert sched.deltas[-1] == 2.0 ** -10
+    assert abs(est.values[-1] - 0.5) <= 1e-3
 
 
 def test_density_at_point_set_consistency():

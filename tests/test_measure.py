@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ from densilim.errors import (DimensionMismatch, EmptyRegion, EmptyWindow,
 from densilim.geometry import (Box, DeltaSchedule, QuadratureConfig, Region,
                                ball_region, ball_window, box_region,
                                circle_region, lattice, lebesgue, neighborhood,
-                               point_region, region_from_json, region_to_json,
-                               segment_region, union, intersect)
+                               point_cloud, point_region, region_from_json,
+                               region_to_json, segment_region, shell_lattice,
+                               union, intersect)
 
 GRID64 = QuadratureConfig(resolution=64)
 
@@ -219,3 +221,33 @@ def test_parallel_flag_does_not_change_estimates():
     mc_par = QuadratureConfig(mode="monte_carlo", resolution=5000, seed=3,
                               parallel=True)
     assert lebesgue(r, w, mc_seq).value == lebesgue(r, w, mc_par).value
+
+
+def _refused_peak_mb(cloud, delta, res, match="budget of 2\\^24") -> float:
+    """Peak traced allocation of a tube lattice that must be refused."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(PreconditionError, match=match):
+            shell_lattice(cloud, delta, res)
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_tube_budget_refuses_tiny_delta_on_unit_circle():
+    # about 1.3e8 lattice points lie in its tube
+    cloud = point_cloud(circle_region([0, 0], 1.0), GRID64)
+    assert _refused_peak_mb(cloud, 1e-4, 64) < 64
+
+
+def test_tube_budget_refuses_3d_unit_segment_at_res_128():
+    # about 3.2e7 lattice points lie in its tube
+    cloud = point_cloud(segment_region([0, 0, 0], np.ones(3) / math.sqrt(3)), GRID64)
+    assert _refused_peak_mb(cloud, 1 / 64, 128) < 64
+
+
+@pytest.mark.parametrize("delta", [2.0 ** -60, float("nan")])
+def test_tube_lattice_refuses_delta_past_int64_indices(delta):
+    # 1e20 steps per axis would wrap int64 lattice indices
+    cloud = np.array([[0.0, 0.0, 0.0], [1.0, 0.5, 0.25]])
+    assert _refused_peak_mb(cloud, delta, 128, match="int64") < 1

@@ -7,6 +7,7 @@ import math
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from densilim.aplimits import ap_liminf, ap_limsup, ess_inf_near, ess_sup_near
 from densilim.clarke import gen_gradient
@@ -17,7 +18,7 @@ from densilim.expr import (BoolLit, BoolOp, Bin, Call, Cmp, Neg, Not, Num, Var,
                            parse, to_source)
 from densilim.geometry import (Box, DeltaSchedule, QuadratureConfig,
                                ball_region, circle_region, cloud_distance,
-                               complement, point_region, shell_lattice)
+                               complement, lattice, point_region, shell_lattice)
 from densilim.representative import mean_limit
 
 BOX = Box([-2.0, -2.0], [2.0, 2.0])
@@ -87,6 +88,62 @@ def test_one_point_norm_matches_kd_tree(x, delta, res):
     pts = shell_lattice(x[None, :], delta, res)
     assert np.array_equal(np.linalg.norm(pts - x, axis=1),
                           cloud_distance(x[None, :])(pts))
+
+
+@st.composite
+def tube_clouds(draw):
+    """A cloud in 1-3 dimensions spanning a few delta, and that delta.
+
+    Points, oblique and axis-parallel segments, circles and scattered points
+    near a drawn anchor; the extent is bounded in units of delta so the full
+    reference lattice stays small at every drawn delta.
+    """
+    kind = draw(st.sampled_from(["point", "segment", "axis", "circle", "scatter"]))
+    n = 2 if kind == "circle" else draw(st.integers(1, 3))
+    delta = draw(st.floats(1e-3, 1.0))
+    anchor = np.array(draw(st.lists(coord, min_size=n, max_size=n)))
+
+    def offsets(m):
+        rows = st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)
+        return delta * np.array(draw(st.lists(rows, min_size=m, max_size=m)))
+
+    if kind == "point":
+        return anchor[None, :], delta
+    if kind == "scatter":
+        return anchor + offsets(draw(st.integers(2, 30))), delta
+    t = np.linspace(0.0, 1.0, draw(st.integers(2, 200)))
+    if kind == "circle":
+        r = delta * draw(st.floats(0.05, 2.0))
+        return anchor + r * np.stack([np.cos(2 * np.pi * t), np.sin(2 * np.pi * t)],
+                                     axis=1), delta
+    a, b = offsets(2)
+    if kind == "axis":
+        b = a + (b - a) * np.eye(n)[draw(st.integers(0, n - 1))]
+    return anchor + a + t[:, None] * (b - a), delta
+
+
+def _tube_reference(cloud, delta, res):
+    """Every point of the tube's lattice over the inflated bbox (plus a margin
+    of two steps), kept where the KD distance is below delta."""
+    lo, hi = cloud.min(axis=0) - delta, cloud.max(axis=0) + delta
+    if np.all(cloud.min(axis=0) == cloud.max(axis=0)):  # one point: its window
+        pts, _ = lattice(Box(lo, hi), res)
+    else:
+        h = 2.0 * delta / res
+        axes = [np.arange(-2, t) for t in np.ceil((hi - lo) / h).astype(int) + 2]
+        k = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+        pts = lo + (k + 0.5) * h
+    d, _ = cKDTree(cloud).query(pts)
+    return pts[d < delta]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(drawn=tube_clouds(), res=st.sampled_from([2, 3, 5, 17, 32, 33]))
+def test_shell_lattice_is_the_kd_tube(drawn, res):
+    # the tube's lattice points, bit for bit and in lattice order
+    cloud, delta = drawn
+    assert np.array_equal(shell_lattice(cloud, delta, res),
+                          _tube_reference(cloud, delta, res))
 
 
 @PROPERTY
