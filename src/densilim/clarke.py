@@ -22,7 +22,7 @@ from .config import Tolerances
 from .errors import NonLipschitz, PreconditionError, SupportMismatch
 from .fields import ScalarField
 from .geometry import DeltaSchedule, QuadratureConfig, as_point
-from .sampling import halton_ball
+from .sampling import halton, halton_ball
 
 
 def probe_directions(dim: int, seed: int, extra: int = 64) -> np.ndarray:
@@ -30,10 +30,7 @@ def probe_directions(dim: int, seed: int, extra: int = 64) -> np.ndarray:
     axes = np.concatenate([np.eye(dim), -np.eye(dim)], axis=0)
     if dim == 1:
         return axes
-    from scipy.stats import qmc
-
-    sampler = qmc.Halton(d=dim, scramble=True, seed=seed)
-    raw = sampler.random(4 * extra) * 2.0 - 1.0
+    raw = halton(dim, seed, 0, 4 * extra) * 2.0 - 1.0
     norms = np.linalg.norm(raw, axis=1)
     raw = raw[(norms > 1e-9) & (norms <= 1.0)][:extra]
     sphere = raw / np.linalg.norm(raw, axis=1, keepdims=True)
@@ -79,16 +76,14 @@ def dir_derivative_quotient(f: ScalarField, x, v, sched: DeltaSchedule,
                             cap: float = Tolerances.cap) -> float:
     """Directional derivative as sup of difference quotients (f(y+tv)-f(y))/t
     over y in B_delta(x), t in (0, delta), at the smallest schedule delta."""
-    from scipy.stats import qmc
-
     x = as_point(x)
     v = np.asarray(v, dtype=float)
     sups = []
     for k, d in enumerate(sched.deltas):
         d = float(d)
         y = halton_ball(x, d, n_samples, cfg.seed + 1000 + k)
-        t = d * (qmc.Halton(d=1, scramble=True, seed=cfg.seed + 2000 + k)
-                 .random(n_samples)[:, 0] * (1.0 - 1e-9) + 1e-9)
+        t = d * (halton(1, cfg.seed + 2000 + k, 0, n_samples)[:, 0]
+                 * (1.0 - 1e-9) + 1e-9)
         q = (f(y + t[:, None] * v) - f(y)) / t
         q = q[np.isfinite(q)]
         if q.size == 0:

@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .config import Tolerances
 from .errors import (AmbiguousNormal, NonLipschitzDomain,
@@ -22,6 +21,8 @@ from .errors import (AmbiguousNormal, NonLipschitzDomain,
 from .fields import ScalarField, VectorField
 from .geometry import (DeltaSchedule, QuadratureConfig, Region, as_point,
                        lattice)
+# scipy's KD tree, loaded on first use; perfbench/tracer.py patches this name
+from .geometry import kd_tree as cKDTree
 from .representative import mean_limit
 
 
@@ -87,7 +88,7 @@ def normal_field(Omega: Region, y, cfg: QuadratureConfig,
     return nu
 
 
-def _normals_at(tree: cKDTree, pts: np.ndarray, h: float) -> np.ndarray:
+def _normals_at(tree, pts: np.ndarray, h: float) -> np.ndarray:
     """Batch outward normals: rows of zeros mark ambiguous points."""
     m, n = pts.shape
     grad = np.empty((m, n))

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import DimensionMismatch, EmptyRegion, EmptyWindow, PreconditionError
 
@@ -362,7 +361,8 @@ def _index_grid(counts) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def shell_lattice(cloud: np.ndarray, delta: float, resolution: int) -> np.ndarray:
+def shell_lattice(cloud: np.ndarray, delta: float, resolution: int,
+                  tree=None) -> np.ndarray:
     """The lattice points of the delta-tube around a cloud.
 
     The lattice has spacing h = 2*delta/resolution per axis (constant points
@@ -378,10 +378,12 @@ def shell_lattice(cloud: np.ndarray, delta: float, resolution: int) -> np.ndarra
     so a thin tube around a long structure costs its own size, not its
     bbox's, and only points near the tube's boundary are queried.  A
     degenerate (single-point) cloud gives the window lattice filtered by the
-    norm.  Raises PreconditionError, before allocating them, when the tube
-    points found plus the points of the cells left to split, counted as at
-    most base**n per cell, exceed LATTICE_BUDGET, and when the bbox lattice
-    outgrows int64 indices.
+    norm.  ``tree``, a ``kd_tree`` of the cloud, saves building one per
+    call when the same cloud is queried at several deltas.  Raises
+    PreconditionError, before allocating them, when the tube points found
+    plus the points of the cells left to split, counted as at most base**n
+    per cell, exceed LATTICE_BUDGET, and when the bbox lattice outgrows
+    int64 indices.
     """
     cloud = np.atleast_2d(cloud)
     n = cloud.shape[1]
@@ -408,7 +410,8 @@ def shell_lattice(cloud: np.ndarray, delta: float, resolution: int) -> np.ndarra
     # split further, so the result equals a query of every point
     scale = float(np.max(np.abs(np.concatenate([lo, base_hi + delta]))))
     slack = 1e-9 * delta + 8.0 * math.sqrt(n) * np.finfo(float).eps * scale
-    tree = cKDTree(cloud)
+    if tree is None:
+        tree = kd_tree(cloud)
     corner, found, keys = _index_grid(-(-steps // size)) * size, 0, []
     while corner.shape[0]:
         half = 0.5 * (size - 1) * h * math.sqrt(n)  # centre to the farthest point
@@ -497,9 +500,16 @@ def point_cloud(region: Region, cfg: QuadratureConfig) -> np.ndarray:
     return cloud
 
 
+def kd_tree(points: np.ndarray):
+    """scipy's ``cKDTree`` of the points; scipy.spatial loads on first use."""
+    from scipy.spatial import cKDTree
+
+    return cKDTree(points)
+
+
 def cloud_distance(cloud: np.ndarray):
     """Distance-to-cloud callable backed by a KD-tree."""
-    tree = cKDTree(cloud)
+    tree = kd_tree(cloud)
 
     def dist(points: np.ndarray) -> np.ndarray:
         d, _ = tree.query(np.atleast_2d(points), k=1)

@@ -19,10 +19,17 @@ This is what lets unbounded concentrations (integrable singularities)
 exceed the cap instead of being clipped at lattice resolution; fields
 whose essential and pointwise extremes differ on a null set are
 consequently misread, a documented limitation of predicate-defined data.
+
+``halton`` is the Owen-scrambled Halton sequence the gradient estimators
+sample from, in numpy: point for point equal to scipy's
+``qmc.Halton(d, scramble=True, seed=seed)``, and cached, since the
+estimators draw the same few (dimension, seed) sequences on every call.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
@@ -31,7 +38,7 @@ import numpy as np
 from .errors import NotDensityPoint, NotDensitySet, PreconditionError
 from .fields import ScalarField
 from .geometry import (DeltaSchedule, QuadratureConfig, Region, as_point,
-                       cloud_distance, point_cloud, shell_lattice)
+                       cloud_distance, kd_tree, point_cloud, shell_lattice)
 
 Membership = Callable[[np.ndarray], np.ndarray]  # (m, n) points -> (m,) bool
 REFINE_TOP = 3      # lattice samples that seed refinement walks
@@ -109,20 +116,25 @@ def neighborhood_levels(Omega: Region, anchor, sched: DeltaSchedule,
         def vanished(d):
             return NotDensityPoint(f"measure of domain ball at delta={d:g} "
                                    f"vanished at resolution {cfg.resolution}")
+    tree = None
     if cloud.shape[0] == 1:  # a KD tree of one point gives the same distances
         centre = cloud[0]
 
         def dist(p):
             return np.linalg.norm(np.atleast_2d(p) - centre, axis=1)
     else:
-        dist = cloud_distance(cloud)
+        tree = kd_tree(cloud)  # one tree for the tube lattices of every level
+        distance = functools.cache(lambda: cloud_distance(cloud))
+
+        def dist(p):  # only refinement measures distances: build on first use
+            return distance()(p)
     for d in sched.deltas:
         d = float(d)
 
         def member(p, d=d):
             return (dist(p) < d) & Omega.contains(p)
 
-        pts = shell_lattice(cloud, d, cfg.resolution)
+        pts = shell_lattice(cloud, d, cfg.resolution, tree=tree)
         if pts.shape[0]:
             inside = Omega.contains(pts)
             if not inside.all():  # no copy when the domain holds the whole tube
@@ -206,17 +218,64 @@ def _sub_offsets(n: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
+def _primes(k: int) -> list:
+    out = []
+    c = 2
+    while len(out) < k:
+        if all(c % p for p in out):
+            out.append(c)
+        c += 1
+    return out
+
+
+@functools.lru_cache(maxsize=512)
+def halton(dim: int, seed: int, start: int, count: int) -> np.ndarray:
+    """Points start .. start+count-1 of the scrambled Halton sequence.
+
+    Owen's random digit permutations (arXiv:1706.02808): axis i has base b,
+    the (i+1)-th prime, and ceil(54 / log2 b) - 1 permutations of arange(b),
+    drawn in turn by ``shuffle`` of one ``np.random.default_rng(seed)``
+    shared by all axes.  Point q's coordinate sums permutation j applied to
+    digit j of q (least significant first) times b^-(j+1).  The result is
+    bit for bit what ``qmc.Halton(d=dim, scramble=True, seed=seed)`` returns
+    after drawing ``start`` points; it is cached, and read-only.
+    """
+    rng = np.random.default_rng(seed)
+    out = np.empty((count, dim))
+    for i, b in enumerate(_primes(dim)):
+        perms = np.repeat(np.arange(b)[None], math.ceil(54 / math.log2(b)) - 1,
+                          axis=0)
+        for row in perms:
+            rng.shuffle(row)
+        q = np.arange(start, start + count, dtype=np.int64)
+        v = np.zeros(count)
+        s = 1.0 / b
+        for row in perms:
+            v += row[q % b] * s
+            s /= b
+            q //= b
+        out[:, i] = v
+    out.flags.writeable = False
+    return out
+
+
 def halton_ball(x: np.ndarray, delta: float, n_samples: int,
                 seed: int) -> np.ndarray:
-    """Low-discrepancy points inside B_delta(x) minus x, seed-deterministic."""
-    from scipy.stats import qmc
+    """Low-discrepancy points inside B_delta(x) minus x, seed-deterministic.
 
+    Scales draws of 2*need + 8 points of the cached ``halton`` sequence,
+    scipy's scrambled Halton sequence point for point, onto the cube around
+    x, each draw continuing where the last stopped, and keeps those inside
+    the punctured ball until n_samples are found.
+    """
     n = x.size
-    sampler = qmc.Halton(d=n, scramble=True, seed=seed)
     pts = []
     need = n_samples
+    start = 0
     while need > 0:
-        raw = x + delta * (2.0 * sampler.random(2 * need + 8) - 1.0)
+        count = 2 * need + 8
+        raw = x + delta * (2.0 * halton(n, seed, start, count) - 1.0)
+        start += count
         r = np.linalg.norm(raw - x, axis=1)
         keep = (r < delta) & (r > 0)
         raw = raw[keep]

@@ -169,3 +169,49 @@ def test_closed_stdout_exits_quietly():
     proc.stderr.close()
     assert proc.wait() == 141
     assert b"BrokenPipeError" not in err and b"Traceback" not in err
+
+
+# runs CLI commands in one fresh interpreter and prints, as JSON, the scipy
+# modules loaded after the import and after each command
+_SCIPY_AFTER = """
+import contextlib, io, json, sys
+import densilim, densilim.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+loaded = [scipy_modules()]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        densilim.cli.main(argv)
+    loaded.append(scipy_modules())
+print(json.dumps(loaded))
+"""
+
+
+def _scipy_after(*commands):
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_AFTER, json.dumps(commands)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_cold_cli_loads_scipy_only_for_trees_and_hulls():
+    point_commands = [
+        ["density", "--set", "x2>0", "--domain", "true", "--at", "0,0"],
+        ["aplim", "--f", "1/sqrt(atan2(x2,x1))", "--at", "0,0",
+         "--domain", "unit_disk", "--atan2-range", "0..2pi"],
+        ["representative", "--f", "if(x1>0, 1, 0)", "--at", "0,0"],
+        ["jump", "--f", "if(x1*0.8 + x2*0.6 > 0, 2, -1)", "--at", "0,0"],
+        ["clarke", "--f", "abs(x1)", "--at", "0", "--dim", "1", "--v", "1"],
+    ]
+    tube = ["density", "--set", "unit_disk", "--domain", "plane",
+            "--at-set", "unit_circle", "--schedule", "0.4,0.5,3,2", "--res", "16"]
+    gauss_green = ["gauss-green", "--f", "x1^2 + x2", "--phi", "x2,x1",
+                   "--domain", "unit_square", "--res", "32"]
+    hull_2d = ["clarke", "--f", "abs(x1) + abs(x2)", "--at", "0,0"]  # Qhull
+    assert _scipy_after(*point_commands) == [[]] * 6
+    for command in (tube, gauss_green, hull_2d):
+        before, after = _scipy_after(command)
+        assert before == [] and "scipy.spatial" in after
+        assert not any(m.startswith("scipy.stats") for m in after)

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from densilim import registry, sampling
+from densilim import geometry, registry, sampling
+from densilim.aplimits import ess_sup_near
 from densilim.density import (concentration_direction, cone_density,
                               density_at_point, density_at_set, is_density_set)
 from densilim.errors import NotDensityPoint, NotDensitySet, PreconditionError
-from densilim.expr import compile_region
+from densilim.expr import compile_field, compile_region
 from densilim.geometry import (Box, DeltaSchedule, QuadratureConfig, Region,
                                ball_region, circle_region, cloud_distance,
                                point_region, segment_region)
@@ -103,6 +104,26 @@ def test_density_at_set_queries_no_lattice_point(monkeypatch):
     est = density_at_set(ball_region([0, 0], 1.0), PLANE, circle_region([0, 0], 1.0),
                          DeltaSchedule(0.4, 0.5, 4, 3), QuadratureConfig(resolution=32))
     assert est.denominator_counts.min() > 0 and sum(queried) == 0
+
+
+def test_tube_levels_share_one_kd_tree(monkeypatch):
+    # one tree serves every level's tube lattice; the distance that
+    # refinement needs is built on its first query only
+    built, original = [], geometry.kd_tree
+
+    def counting(points):
+        built.append(len(points))
+        return original(points)
+
+    monkeypatch.setattr(geometry, "kd_tree", counting)
+    monkeypatch.setattr(sampling, "kd_tree", counting)
+    sched, cfg = DeltaSchedule(0.4, 0.5, 4, 3), QuadratureConfig(resolution=32)
+    circle = circle_region([0, 0], 1.0)
+    density_at_set(ball_region([0, 0], 1.0), PLANE, circle, sched, cfg)
+    assert len(built) == 1
+    segment = segment_region([0, 0], [0.6, 0.0])
+    ess_sup_near(compile_field("x1 + x2", 2), PLANE, segment, sched, cfg)
+    assert len(built) == 3
 
 
 def test_density_at_unit_circle_on_the_default_schedule():

@@ -5,9 +5,11 @@ the expression layer the gradients are derived from."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
+from scipy.stats import qmc
 
 from densilim.aplimits import ap_liminf, ap_limsup, ess_inf_near, ess_sup_near
 from densilim.clarke import gen_gradient
@@ -20,6 +22,7 @@ from densilim.geometry import (Box, DeltaSchedule, QuadratureConfig,
                                ball_region, circle_region, cloud_distance,
                                complement, lattice, point_region, shell_lattice)
 from densilim.representative import mean_limit
+from densilim.sampling import halton
 
 BOX = Box([-2.0, -2.0], [2.0, 2.0])
 PROPERTY = settings(max_examples=15, deadline=None, derandomize=True,
@@ -144,6 +147,41 @@ def test_shell_lattice_is_the_kd_tube(drawn, res):
     cloud, delta = drawn
     assert np.array_equal(shell_lattice(cloud, delta, res),
                           _tube_reference(cloud, delta, res))
+
+
+# the estimators' seeds: cfg.seed + k, + 1000 + k and + 2000 + k
+halton_seeds = st.one_of(st.integers(0, 15).map(lambda k: 20260809 + k),
+                         st.integers(0, 15).map(lambda k: 20260809 + 1000 + k),
+                         st.integers(0, 15).map(lambda k: 20260809 + 2000 + k),
+                         st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(dim=st.integers(1, 4), seed=halton_seeds, a=st.integers(1, 600),
+       b=st.integers(1, 600))
+def test_halton_is_scipys_scrambled_halton(dim, seed, a, b):
+    sampler = qmc.Halton(d=dim, scramble=True, seed=seed)
+    first, second = sampler.random(a), sampler.random(b)
+    assert np.array_equal(halton(dim, seed, 0, a), first)
+    assert np.array_equal(halton(dim, seed, a, b), second)
+
+
+def test_halton_golden_points_and_read_only_cache():
+    # pinned values, in case scipy's sequence ever changes
+    assert np.array_equal(halton(2, 20260809, 0, 3), [
+        [0.6114256716907546, 0.19188456376064875],
+        [0.11142567169075457, 0.8585512304273156],
+        [0.8614256716907546, 0.5252178970939824]])
+    assert np.array_equal(halton(3, 20262809, 5, 2), [
+        [0.14451835685534575, 0.6651688904998009, 0.6487949733449592],
+        [0.8945183568553458, 0.1096133349442453, 0.2487949733449591]])
+    assert np.array_equal(halton(1, 20260810, 255, 2),
+                          [[0.9754947432835833], [0.02432286828358332]])
+    cached = halton(2, 20260809, 0, 3)
+    assert cached is halton(2, 20260809, 0, 3)
+    assert not cached.flags.writeable
+    with pytest.raises(ValueError):
+        cached[0, 0] = 0.0
 
 
 @PROPERTY
