@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -75,20 +76,17 @@ def ess_sup_series(f: ScalarField, Omega: Region, C: Region, sched: DeltaSchedul
     when the refined sup exceeds the cap at every delta.
     """
     require_null(C, Omega, cfg)
-    sups, exceeded = [], []
-    running = math.inf
+    seeds = []
     for level in neighborhood_levels(Omega, C, sched, cfg, f):
-        s = refine_extremum(f, level.member, level, cfg, sign=+1.0, cap=cap)
-        if math.isnan(s):
+        seeds.append(level.seeds())  # keeps no more of a level than its seeds
+        if not seeds[-1].values.size:
             raise NotDensitySet(
                 f"all samples of {f.label!r} near {C.label!r} were discarded "
                 f"at delta={level.delta:g}")
-        exceeded.append(s > cap)
-        running = min(running, s)
-        sups.append(running)
-    if all(exceeded):
-        return np.full(len(sups), math.inf)
-    return np.asarray(sups)
+    refined = refine_extremum(f, level.reach, seeds, cap=cap)
+    if np.all(refined > cap):
+        return np.full(len(seeds), math.inf)
+    return np.asarray(list(accumulate(refined, min)))
 
 
 def ess_sup_near(f: ScalarField, Omega: Region, C: Region, sched: DeltaSchedule,
@@ -155,17 +153,12 @@ def _level_fraction(level: LevelSamples, alpha: float) -> float:
     return count_ratio(above, total)
 
 
-def _limsup_from_samples(f: ScalarField, samples: BallSamples,
-                         cfg: QuadratureConfig, cap: float,
+def _limsup_from_samples(f: ScalarField, samples: BallSamples, cap: float,
                          density_tol: float, alpha_rtol: float) -> tuple[float, float]:
     """Upper approximate limit from cached ball samples; returns (value, atol)."""
-    all_exceeded = True
-    for level in samples.levels:
-        s = refine_extremum(f, level.member, level, cfg, sign=+1.0, cap=cap)
-        if math.isnan(s) or not s > cap:
-            all_exceeded = False
-            break  # the +inf verdict needs the cap exceeded at every delta
-    if all_exceeded:
+    # +inf needs the cap exceeded at every delta: stop at the first level not past it
+    if all(refine_extremum(f, level.reach, [level.seeds()], cap=cap)[0] > cap
+           for level in samples.levels):
         return math.inf, 0.0
 
     tail = samples.levels[-samples.tail_window:]
@@ -214,7 +207,7 @@ def ap_limsup(f: ScalarField, Omega: Region, x, sched: DeltaSchedule,
     exceeds the cap at every delta (unbounded concentration at x).
     """
     samples = ball_samples(f, Omega, x, sched, cfg)
-    value, _ = _limsup_from_samples(f, samples, cfg, cap, density_tol, alpha_rtol)
+    value, _ = _limsup_from_samples(f, samples, cap, density_tol, alpha_rtol)
     return value
 
 
@@ -224,8 +217,8 @@ def ap_liminf(f: ScalarField, Omega: Region, x, sched: DeltaSchedule,
               alpha_rtol: float = Tolerances.alpha_rtol) -> float:
     """Negation-dual of ap_limsup: ap_liminf(f) = -ap_limsup(-f) exactly."""
     samples = ball_samples(f, Omega, x, sched, cfg)
-    value, _ = _limsup_from_samples(-f, _negated(samples), cfg, cap,
-                                    density_tol, alpha_rtol)
+    value, _ = _limsup_from_samples(-f, _negated(samples), cap, density_tol,
+                                    alpha_rtol)
     return -value
 
 
@@ -239,18 +232,17 @@ def ap_limit(f: ScalarField, Omega: Region, x, sched: DeltaSchedule,
     The agreement tolerance scales with the magnitude of the bounds so that
     smooth fields at resolution-limited separations still report a limit.
     """
-    return ap_limit_from_samples(f, ball_samples(f, Omega, x, sched, cfg), cfg,
-                                 cap, density_tol, alpha_rtol, agree_tol)
+    return ap_limit_from_samples(f, ball_samples(f, Omega, x, sched, cfg), cap,
+                                 density_tol, alpha_rtol, agree_tol)
 
 
-def ap_limit_from_samples(f: ScalarField, samples: BallSamples,
-                          cfg: QuadratureConfig, cap: float, density_tol: float,
-                          alpha_rtol: float, agree_tol: float) -> ApproxLimitResult:
+def ap_limit_from_samples(f: ScalarField, samples: BallSamples, cap: float,
+                          density_tol: float, alpha_rtol: float,
+                          agree_tol: float) -> ApproxLimitResult:
     """ap_limit on ball samples of f that the caller already holds."""
-    upper, atol_u = _limsup_from_samples(f, samples, cfg, cap, density_tol,
-                                         alpha_rtol)
-    neg, atol_l = _limsup_from_samples(-f, _negated(samples), cfg, cap,
-                                       density_tol, alpha_rtol)
+    upper, atol_u = _limsup_from_samples(f, samples, cap, density_tol, alpha_rtol)
+    neg, atol_l = _limsup_from_samples(-f, _negated(samples), cap, density_tol,
+                                       alpha_rtol)
     lower = -neg
     agreement = max(2.0 * max(atol_u, atol_l),
                     agree_tol * max(1.0,

@@ -191,8 +191,7 @@ def _schedule(args, domain_bbox: Box) -> DeltaSchedule:
 
 def _run_config(args, sched: DeltaSchedule) -> tuple[RunConfig, QuadratureConfig]:
     seed = int(os.environ.get("DENSILIM_SEED", args.seed))
-    quad = QuadratureConfig(resolution=args.res, seed=seed,
-                            parallel=args.threads > 1)
+    quad = QuadratureConfig(resolution=args.res, seed=seed)
     tol = Tolerances(**{name: getattr(args, name) for name in _TOL_FLAGS.values()})
     rc = RunConfig(sched, quad, tol, args.atan2_range,
                    "csv" if args.csv else "json")

@@ -11,7 +11,7 @@ alone also offers seeded Monte Carlo.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -294,16 +294,13 @@ class QuadratureConfig:
     ``resolution`` is points per axis in grid mode and total sample count in
     Monte Carlo mode.  Only ``lebesgue`` offers Monte Carlo mode; every
     estimator samples the grid lattice and refuses any other mode with a
-    PreconditionError.  ``parallel`` is read by nothing: running the tube
-    lattices' KD queries on both cores of a 2-vCPU host was slower, not
-    faster.  Identical (mode, resolution, seed) give bit-identical
-    estimates.
+    PreconditionError.  Identical (mode, resolution, seed) give
+    bit-identical estimates.
     """
 
     mode: str = "grid"
     resolution: int = 128
     seed: int = 20260809
-    parallel: bool = False
 
     def __post_init__(self):
         if self.mode not in ("grid", "monte_carlo"):
@@ -312,10 +309,7 @@ class QuadratureConfig:
             raise PreconditionError("resolution must be at least 2 per axis")
 
     def to_json_dict(self) -> dict:
-        # the parallel flag is an execution hint that cannot change results,
-        # so reports stay bit-identical across thread counts
-        return {"mode": self.mode, "resolution": self.resolution,
-                "seed": self.seed}
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from typing import Callable, Optional
 
 from .errors import UnknownIdentifier
 from .expr import ATAN2_02PI, ATAN2_PMPI, compile_field, compile_region, compile_vector_field
-from .fields import ScalarField, VectorField
+from .fields import ScalarField
 from .geometry import (Box, Region, ball_region, box_region, circle_region,
                        point_region, segment_region, union)
 
@@ -176,22 +176,11 @@ def get_field(name: str) -> ScalarField:
     return e.build()
 
 
-def get_vector_field(name: str) -> VectorField:
-    e = entry(name)
-    if e.kind != "vfield":
-        raise UnknownIdentifier(f"{name!r} is a {e.kind}, not a vector field")
-    return e.build()
-
-
 def get_region(name: str) -> Region:
     e = entry(name)
     if e.kind != "region":
         raise UnknownIdentifier(f"{name!r} is a {e.kind}, not a region")
     return e.build()
-
-
-def sandwich_fields() -> list:
-    return names(kind="field", tag="sandwich")
 
 
 def clarke_fields(dim: Optional[int] = None) -> list:

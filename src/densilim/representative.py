@@ -143,7 +143,7 @@ def precise_representative(f: ScalarField, Omega: Region, x, sched: DeltaSchedul
     """Point value at x: approximate limit if it exists, else the ball-mean
     limit, else the zero fallback."""
     samples = ball_samples(f, Omega, x, sched, cfg)
-    ap = ap_limit_from_samples(f, samples, cfg, cap, density_tol, alpha_rtol,
+    ap = ap_limit_from_samples(f, samples, cap, density_tol, alpha_rtol,
                                agree_tol)
     if ap.ap_limit is not None:
         return PreciseRepresentative(ap.ap_limit, "ap-limit", ap=ap)
@@ -163,6 +163,7 @@ def _halfspace_samples(samples: BallSamples, normal: np.ndarray) -> BallSamples:
     def inside(p):
         return (np.atleast_2d(p) - samples.x) @ normal > 0.0
 
+    reach = samples.levels[0].reach
     levels = []
     for lv in samples.levels:
         keep = inside(lv.points)
@@ -170,7 +171,7 @@ def _halfspace_samples(samples: BallSamples, normal: np.ndarray) -> BallSamples:
             raise NotDensityPoint(f"half-ball at delta={lv.delta:g} holds no "
                                   "lattice point of the domain")
         levels.append(replace(lv, points=lv.points[keep], values=lv.values[keep],
-                              member=lambda p, m=lv.member: inside(p) & m(p)))
+                              reach=lambda p: np.where(inside(p), reach(p), np.inf)))
     return BallSamples(samples.x, levels, samples.tail_window)
 
 
@@ -248,7 +249,7 @@ def detect_jump(f: ScalarField, Omega: Region, x, sched: DeltaSchedule,
     # misassigned lattice points near the separating hyperplane
     side_tol = max(density_tol, 2e-2)
     plus, minus = (ap_limit_from_samples(f, _halfspace_samples(samples, side * nu),
-                                         cfg, cap, side_tol, alpha_rtol, agree_tol)
+                                         cap, side_tol, alpha_rtol, agree_tol)
                    for side in (1.0, -1.0))
     f_plus = plus.ap_limit if plus.ap_limit is not None else \
         0.5 * (plus.f_lower + plus.f_upper)

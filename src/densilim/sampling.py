@@ -3,8 +3,8 @@ extremum refinement.
 
 ``neighborhood_levels`` is the one per-delta loop of the library: for each
 schedule delta it yields the lattice points of the delta-neighborhood of
-an anchor within the domain, the field values there and the level's
-membership predicate.  The anchor is a point, whose neighborhoods are
+an anchor within the domain, the field values there and the levels'
+shared ``reach``.  The anchor is a point, whose neighborhoods are
 balls, or a region, whose neighborhoods are tubes around its point cloud.
 ``shell_lattice`` returns the lattice points of the tube, so a level only
 drops those outside the domain.  A point is the degenerate one-point cloud:
@@ -19,6 +19,8 @@ This is what lets unbounded concentrations (integrable singularities)
 exceed the cap instead of being clipped at lattice resolution; fields
 whose essential and pointwise extremes differ on a null set are
 consequently misread, a documented limitation of predicate-defined data.
+The walks of all levels run in lockstep, one ``reach`` call and one field
+call per step, with the results of walking them one after another.
 
 ``halton`` is the Owen-scrambled Halton sequence the gradient estimators
 sample from, in numpy: point for point equal to scipy's
@@ -40,7 +42,7 @@ from .fields import ScalarField
 from .geometry import (DeltaSchedule, QuadratureConfig, Region, as_point,
                        cloud_distance, kd_tree, point_cloud, shell_lattice)
 
-Membership = Callable[[np.ndarray], np.ndarray]  # (m, n) points -> (m,) bool
+Reach = Callable[[np.ndarray], np.ndarray]  # (m, n) -> (m,) distance, inf off Omega
 REFINE_TOP = 3      # lattice samples that seed refinement walks
 REFINE_LEVELS = 80  # steps per refinement walk
 
@@ -53,7 +55,7 @@ class LevelSamples:
     points: np.ndarray            # (m, n) lattice points in neighborhood & domain
     values: Optional[np.ndarray]  # (m,) field values, NaN = discarded
     cell: float                   # lattice spacing
-    member: Membership            # membership of the neighborhood & domain
+    reach: Reach                  # shared by all levels: p is in iff reach(p) < delta
 
     @property
     def count(self) -> int:
@@ -66,6 +68,23 @@ class LevelSamples:
     @property
     def finite_values(self) -> np.ndarray:
         return self.values[np.isfinite(self.values)]
+
+    def seeds(self) -> "Seeds":
+        """The ``REFINE_TOP`` largest finite samples, best first."""
+        scores = np.where(np.isfinite(self.values), self.values, -np.inf)
+        top = np.argsort(scores)[::-1][:REFINE_TOP]
+        top = top[np.isfinite(scores[top])]
+        return Seeds(self.delta, self.cell, self.points[top], scores[top])
+
+
+@dataclass
+class Seeds:
+    """The starts of a level's refinement walks (none when all are NaN)."""
+
+    delta: float
+    cell: float
+    points: np.ndarray  # (k, n), k <= REFINE_TOP
+    values: np.ndarray  # (k,)
 
 
 @dataclass
@@ -96,10 +115,10 @@ def neighborhood_levels(Omega: Region, anchor, sched: DeltaSchedule,
     ``anchor`` is a point (balls B_delta(x)) or a Region (tubes around its
     point cloud).  Each level holds the lattice points of the tube (distance
     below delta) that lie in Omega, in lattice order, f at those points when
-    f is given, and the membership predicate that refinement must stay
-    within.  Raises NotDensityPoint (point) or NotDensitySet (region) at the
-    first level that carries no lattice point of the domain, and
-    PreconditionError for a quadrature mode other than "grid".
+    f is given, and the ``reach`` that refinement must stay below delta of.
+    Raises NotDensityPoint (point) or NotDensitySet (region) at the first
+    level that carries no lattice point of the domain, and PreconditionError
+    for a quadrature mode other than "grid".
     """
     if cfg.mode != "grid":
         raise PreconditionError(f"estimators sample the grid lattice; "
@@ -128,12 +147,12 @@ def neighborhood_levels(Omega: Region, anchor, sched: DeltaSchedule,
 
         def dist(p):  # only refinement measures distances: build on first use
             return distance()(p)
+
+    def reach(p):
+        return np.where(Omega.contains(p), dist(p), np.inf)
+
     for d in sched.deltas:
         d = float(d)
-
-        def member(p, d=d):
-            return (dist(p) < d) & Omega.contains(p)
-
         pts = shell_lattice(cloud, d, cfg.resolution, tree=tree)
         if pts.shape[0]:
             inside = Omega.contains(pts)
@@ -142,7 +161,7 @@ def neighborhood_levels(Omega: Region, anchor, sched: DeltaSchedule,
         if pts.shape[0] == 0:
             raise vanished(d)
         yield LevelSamples(d, pts, None if f is None else f(pts),
-                           2.0 * d / cfg.resolution, member)
+                           2.0 * d / cfg.resolution, reach)
 
 
 def ball_samples(f: ScalarField, Omega: Region, x, sched: DeltaSchedule,
@@ -156,60 +175,66 @@ def ball_samples(f: ScalarField, Omega: Region, x, sched: DeltaSchedule,
                        sched.tail_window)
 
 
-def refine_extremum(f: ScalarField, membership: Membership,
-                    level: LevelSamples, cfg: QuadratureConfig,
-                    sign: float = 1.0, cap: Optional[float] = None) -> float:
-    """Push the lattice extremum of one level toward the pointwise extremum.
+def refine_extremum(f: ScalarField, reach: Reach, levels: list,
+                    cap: float = math.inf) -> np.ndarray:
+    """Push the lattice sup of each level toward the pointwise sup (refine
+    -f for an inf); one value per level of ``Seeds`` sharing ``reach``.
 
-    Starts from the top ``REFINE_TOP`` lattice samples and repeatedly
-    evaluates a 5^n sub-lattice around the running best inside a shrinking
-    cell, staying within the neighborhood via ``membership``.  ``sign=+1``
-    refines the supremum, ``sign=-1`` the infimum.  Stops early once the
-    (signed) best exceeds ``cap``.
+    Each seed starts a walk over 5^n sub-lattices around its running best,
+    within its level (``reach(p) < delta``), halving its cell when nothing
+    improves.  The walks run in lockstep: one ``reach`` call and one field
+    call per step for all of them.  Each keeps its own state and stop
+    rules, so a level's value is bit for bit that of walking its seeds one
+    after another: the best of its seeds and walks, in seed order up to the
+    first walk past ``cap``; NaN without seeds.
     """
-    finite = np.isfinite(level.values)
-    if not np.any(finite):
-        return np.nan
-    scores = np.where(finite, sign * level.values, -np.inf)
-    top = np.argsort(scores)[::-1][:REFINE_TOP]
-    top = top[np.isfinite(scores[top])]
-    best_val = float(np.max(scores[top]))
-    n = level.points.shape[1]
-    offsets = _sub_offsets(n)
-    for seed_idx in top:
-        center = level.points[seed_idx].copy()
-        width = level.cell / 2.0
-        current = float(scores[seed_idx])
-        stagnant = 0
-        for _ in range(REFINE_LEVELS):
-            cand = center + width * offsets
-            ok = membership(cand)
-            improved = False
-            if np.any(ok):
-                cand = cand[ok]
-                vals = sign * f(cand)
-                vals = np.where(np.isfinite(vals), vals, -np.inf)
-                j = int(np.argmax(vals))
-                gain = float(vals[j]) - current
-                if gain > 0.0:
-                    if gain <= 1e-7 * max(1.0, abs(current)):
-                        stagnant += 1
-                    else:
-                        stagnant = 0
-                    current = float(vals[j])
-                    center = cand[j].copy()
-                    improved = True
-            if not improved:
-                width /= 2.0  # shrink only on failure so walks can outrun decay
-                stagnant += 1
-            if stagnant >= 4 or width < 1e-300:
-                break
-            if cap is not None and current > cap:
-                break
-        best_val = max(best_val, current)
-        if cap is not None and best_val > cap:
+    sizes = [s.values.size for s in levels]
+    first = np.cumsum([0] + sizes)  # walks of level i: first[i] .. first[i+1]-1
+    walk = np.arange(first[-1])  # one row per walk still going
+    center = np.concatenate([s.points for s in levels])
+    current = np.concatenate([s.values for s in levels])
+    width = np.repeat([s.cell / 2.0 for s in levels], sizes)
+    delta = np.repeat([s.delta for s in levels], sizes)
+    stagnant = np.zeros(walk.size, dtype=np.intp)
+    final = current.copy()  # each walk's result once it stops
+    offsets = _sub_offsets(center.shape[1])
+    k, n = offsets.shape
+    for _ in range(REFINE_LEVELS):
+        if walk.size == 0:
             break
-    return sign * best_val
+        cand = center[:, None, :] + width[:, None, None] * offsets
+        flat = cand.reshape(-1, n)
+        inside = np.flatnonzero(reach(flat) < np.repeat(delta, k))
+        vals = np.full((walk.size, k), -np.inf)
+        if inside.size:
+            v = f(flat.take(inside, axis=0))
+            np.put(vals, inside, np.where(np.isfinite(v), v, -np.inf))
+        j = np.argmax(vals, axis=1)  # the first best: rows outside are -inf
+        best = vals[np.arange(walk.size), j]
+        gain = best - current
+        up = gain > 0.0
+        stagnant = np.where(up & (gain > 1e-7 * np.maximum(1.0, np.abs(current))),
+                            0, stagnant + 1)
+        current = np.where(up, best, current)
+        center[up] = cand[up, j[up]]
+        # shrink only on failure so walks can outrun decay
+        width = np.where(up, width, width / 2.0)
+        stop = (stagnant >= 4) | (width < 1e-300) | (current > cap)
+        if stop.any():
+            final[walk[stop]] = current[stop]
+            walk, center, current, width, delta, stagnant = (
+                a[~stop] for a in (walk, center, current, width, delta, stagnant))
+    final[walk] = current  # walks that took all REFINE_LEVELS steps
+    out = np.full(len(levels), np.nan)
+    for i, s in enumerate(levels):
+        if s.values.size:
+            best = float(np.max(s.values))
+            for value in final[first[i]:first[i + 1]]:
+                best = max(best, float(value))
+                if best > cap:
+                    break  # one after another, later walks would not start
+            out[i] = best
+    return out
 
 
 def _sub_offsets(n: int) -> np.ndarray:

@@ -211,3 +211,20 @@ def test_monotone_ess_series():
         assert np.all(np.diff(sups) <= 0.0)
         infs = -ess_sup_series(-f, PLANE, ORIGIN, SCHED, CFG)
         assert np.all(np.diff(infs) >= 0.0)
+
+
+def test_ess_sup_near_makes_one_field_call_per_level_and_refinement_step(
+        monkeypatch):
+    # one call per lattice level, then one per lockstep refinement step for
+    # the walks of all levels together (walking them one by one took hundreds)
+    from densilim.fields import ScalarField
+    from densilim.sampling import REFINE_LEVELS
+    calls = []
+    evaluate = ScalarField.__call__
+    monkeypatch.setattr(ScalarField, "__call__",
+                        lambda self, p: calls.append(len(p)) or evaluate(self, p))
+    f = registry.get_field("sine_mix")
+    ess_sup_near(f, PLANE, point_region([0.1, 0.2]), SCHED,
+                 QuadratureConfig(resolution=64))
+    assert SCHED.steps == 12
+    assert len(calls) <= 12 + REFINE_LEVELS

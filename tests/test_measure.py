@@ -210,17 +210,10 @@ def test_two_squares_json_round_trip():
     assert back.components is not None
 
 
-def test_parallel_flag_does_not_change_estimates():
-    w = Box([-1, -1], [1, 1])
-    seq = QuadratureConfig(resolution=128, parallel=False)
-    par = QuadratureConfig(resolution=128, parallel=True)
-    r = ball_region([0, 0], 1.0)
-    assert lebesgue(r, w, seq).value == lebesgue(r, w, par).value
-    mc_seq = QuadratureConfig(mode="monte_carlo", resolution=5000, seed=3,
-                              parallel=False)
-    mc_par = QuadratureConfig(mode="monte_carlo", resolution=5000, seed=3,
-                              parallel=True)
-    assert lebesgue(r, w, mc_seq).value == lebesgue(r, w, mc_par).value
+def test_quadrature_config_has_no_parallel_flag():
+    # nothing ran in parallel, so the flag is gone; --threads is ignored
+    with pytest.raises(TypeError):
+        QuadratureConfig(parallel=True)
 
 
 def _refused_peak_mb(cloud, delta, res, match="budget of 2\\^24") -> float:

@@ -12,6 +12,7 @@ from scipy.spatial import cKDTree
 from scipy.stats import qmc
 
 from densilim.aplimits import ap_liminf, ap_limsup, ess_inf_near, ess_sup_near
+from densilim import registry
 from densilim.clarke import gen_gradient
 from densilim.density import cone_region, density_at_point, density_at_set
 from densilim.errors import PreconditionError
@@ -22,7 +23,8 @@ from densilim.geometry import (Box, DeltaSchedule, QuadratureConfig,
                                ball_region, circle_region, cloud_distance,
                                complement, lattice, point_region, shell_lattice)
 from densilim.representative import mean_limit
-from densilim.sampling import halton
+from densilim.sampling import (REFINE_LEVELS, halton, neighborhood_levels,
+                               refine_extremum)
 
 BOX = Box([-2.0, -2.0], [2.0, 2.0])
 PROPERTY = settings(max_examples=15, deadline=None, derandomize=True,
@@ -317,3 +319,135 @@ def trees(draw):
 @given(node=trees())
 def test_parse_inverts_to_source(node):
     assert parse(to_source(node), 2) == node
+
+
+# ---------------------------------------------------------------------------
+# lockstep refinement
+
+
+def _serial_refine(f, reach, seeds, cap):
+    """Reference: the walks of one level one after another, each making its
+    own membership and field calls."""
+    if not seeds.values.size:
+        return math.nan
+    offsets = np.stack([g.ravel() for g in np.meshgrid(
+        *[np.linspace(-1.0, 1.0, 5)] * seeds.points.shape[1], indexing="ij")],
+        axis=1)
+    best_val = float(np.max(seeds.values))
+    for center, current in zip(seeds.points, seeds.values):
+        width, current, stagnant = seeds.cell / 2.0, float(current), 0
+        for _ in range(REFINE_LEVELS):
+            cand = center + width * offsets
+            ok = reach(cand) < seeds.delta
+            improved = False
+            if np.any(ok):
+                cand = cand[ok]
+                vals = f(cand)
+                vals = np.where(np.isfinite(vals), vals, -np.inf)
+                j = int(np.argmax(vals))
+                gain = float(vals[j]) - current
+                if gain > 0.0:
+                    stagnant = stagnant + 1 if gain <= 1e-7 * max(1.0, abs(current)) else 0
+                    current, center, improved = float(vals[j]), cand[j].copy(), True
+            if not improved:
+                width /= 2.0
+                stagnant += 1
+            if stagnant >= 4 or width < 1e-300 or current > cap:
+                break
+        best_val = max(best_val, current)
+        if best_val > cap:
+            break
+    return best_val
+
+
+@st.composite
+def refined_fields(draw):
+    """An affine, kinked or step field through a drawn point in 1-3 d, or the
+    singular angle_sqrt_inv at the origin; either sign."""
+    kind = draw(st.sampled_from(["affine", "kinked", "step", "singular"]))
+    if kind == "singular":
+        f, x0 = registry.get_field("angle_sqrt_inv"), np.zeros(2)
+    else:
+        n = draw(st.integers(1, 3))
+        x0 = np.array(draw(st.lists(coord, min_size=n, max_size=n)))
+
+        def linear():
+            c = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
+            return " + ".join(f"({float(ci)!r})*(x{i + 1} - ({float(xi)!r}))"
+                              for i, (ci, xi) in enumerate(zip(c, x0)))
+
+        src = linear()
+        if kind == "kinked":
+            src += f" + ({draw(st.floats(0.3, 1.2))!r})*abs({linear()})"
+        elif kind == "step":
+            src = f"if({src} > 0, {draw(st.floats(-2.0, 2.0))!r}, 0.5)"
+        f = compile_field(src, n)
+    return (-f if draw(st.booleans()) else f), x0
+
+
+# no cap (inf), the default cap, or a cap just above one level's best lattice
+# value, which its walks cross part of the way
+caps = st.one_of(st.just(math.inf), st.just(1e6),
+                 st.tuples(st.integers(0, 5), st.floats(0.0, 0.05)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(drawn=refined_fields(), grid=grids, in_disk=st.booleans(), cap=caps)
+def test_lockstep_refinement_equals_walking_each_level_alone(drawn, grid,
+                                                              in_disk, cap):
+    # every level's value is bit for bit the serial walk's, whether the
+    # levels are refined together or one at a time
+    f, x0 = drawn
+    n = x0.size
+    sched, cfg = _schedule(grid)
+    Omega = (ball_region(x0 + 0.1, 0.4) if in_disk
+             else compile_region("true", n, Box([-2.0] * n, [2.0] * n)))
+    levels = _outcome(lambda: list(neighborhood_levels(Omega, x0, sched, cfg, f)))
+    assume(levels is not None)
+    reach, seeds = levels[0].reach, [lv.seeds() for lv in levels]
+    if isinstance(cap, tuple):
+        level, above = cap
+        cap = float(np.max(seeds[level % len(seeds)].values)) + above
+    together = refine_extremum(f, reach, seeds, cap=cap)
+    alone = [refine_extremum(f, reach, [s], cap=cap)[0] for s in seeds]
+    serial = [_serial_refine(f, reach, s, cap) for s in seeds]
+    assert [v.hex() for v in together] == [v.hex() for v in alone] \
+        == [float(v).hex() for v in serial]
+
+
+# float.hex of (ess_sup_near, ess_inf_near, ap_limsup) from walking the seeds
+# one after another, at res 32 over deltas 0.5 * 2^-k, k = 0..5
+REFINED_GOLDEN = {
+    ("sine_mix", "plane", (0.1, 0.2)): (
+        "0x1.40ba6041dfb4ep-2", "0x1.d8a023bfb2e26p-3", "0x1.4051a14244fedp-2"),
+    ("max_xy", "plane", (0.1, 0.1)): (
+        "0x1.d99199999999ap-4", "0x1.6c5999999999ap-4", "0x1.d7b619999999ap-4"),
+    ("radial_norm", "plane", (0.0, 0.0)): (
+        "0x1.fffb3ffa5bf2ap-7", "0x0.0p+0", "0x1.ff205932f8ab8p-7"),
+    ("step_diag", "plane", (0.2, -0.2)): (
+        "0x1.0000000000000p+1", "0x0.0p+0", "0x1.0000000000000p+1"),
+    ("quarter_ind", "plane", (0.0, 0.0)): (
+        "0x1.0000000000000p+0", "0x0.0p+0", "0x1.0000000000000p+0"),
+    ("angle_sqrt_inv", "plane", (0.0, 0.0)): (
+        "inf", "0x1.988455456757ap-2", "inf"),
+    ("x_abs_x", "unit_disk", (0.95, 0.0)): (
+        "0x1.dd659de2a693fp-1", "0x1.bf1b71a9ae147p-1", "0x1.dcf143547ae14p-1"),
+    ("gauss_bump", "plane", (0.3, -0.1)): (
+        "0x1.d3c33db27ec45p-1", "0x1.ca9f3c181c3e1p-1", "0x1.d3bc832503a87p-1"),
+    ("affine", "plane", "unit_segment"): (
+        "0x1.4735d90000000p+1", "0x1.c650000000000p-2"),
+    ("hemisphere", "plane", "unit_circle"): (
+        "0x1.689b9a1b07fffp-3", "0x0.0p+0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFINED_GOLDEN, key=repr))
+def test_refined_bounds_golden(case):
+    name, domain, at = case
+    f, Omega = registry.get_field(name), registry.get_region(domain)
+    sched, cfg = DeltaSchedule(0.5, 0.5, 6, 3), QuadratureConfig(resolution=32)
+    C = registry.get_region(at) if isinstance(at, str) else point_region(at)
+    got = [ess_sup_near(f, Omega, C, sched, cfg), ess_inf_near(f, Omega, C, sched, cfg)]
+    if not isinstance(at, str):
+        got.append(ap_limsup(f, Omega, at, sched, cfg))
+    assert tuple(v.hex() for v in got) == REFINED_GOLDEN[case]
