@@ -2,10 +2,13 @@
 
 The volume side takes grad(f) and div(phi) from the exact gradients of the
 field expressions.  The boundary term is computed without boundary traces:
-boundary samples are pushed a sub-cell offset into the domain and the
-outward normal is the negated gradient of the distance-to-boundary field
-there.  Domains with inner boundaries are handled per component with
-independent reports.
+boundary samples are pushed a sub-cell offset into the domain, and the
+integrand there is taken against the outward normal that the region's
+boundary parametrization declares at the foot point.  That normal is the
+negated gradient of the distance-to-boundary field at the offset point,
+because the offset stays below half the boundary sample spacing and below
+the boundary's reach.  Domains with inner boundaries are handled per
+component with independent reports.
 """
 
 from __future__ import annotations
@@ -24,6 +27,10 @@ from .geometry import (DeltaSchedule, QuadratureConfig, Region, as_point,
 # scipy's KD tree, loaded on first use; perfbench/tracer.py patches this name
 from .geometry import kd_tree as cKDTree
 from .representative import mean_limit
+
+# offset of the boundary layer, in grid cells; perfbench/checks.layer_constant
+# derives the benchmark's first-order bound from this value
+LAYER_OFFSET = 1.0 / 16.0
 
 
 @dataclass(frozen=True)
@@ -66,43 +73,27 @@ def _boundary_cloud(Omega: Region, m: int) -> np.ndarray:
     return cloud
 
 
-def normal_field(Omega: Region, y, cfg: QuadratureConfig,
-                 fd_step: Optional[float] = None) -> np.ndarray:
+def normal_field(Omega: Region, y, cfg: QuadratureConfig) -> np.ndarray:
     """Outward unit normal at y as the negated distance-field gradient.
 
-    Raises AmbiguousNormal when the finite-difference gradient norm falls
-    below 0.5 (several boundary sheets at comparable distance).
+    The gradient is a central difference of the KD distance to a boundary
+    cloud.  Raises AmbiguousNormal when its norm falls below 0.5 (several
+    boundary sheets at comparable distance).
     """
     y = as_point(y, Omega.dim)
     if not bool(Omega.contains(y[None, :])[0]):
         raise PreconditionError("normal_field expects an interior point")
     cloud = _boundary_cloud(Omega, 16 * cfg.resolution)
     tree = cKDTree(cloud)
-    if fd_step is None:
-        # the step must dominate the cloud scalloping scale
-        spacing = 4.0 * float(np.max(Omega.bbox.sides)) / cloud.shape[0]
-        fd_step = max(4.0 * spacing, 1e-4 * float(np.min(Omega.bbox.sides)))
-    nu = _normals_at(tree, y[None, :], fd_step)[0]
-    if np.linalg.norm(nu) == 0.0:
+    # the step must dominate the cloud scalloping scale
+    spacing = 4.0 * float(np.max(Omega.bbox.sides)) / cloud.shape[0]
+    h = max(4.0 * spacing, 1e-4 * float(np.min(Omega.bbox.sides)))
+    steps = h * np.eye(Omega.dim)
+    grad = (tree.query(y + steps)[0] - tree.query(y - steps)[0]) / (2.0 * h)
+    norm = float(np.linalg.norm(grad))
+    if not norm >= 0.5:
         raise AmbiguousNormal("distance gradient norm below 0.5 at the query")
-    return nu
-
-
-def _normals_at(tree, pts: np.ndarray, h: float) -> np.ndarray:
-    """Batch outward normals: rows of zeros mark ambiguous points."""
-    m, n = pts.shape
-    grad = np.empty((m, n))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h
-        dp, _ = tree.query(pts + e)
-        dm, _ = tree.query(pts - e)
-        grad[:, i] = (dp - dm) / (2.0 * h)
-    norms = np.linalg.norm(grad, axis=1)
-    out = np.zeros_like(grad)
-    ok = norms >= 0.5
-    out[ok] = -grad[ok] / norms[ok, None]
-    return out
+    return -grad / norm
 
 
 def _volume_side(f: ScalarField, phi: VectorField, comp: Region,
@@ -116,33 +107,27 @@ def _volume_side(f: ScalarField, phi: VectorField, comp: Region,
 
 def _boundary_side(f: ScalarField, phi: VectorField, comp: Region,
                    resolution: int, eps: float) -> float:
-    m = 4 * resolution
-    pts_b, w, inward = comp.boundary_fn(m)
-    perimeter = float(np.sum(w))
-    # the distance cloud must be much finer than the offset, or its
-    # scalloping tilts the finite-difference normals
-    m_cloud = min(int(4.0 * perimeter / eps) + m, 400_000)
-    cloud = _boundary_cloud(comp, m_cloud)
-    tree = cKDTree(cloud)
+    pts_b, w, inward = comp.boundary_fn(4 * resolution)
     p = pts_b + eps * inward
-    nu = _normals_at(tree, p, eps / 4.0)
-    ambiguous = np.linalg.norm(nu, axis=1) == 0.0
-    nu[ambiguous] = -inward[ambiguous]  # medial slivers: fall back to analytic
-    g = f(p) * np.sum(phi(p) * nu, axis=1)
+    g = f(p) * np.sum(phi(p) * -inward, axis=1)
     return float(np.nansum(g * w))
 
 
 def gg_residual(f: ScalarField, phi: VectorField, Omega: Region,
-                cfg: QuadratureConfig, eps_factor: float = 1.0 / 16.0) -> GGReport:
+                cfg: QuadratureConfig) -> GGReport:
     """Residual of: integral of f div(phi) + phi . grad(f) over Omega equals
     the boundary term computed on an inner offset layer with the
     distance-gradient normal field.
 
-    The offset is a fraction of a grid cell, so it shrinks jointly with h
-    (first-order refinement) and stays below the boundary sample spacing,
-    which keeps offset points attached to their own wall near corners.
-    Domains made of several components (inner boundaries) are integrated
-    per component; the report carries the per-component breakdown.
+    Each boundary sample b with inward unit normal n_in(b) (from the
+    region's ``boundary_fn``) is moved to p = b + eps n_in(b), and f phi . nu
+    is summed there with nu = -n_in(b).  The offset eps is LAYER_OFFSET of a
+    grid cell, so it shrinks jointly with h (first-order refinement) and
+    stays below half the boundary sample spacing and below the reach, so
+    the nearest boundary point of p is b and -grad d(p) equals -n_in(b),
+    near corners too.  Domains made of several components (inner
+    boundaries) are integrated per component; the report carries the
+    per-component breakdown.
     """
     if cfg.mode != "grid":
         raise PreconditionError(f"gg_residual samples the grid lattice; "
@@ -159,7 +144,7 @@ def gg_residual(f: ScalarField, phi: VectorField, Omega: Region,
     for comp in comps:
         lhs = _volume_side(f, phi, comp, cfg.resolution)
         grid_h = float(np.max(comp.bbox.sides)) / cfg.resolution
-        eps = eps_factor * grid_h
+        eps = LAYER_OFFSET * grid_h
         rhs = _boundary_side(f, phi, comp, cfg.resolution, eps)
         reports.append(GGReport(lhs, rhs, abs(lhs - rhs), grid_h, eps))
         lhs_total += lhs
@@ -171,15 +156,12 @@ def gg_residual(f: ScalarField, phi: VectorField, Omega: Region,
 
 
 def gg_sweep(f: ScalarField, phi: VectorField, Omega: Region,
-             cfg: QuadratureConfig, levels: int = 3,
-             eps_factor: float = 1.0 / 16.0) -> list:
+             cfg: QuadratureConfig, levels: int = 3) -> list:
     """Refinement sweep: (grid_h, residual) pairs under h -> h/2."""
     out = []
     res = cfg.resolution
     for _ in range(levels):
-        rep = gg_residual(f, phi, Omega,
-                          replace(cfg, resolution=res),
-                          eps_factor=eps_factor)
+        rep = gg_residual(f, phi, Omega, replace(cfg, resolution=res))
         out.append((rep.grid_h, rep.residual))
         res *= 2
     return out

@@ -85,7 +85,9 @@ class Region:
 
     ``cloud_fn(n)`` returns >= 1 points on the region and must be supplied
     for null sets.  ``boundary_fn(m)`` returns (points, arc weights, inward
-    unit normals) and enables boundary quadrature on Lipschitz primitives.
+    unit normals) and enables boundary quadrature on Lipschitz primitives:
+    the Gauss-Green boundary side integrates against the negated inward
+    normals.
     ``components`` lists subdomains treated separately by the divergence
     checks (domains with inner boundaries).
     """
@@ -184,7 +186,7 @@ def point_region(x, pad: float = 1e-9, label: str = "point") -> Region:
         return np.all(np.atleast_2d(p) == x, axis=1)
 
     return Region(x.size, ind, Box(x - pad, x + pad), label=label,
-                  cloud_fn=lambda n: np.tile(x, (max(n, 1), 1)),
+                  cloud_fn=lambda n: x[None, :],
                   json_spec={"kind": "pointcloud", "payload": {"points": [x.tolist()]}})
 
 

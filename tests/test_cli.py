@@ -197,21 +197,24 @@ def _scipy_after(*commands):
 
 
 def test_cold_cli_loads_scipy_only_for_trees_and_hulls():
-    point_commands = [
+    battery = [  # the criterion-10 commands, gauss-green on a coarser grid
         ["density", "--set", "x2>0", "--domain", "true", "--at", "0,0"],
         ["aplim", "--f", "1/sqrt(atan2(x2,x1))", "--at", "0,0",
          "--domain", "unit_disk", "--atan2-range", "0..2pi"],
         ["representative", "--f", "if(x1>0, 1, 0)", "--at", "0,0"],
         ["jump", "--f", "if(x1*0.8 + x2*0.6 > 0, 2, -1)", "--at", "0,0"],
         ["clarke", "--f", "abs(x1)", "--at", "0", "--dim", "1", "--v", "1"],
+        ["gauss-green", "--f", "x1^2 + x2", "--phi", "x2,x1",
+         "--domain", "unit_square", "--res", "32"],
+        ["demo-vanishing", "--f", "x1 + 2*x2 + 0.3", "--e1", "demo_cusp_right",
+         "--e2", "demo_cusp_left", "--domain", "plane", "--at", "0,0",
+         "--schedule", "0.5,0.5,7,4", "--res", "256"],
     ]
     tube = ["density", "--set", "unit_disk", "--domain", "plane",
             "--at-set", "unit_circle", "--schedule", "0.4,0.5,3,2", "--res", "16"]
-    gauss_green = ["gauss-green", "--f", "x1^2 + x2", "--phi", "x2,x1",
-                   "--domain", "unit_square", "--res", "32"]
     hull_2d = ["clarke", "--f", "abs(x1) + abs(x2)", "--at", "0,0"]  # Qhull
-    assert _scipy_after(*point_commands) == [[]] * 6
-    for command in (tube, gauss_green, hull_2d):
+    assert _scipy_after(*battery) == [[]] * 8
+    for command in (tube, hull_2d):
         before, after = _scipy_after(command)
         assert before == [] and "scipy.spatial" in after
         assert not any(m.startswith("scipy.stats") for m in after)

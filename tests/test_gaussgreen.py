@@ -93,6 +93,24 @@ def test_gg_convergence_ratio():
         assert 1.3 <= r1 / r2 <= 3.0
 
 
+def test_gg_sweep_is_first_order_on_a_drawn_box():
+    # a box whose residuals did not halve with the distance-cloud normals
+    box = box_region([-0.12451955167376144, -0.1644312056071427],
+                     [0.7800044490607714, 0.5988843340091698])
+    f = compile_field(
+        "(-0.43097176205456167) + (-0.1949913726288981)*x2"
+        " + (-0.1462734168651978)*x2^2 + (0.2705912679894755)*x1"
+        " + (0.7333620437944346)*x1*x2 + (0.8701130684926799)*x1^2", 2)
+    phi = compile_vector_field(
+        ["(0.9041759819857278) + (-0.19296900706021924)*x2"
+         " + (-0.12971218836257248)*x1",
+         "(0.954179615425589) + (-0.06993582905175955)*x2"
+         " + (0.08492605835365286)*x1"], 2)
+    sweep = gg_sweep(f, phi, box, QuadratureConfig(resolution=64), levels=3)
+    for (_, r1), (_, r2) in zip(sweep, sweep[1:]):
+        assert 0.4 <= r2 / r1 <= 0.6, sweep
+
+
 def test_gg_two_squares_inner_boundary():
     ts = registry.get_region("two_squares")
     f = compile_field("x1^2 + x2", 2)

@@ -129,6 +129,8 @@ def test_ball_window_examples():
 
 
 def test_neighborhood_of_point_is_ball():
+    x = np.array([0.25, -0.5])
+    assert np.array_equal(point_cloud(point_region(x), GRID64), x[None, :])
     nb = neighborhood(point_region([0.0, 0.0]), 0.3, GRID64)
     probes = np.array([[0.0, 0.0], [0.29, 0.0], [0.0, -0.29], [0.31, 0.0],
                        [0.25, 0.25]])

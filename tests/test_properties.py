@@ -17,11 +17,13 @@ from densilim.clarke import gen_gradient
 from densilim.density import cone_region, density_at_point, density_at_set
 from densilim.errors import PreconditionError
 from densilim.expr import (BoolLit, BoolOp, Bin, Call, Cmp, Neg, Not, Num, Var,
-                           compile_field, compile_region, derivative, evaluate,
-                           parse, to_source)
+                           compile_field, compile_region, compile_vector_field,
+                           derivative, evaluate, parse, to_source)
+from densilim.gaussgreen import gg_residual
 from densilim.geometry import (Box, DeltaSchedule, QuadratureConfig,
-                               ball_region, circle_region, cloud_distance,
-                               complement, lattice, point_region, shell_lattice)
+                               ball_region, box_region, circle_region,
+                               cloud_distance, complement, lattice,
+                               point_region, shell_lattice)
 from densilim.representative import mean_limit
 from densilim.sampling import (REFINE_LEVELS, halton, neighborhood_levels,
                                refine_extremum)
@@ -268,6 +270,46 @@ def test_max_of_affine_hull_is_its_two_gradients(x0, a, b):
     hull = gen_gradient(f, x0, DeltaSchedule(0.5, 0.5, 8, 4),
                         QuadratureConfig(resolution=32))
     assert {tuple(v) for v in hull.hull_vertices} == {tuple(a), tuple(b)}
+
+
+coefficients = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+def _poly(c):
+    """Polynomial source in x1, x2 on the first len(c) monomials of degree <= 2."""
+    monomials = ["1", "x2", "x1", "x2^2", "x1*x2", "x1^2"]
+    return " + ".join(f"({float(a)!r})*{m}" for a, m in zip(c, monomials))
+
+
+@st.composite
+def gauss_green_cases(draw):
+    """A drawn box or disk, a quadratic f and a linear phi."""
+    if draw(st.booleans()):
+        lo = np.array(draw(st.tuples(*[st.floats(-0.5, 0.0)] * 2)))
+        side = np.array(draw(st.tuples(*[st.floats(0.6, 1.0)] * 2)))
+        Omega = box_region(lo, lo + side)
+    else:
+        c = np.array(draw(st.tuples(*[st.floats(-0.3, 0.3)] * 2)))
+        Omega = ball_region(c, draw(st.floats(0.5, 0.8)))
+    f = draw(st.lists(coefficients, min_size=6, max_size=6))
+    phi = [draw(st.lists(coefficients, min_size=3, max_size=3)) for _ in range(2)]
+    return Omega, _poly(f), [_poly(p) for p in phi]
+
+
+@PROPERTY
+@given(case=gauss_green_cases())
+def test_gauss_green_boundary_side_is_first_order(case):
+    # the offset layer moves the boundary integral by O(eps) = O(h), so its
+    # error halves with h; the reference is the zero-offset integral
+    Omega, f_src, phi_src = case
+    f, phi = compile_field(f_src, 2), compile_vector_field(phi_src, 2)
+    pts, w, inward = Omega.boundary_fn(2 ** 16)
+    exact = float(np.sum(w * f(pts) * np.sum(phi(pts) * -inward, axis=1)))
+    errors = [gg_residual(f, phi, Omega, QuadratureConfig(resolution=res)).rhs
+              - exact for res in (64, 128, 256)]
+    if abs(errors[0]) >= 1e-5:
+        for e1, e2 in zip(errors, errors[1:]):
+            assert 0.4 <= e2 / e1 <= 0.6, errors
 
 
 constants = st.floats(0.0, 1e3, allow_nan=False)
