@@ -21,8 +21,8 @@ from .density import count_ratio, require_null
 from .errors import NotDensitySet, PreconditionError
 from .fields import ScalarField, VectorField
 from .geometry import DeltaSchedule, QuadratureConfig, Region
-from .sampling import (BallSamples, LevelSamples, ball_samples,
-                       neighborhood_levels, refine_extremum)
+from .sampling import (BallSamples, ball_samples, neighborhood_levels,
+                       refine_extremum)
 
 
 @dataclass(frozen=True)
@@ -144,33 +144,40 @@ def support_function(F: VectorField, Omega: Region, C: Region, v,
 # Approximate limits at a point
 
 
-def _level_fraction(level: LevelSamples, alpha: float) -> float:
-    finite = np.isfinite(level.values)
-    total = int(np.count_nonzero(finite))
-    if total == 0:
+def _level_fraction(ordered: np.ndarray, alpha: float) -> float:
+    """Share of a level's finite values above alpha; ``ordered`` holds them
+    sorted."""
+    if ordered.size == 0:
         return 0.0
-    above = int(np.count_nonzero(level.values[finite] > alpha))
-    return count_ratio(above, total)
+    above = ordered.size - int(np.searchsorted(ordered, alpha, side="right"))
+    return count_ratio(above, ordered.size)
 
 
 def _limsup_from_samples(f: ScalarField, samples: BallSamples, cap: float,
                          density_tol: float, alpha_rtol: float) -> tuple[float, float]:
     """Upper approximate limit from cached ball samples; returns (value, atol)."""
-    # +inf needs the cap exceeded at every delta: stop at the first level not past it
-    if all(refine_extremum(f, level.reach, [level.seeds()], cap=cap)[0] > cap
-           for level in samples.levels):
+    # +inf needs the cap exceeded at every delta.  The finest level decides
+    # alone for bounded fields, whose walks there are the shortest; past the
+    # cap, the other levels are refined together in one lockstep call.
+    levels = samples.levels
+    reach = levels[-1].reach
+    if (refine_extremum(f, reach, [levels[-1].seeds()], cap=cap)[0] > cap
+            and np.all(refine_extremum(f, reach, [lv.seeds() for lv in levels[:-1]],
+                                       cap=cap) > cap)):
         return math.inf, 0.0
 
-    tail = samples.levels[-samples.tail_window:]
-    finite_tail = np.concatenate([lv.finite_values for lv in tail])
+    tail = [lv.finite_values for lv in levels[-samples.tail_window:]]
+    finite_tail = np.concatenate(tail)
     if finite_tail.size == 0:
         raise PreconditionError("all tail samples were discarded as NaN")
     hi = float(np.max(finite_tail))
     lo = float(np.min(finite_tail)) - 1.0
     atol = max(alpha_rtol * (hi - lo), 1e-12)
+    for values in tail:  # fresh copies: sorted in place, once for every alpha
+        values.sort()
 
     def vanishes(alpha: float) -> bool:
-        fracs = [_level_fraction(lv, alpha) for lv in tail]
+        fracs = [_level_fraction(values, alpha) for values in tail]
         if max(fracs) < density_tol:
             return True
         # a non-increasing tail converges to its last value: limsup = limit

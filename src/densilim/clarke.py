@@ -21,7 +21,7 @@ import numpy as np
 from .config import Tolerances
 from .errors import NonLipschitz, PreconditionError, SupportMismatch
 from .fields import ScalarField
-from .geometry import DeltaSchedule, QuadratureConfig, as_point
+from .geometry import DeltaSchedule, QuadratureConfig, as_point, row_norm
 from .sampling import halton, halton_ball
 
 
@@ -31,9 +31,9 @@ def probe_directions(dim: int, seed: int, extra: int = 64) -> np.ndarray:
     if dim == 1:
         return axes
     raw = halton(dim, seed, 0, 4 * extra) * 2.0 - 1.0
-    norms = np.linalg.norm(raw, axis=1)
+    norms = row_norm(raw)
     raw = raw[(norms > 1e-9) & (norms <= 1.0)][:extra]
-    sphere = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    sphere = raw / row_norm(raw)[:, None]
     return np.concatenate([axes, sphere], axis=0)
 
 
@@ -64,7 +64,7 @@ def _gradient_levels(f: ScalarField, x: np.ndarray, sched: DeltaSchedule,
         if g.shape[0] == 0:
             raise NonLipschitz(f"no sample point of {f.label!r} has a finite "
                                f"gradient at delta={d:g}")
-        if float(np.max(np.linalg.norm(g, axis=1))) > cap:
+        if float(np.max(row_norm(g))) > cap:
             raise NonLipschitz(
                 f"gradient norm exceeds cap {cap:g} at delta={d:g}")
         levels.append(g)
@@ -182,7 +182,7 @@ def gen_gradient(f: ScalarField, x, sched: DeltaSchedule, cfg: QuadratureConfig,
                         convex_hull_vertices(pts), probes)
     # cross-check against the independent difference-quotient estimator on
     # the axis probes; a gap signals under-sampling or a bad gradient callback
-    scale = max(1.0, float(np.max(np.linalg.norm(pts, axis=1))))
+    scale = max(1.0, float(np.max(row_norm(pts))))
     # quotients smear gradients over B_{delta(1+|v|)}, an O(delta) drift
     allowance = support_tol * scale + 2.0 * float(sched.deltas[-1]) * scale
     for v in np.concatenate([np.eye(x.size), -np.eye(x.size)]):

@@ -16,7 +16,7 @@ import numpy as np
 from .config import Tolerances
 from .errors import NotDensitySet, PreconditionError
 from .geometry import (Box, DeltaSchedule, QuadratureConfig, Region, as_point,
-                       intersect, lebesgue, point_cloud)
+                       intersect, lebesgue, point_cloud, row_norm)
 from .sampling import neighborhood_levels
 
 
@@ -196,7 +196,7 @@ def cone_region(x, v, alpha: float, dim: int, radius: float = 1e6) -> Region:
 
     def ind(p):
         off = np.atleast_2d(p) - x
-        r = np.linalg.norm(off, axis=1)
+        r = row_norm(off)
         return off @ v > r * cos_a  # excludes the vertex: 0 > 0 is false
 
     return Region(dim, ind, Box(x - radius, x + radius), label=f"cone(a={alpha:g})")
@@ -268,7 +268,7 @@ def concentration_direction(Omega: Region, x, sched: DeltaSchedule,
     per_alpha = np.zeros((len(ladder), len(dirs), sched.steps))
     for k, lv in enumerate(neighborhood_levels(Omega, x, sched, cfg)):
         off = lv.points - x
-        r = np.linalg.norm(off, axis=1)
+        r = row_norm(off)
         with np.errstate(invalid="ignore"):
             unit = off / np.where(r > 0.0, r, 1.0)[:, None]
         dots = unit @ dirs.T  # (points, dirs)

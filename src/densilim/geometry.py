@@ -30,6 +30,22 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
     return p
 
 
+def row_norm(d: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row: ``np.linalg.norm(d, axis=1)``, bit for bit.
+
+    Below 8 columns numpy sums the squares column by column; so does this,
+    one vector add per column instead of a reduction over short rows.
+    From 8 columns on numpy sums pairwise, and this defers to it.
+    """
+    d = np.asarray(d, dtype=float)
+    if d.shape[1] >= 8:
+        return np.linalg.norm(d, axis=1)
+    s = d[:, 0] * d[:, 0]
+    for i in range(1, d.shape[1]):
+        s += d[:, i] * d[:, i]
+    return np.sqrt(s, out=s)
+
+
 @dataclass(frozen=True)
 class Box:
     """Axis-aligned box [lo, hi] in R^n."""
@@ -160,7 +176,7 @@ def ball_region(center, radius: float, label: str = "ball") -> Region:
         raise PreconditionError("ball radius must be positive")
 
     def ind(p):
-        return np.linalg.norm(np.atleast_2d(p) - c, axis=1) < radius
+        return row_norm(np.atleast_2d(p) - c) < radius
 
     def boundary(m: int):
         if c.size != 2:
@@ -195,7 +211,7 @@ def circle_region(center, radius: float, label: str = "circle") -> Region:
     c = as_point(center, 2)
 
     def ind(p):
-        return np.linalg.norm(np.atleast_2d(p) - c, axis=1) == radius
+        return row_norm(np.atleast_2d(p) - c) == radius
 
     def cloud(n):
         t = np.linspace(0.0, 2.0 * math.pi, max(n, 8), endpoint=False)
@@ -218,7 +234,7 @@ def segment_region(a, b, label: str = "segment") -> Region:
         p = np.atleast_2d(p)
         t = np.clip((p - a) @ d / L2, 0.0, 1.0)
         proj = a + t[:, None] * d
-        return np.linalg.norm(p - proj, axis=1) == 0.0
+        return row_norm(p - proj) == 0.0
 
     def cloud(n):
         t = np.linspace(0.0, 1.0, max(n, 2))
@@ -328,14 +344,23 @@ class MeasureEstimate:
 # Lattices and measures
 
 
-def lattice(window: Box, resolution: int) -> tuple[np.ndarray, float]:
-    """Midpoint lattice over the window: (res**n, n) points and cell volume."""
+def _lattice_axes(window: Box, resolution: int) -> list:
+    """The midpoints of each axis of the window's lattice.
+
+    Raises PreconditionError, before allocating anything, when the lattice
+    would hold more than LATTICE_BUDGET points.
+    """
     if resolution ** window.dim > LATTICE_BUDGET:
         raise PreconditionError(
             f"grid lattice of {resolution}^{window.dim} points is infeasible; "
             "lower the resolution to at most 2^24 lattice points")
-    axes = [window.lo[i] + (np.arange(resolution) + 0.5) * (window.sides[i] / resolution)
-            for i in range(window.dim)]
+    mid, step = np.arange(resolution) + 0.5, window.sides / resolution
+    return [window.lo[i] + mid * step[i] for i in range(window.dim)]
+
+
+def lattice(window: Box, resolution: int) -> tuple[np.ndarray, float]:
+    """Midpoint lattice over the window: (res**n, n) points and cell volume."""
+    axes = _lattice_axes(window, resolution)
     grids = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)
     cellvol = float(np.prod(window.sides / resolution))
@@ -372,21 +397,36 @@ def shell_lattice(cloud: np.ndarray, delta: float, resolution: int,
     centre lies at least delta plus its half-diagonal from the cloud is
     dropped and one within delta minus its half-diagonal is inside whole,
     so a thin tube around a long structure costs its own size, not its
-    bbox's, and only points near the tube's boundary are queried.  A
-    degenerate (single-point) cloud gives the window lattice filtered by the
-    norm.  ``tree``, a ``kd_tree`` of the cloud, saves building one per
-    call when the same cloud is queried at several deltas.  Raises
-    PreconditionError, before allocating them, when the tube points found
-    plus the points of the cells left to split, counted as at most base**n
-    per cell, exceed LATTICE_BUDGET, and when the bbox lattice outgrows
-    int64 indices.
+    bbox's, and only points near the tube's boundary are queried.
+    ``tree``, a ``kd_tree`` of the cloud, saves building one per call when
+    the same cloud is queried at several deltas.  Raises PreconditionError,
+    before allocating them, when the tube points found plus the points of
+    the cells left to split, counted as at most base**n per cell, exceed
+    LATTICE_BUDGET, and when the bbox lattice outgrows int64 indices.
+
+    A degenerate (single-point) cloud x gives the ball's points of its
+    window lattice, those with ``row_norm(pts - x) < delta``, refused like
+    ``lattice`` past the budget.  The window is a product of axes, so below
+    8 dimensions the squared distances to x are an outer sum of per-axis
+    squares, added in ``row_norm``'s column order, and the points are
+    gathered from the axes where the root of that sum is below delta: the
+    same points, order and bits, without building the window or its norms.
     """
     cloud = np.atleast_2d(cloud)
     n = cloud.shape[1]
     base_lo, base_hi = cloud.min(axis=0), cloud.max(axis=0)
-    if np.all(base_hi - base_lo == 0.0):
-        pts, _ = lattice(Box(base_lo - delta, base_hi + delta), resolution)
-        return pts[np.linalg.norm(pts - base_lo, axis=1) < delta]
+    if np.all(base_hi - base_lo == 0.0):  # one point: its ball
+        window = Box(base_lo - delta, base_hi + delta)
+        if n >= 8:  # row_norm sums 8 or more squares pairwise, not in turn
+            pts, _ = lattice(window, resolution)
+            return pts[row_norm(pts - base_lo) < delta]
+        axes = _lattice_axes(window, resolution)
+        d = [a - c for a, c in zip(axes, base_lo)]
+        sq = d[0] * d[0]  # squared distances, summed in row_norm's column order
+        for di in d[1:]:
+            sq = np.add.outer(sq, di * di)
+        keep = np.nonzero(np.sqrt(sq) < delta)  # lexicographic, as the lattice
+        return np.stack([a[k] for a, k in zip(axes, keep)], axis=1)
     lo = base_lo - delta
     h = 2.0 * delta / resolution
     steps = np.ceil((base_hi + delta - lo) / h) + 1  # lattice points per axis

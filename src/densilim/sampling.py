@@ -8,10 +8,11 @@ shared ``reach``.  The anchor is a point, whose neighborhoods are
 balls, or a region, whose neighborhoods are tubes around its point cloud.
 ``shell_lattice`` returns the lattice points of the tube, so a level only
 drops those outside the domain.  A point is the degenerate one-point cloud:
-its tube is the ball-window lattice within the norm, and refinement
-measures its distance with the same norm, so densities at points and at
-null sets, essential bounds, approximate limits and ball means all read
-the same samples.
+its tube is the ball of the window lattice, found axis by axis from an
+outer sum of per-axis squared offsets with the bits of ``row_norm``, the
+distance refinement measures, so densities at points and at null sets,
+essential bounds, approximate limits and ball means all read the same
+samples.
 
 The refinement pass zooms a small sub-lattice around the current best
 sample, which moves the lattice sup/inf toward the pointwise sup/inf.
@@ -40,7 +41,8 @@ import numpy as np
 from .errors import NotDensityPoint, NotDensitySet, PreconditionError
 from .fields import ScalarField
 from .geometry import (DeltaSchedule, QuadratureConfig, Region, as_point,
-                       cloud_distance, kd_tree, point_cloud, shell_lattice)
+                       cloud_distance, kd_tree, point_cloud, row_norm,
+                       shell_lattice)
 
 Reach = Callable[[np.ndarray], np.ndarray]  # (m, n) -> (m,) distance, inf off Omega
 REFINE_TOP = 3      # lattice samples that seed refinement walks
@@ -140,7 +142,7 @@ def neighborhood_levels(Omega: Region, anchor, sched: DeltaSchedule,
         centre = cloud[0]
 
         def dist(p):
-            return np.linalg.norm(np.atleast_2d(p) - centre, axis=1)
+            return row_norm(np.atleast_2d(p) - centre)
     else:
         tree = kd_tree(cloud)  # one tree for the tube lattices of every level
         distance = functools.cache(lambda: cloud_distance(cloud))
@@ -301,7 +303,7 @@ def halton_ball(x: np.ndarray, delta: float, n_samples: int,
         count = 2 * need + 8
         raw = x + delta * (2.0 * halton(n, seed, start, count) - 1.0)
         start += count
-        r = np.linalg.norm(raw - x, axis=1)
+        r = row_norm(raw - x)
         keep = (r < delta) & (r > 0)
         raw = raw[keep]
         pts.append(raw[:need])

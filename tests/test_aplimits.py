@@ -228,3 +228,28 @@ def test_ess_sup_near_makes_one_field_call_per_level_and_refinement_step(
                  QuadratureConfig(resolution=64))
     assert SCHED.steps == 12
     assert len(calls) <= 12 + REFINE_LEVELS
+
+
+def test_cap_check_refines_finest_level_first_then_the_rest_together(
+        monkeypatch):
+    # an unbounded field: the finest level, then the other 11 in one
+    # lockstep call (one call per level made 12); a bounded field stops
+    # after the finest level, which is not past the cap
+    import densilim.aplimits as aplimits
+    calls = []
+    refine = aplimits.refine_extremum
+
+    def counted(f, reach, levels, cap=math.inf):
+        calls.append([s.delta for s in levels])
+        return refine(f, reach, levels, cap=cap)
+
+    monkeypatch.setattr(aplimits, "refine_extremum", counted)
+    sched, cfg = DeltaSchedule(1.0, 0.5, 12, 4), QuadratureConfig(resolution=64)
+    assert ap_limsup(registry.get_field("angle_sqrt_inv"), PLANE, [0.0, 0.0],
+                     sched, cfg) == math.inf
+    assert len(calls) <= 2
+    assert calls[0] == [sched.deltas[-1]]
+    calls.clear()
+    value = ap_limsup(registry.get_field("sine_mix"), PLANE, [0.1, 0.2], sched, cfg)
+    assert math.isfinite(value)
+    assert calls == [[sched.deltas[-1]]]

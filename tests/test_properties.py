@@ -21,9 +21,9 @@ from densilim.expr import (BoolLit, BoolOp, Bin, Call, Cmp, Neg, Not, Num, Var,
                            derivative, evaluate, parse, to_source)
 from densilim.gaussgreen import gg_residual
 from densilim.geometry import (Box, DeltaSchedule, QuadratureConfig,
-                               ball_region, box_region, circle_region,
-                               cloud_distance, complement, lattice,
-                               point_region, shell_lattice)
+                               ball_region, ball_window, box_region,
+                               circle_region, cloud_distance, complement,
+                               lattice, point_region, row_norm, shell_lattice)
 from densilim.representative import mean_limit
 from densilim.sampling import (REFINE_LEVELS, halton, neighborhood_levels,
                                refine_extremum)
@@ -95,6 +95,51 @@ def test_one_point_norm_matches_kd_tree(x, delta, res):
     pts = shell_lattice(x[None, :], delta, res)
     assert np.array_equal(np.linalg.norm(pts - x, axis=1),
                           cloud_distance(x[None, :])(pts))
+
+
+@st.composite
+def balls(draw):
+    """A point in 1-3 or 8 dimensions with |x| <= 1e3 and a delta in
+    [1e-12, 10], or a delta of a few float spacings of x: then x +- delta
+    and the lattice round, and lattice points fall on the rim, at distance
+    delta exactly."""
+    n = draw(st.sampled_from([1, 2, 3, 8]))
+    x = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        spacing = float(np.spacing(max(np.max(np.abs(x)), 1.0)))
+        return x, draw(st.integers(1, 8)) * spacing
+    return x, draw(st.floats(1.0, 10.0)) * 10.0 ** draw(st.integers(-12, 0))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(ball=balls(), res=st.sampled_from([2, 3, 5, 17, 32, 33, 64]))
+def test_one_point_shell_lattice_is_the_masked_window_lattice(ball, res):
+    # points, order and bits of the ball-window lattice masked by the norm
+    x, delta = ball
+    assume(res ** x.size <= 2 ** 18)
+    pts, _ = lattice(ball_window(x, delta), res)
+    reference = pts[np.linalg.norm(pts - x, axis=1) < delta]
+    got = shell_lattice(x[None, :], delta, res)
+    assert got.shape == reference.shape
+    assert np.array_equal(got.view(np.int64), reference.view(np.int64))
+
+
+# zeros, subnormals, squares that overflow or underflow, infinities and NaN
+special = st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308, 1e-160, 1e154, -1e155,
+                           1.7e308, math.inf, -math.inf, math.nan])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(drawn=st.integers(1, 9).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.lists(st.one_of(st.floats(-10.0, 10.0), st.floats(allow_nan=False),
+                       special), min_size=n, max_size=n), max_size=40))))
+def test_row_norm_is_numpys_row_norm(drawn):
+    n, rows = drawn
+    d = np.array(rows, dtype=float).reshape(len(rows), n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.linalg.norm(d, axis=1)
+        got = row_norm(d)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @st.composite
