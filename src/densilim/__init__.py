@@ -20,7 +20,7 @@ from .gaussgreen import (GGReport, gg_residual, gg_sweep, normal_field,
 from .geometry import (Box, DeltaSchedule, MeasureEstimate, QuadratureConfig,
                        Region, ball_region, ball_window, box_region,
                        circle_region, lebesgue, neighborhood, point_region,
-                       region_from_json, region_to_json, segment_region)
+                       segment_region)
 from .representative import (JumpReport, LebesguePointResult, MeanLimitResult,
                              PreciseRepresentative, boundary_trace, detect_jump,
                              is_lebesgue_point, mean_limit,

@@ -46,23 +46,22 @@ _TOL_FLAGS = {"--tol-limit": "limit_tol", "--tol-density": "density_tol",
               "--cap": "cap"}
 
 
-def _add_common(p: argparse.ArgumentParser):
+def _add_anchor(p: argparse.ArgumentParser):
     p.add_argument("--at", help="query point, comma-separated coordinates")
-    p.add_argument("--dim", type=int, help="ambient dimension (inferred from --at)")
     p.add_argument("--schedule", help="delta schedule as d0,ratio,K,w")
+
+
+def _add_common(p: argparse.ArgumentParser):
+    p.add_argument("--dim", type=int, help="ambient dimension (inferred from --at)")
     p.add_argument("--res", type=int, default=QuadratureConfig.resolution,
                    help="grid points per delta-diameter")
     p.add_argument("--seed", type=int, default=QuadratureConfig.seed)
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted and ignored")
     p.add_argument("--bbox", help="working bbox as lo1,..,lon,hi1,..,hin")
     for flag, name in _TOL_FLAGS.items():
         p.add_argument(flag, type=float, dest=name,
                        default=getattr(Tolerances, name))
     p.add_argument("--atan2-range", choices=[ATAN2_02PI, ATAN2_PMPI],
                    default=ATAN2_PMPI)
-    p.add_argument("--csv", action="store_true",
-                   help="CSV output (gauss-green sweep mode)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,6 +75,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", required=True, dest="set_", metavar="SET")
     p.add_argument("--domain", default="plane")
     p.add_argument("--at-set", help="registry name of a null set C")
+    p.add_argument("--csv", action="store_true",
+                   help="print the delta,value series instead of the report")
+    _add_anchor(p)
     _add_common(p)
 
     p = sub.add_parser("aplim", help="upper/lower approximate limits at a point")
@@ -84,16 +86,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interval", action="store_true",
                    help="also report the attainable-integral interval with "
                         "its witness sets")
+    _add_anchor(p)
     _add_common(p)
 
     p = sub.add_parser("representative", help="precise representative at a point")
     p.add_argument("--f", required=True)
     p.add_argument("--domain", default="plane")
+    _add_anchor(p)
     _add_common(p)
 
     p = sub.add_parser("jump", help="jump structure of a field at a point")
     p.add_argument("--f", required=True)
     p.add_argument("--domain", default="plane")
+    _add_anchor(p)
     _add_common(p)
 
     p = sub.add_parser("clarke", help="generalized gradient and calculus rules")
@@ -105,6 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--n-samples", type=int, default=256)
+    _add_anchor(p)
     _add_common(p)
 
     p = sub.add_parser("gauss-green", help="divergence-identity residual")
@@ -114,6 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", default="unit_square")
     p.add_argument("--sweep", type=int, default=0,
                    help="emit (h, residual) over this many refinements")
+    p.add_argument("--csv", action="store_true",
+                   help="print the --sweep series instead of the report")
     _add_common(p)
 
     p = sub.add_parser("demo-vanishing",
@@ -122,6 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--e1", required=True)
     p.add_argument("--e2", required=True)
     p.add_argument("--domain", default="plane")
+    _add_anchor(p)
     _add_common(p)
     return ap
 
@@ -193,8 +202,7 @@ def _run_config(args, sched: DeltaSchedule) -> tuple[RunConfig, QuadratureConfig
     seed = int(os.environ.get("DENSILIM_SEED", args.seed))
     quad = QuadratureConfig(resolution=args.res, seed=seed)
     tol = Tolerances(**{name: getattr(args, name) for name in _TOL_FLAGS.values()})
-    rc = RunConfig(sched, quad, tol, args.atan2_range,
-                   "csv" if args.csv else "json")
+    rc = RunConfig(sched, quad, tol, args.atan2_range)
     return rc, quad
 
 
@@ -206,7 +214,11 @@ def _emit(command: str, rc: RunConfig, result: dict) -> None:
 
 def _dim_of(args) -> int:
     if args.at:
-        return len(args.at.split(","))
+        dim = len(args.at.split(","))
+        if args.dim is not None and args.dim != dim:
+            raise PreconditionError(
+                f"--dim {args.dim} disagrees with the {dim} coordinates of --at")
+        return dim
     return args.dim or 2
 
 
@@ -320,6 +332,8 @@ def cmd_clarke(args) -> int:
 
 
 def cmd_gauss_green(args) -> int:
+    if args.csv and not args.sweep:
+        raise PreconditionError("--csv prints the --sweep series; pass --sweep")
     dim = args.dim or 2
     Omega = resolve_region(args.domain, dim, _parse_bbox(args, dim),
                            args.atan2_range)

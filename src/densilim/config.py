@@ -30,11 +30,9 @@ class RunConfig:
     quad: QuadratureConfig = field(default_factory=QuadratureConfig)
     tol: Tolerances = field(default_factory=Tolerances)
     atan2_range: str = ATAN2_PMPI
-    output: str = "json"
 
     def to_json_dict(self) -> dict:
         return {"schedule": self.schedule.to_json_dict(),
                 "quadrature": self.quad.to_json_dict(),
                 "tolerances": self.tol.to_json_dict(),
-                "atan2_range": self.atan2_range,
-                "output": self.output}
+                "atan2_range": self.atan2_range}

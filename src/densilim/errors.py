@@ -40,7 +40,7 @@ class RegionsNotDisjoint(PreconditionError):
 
 
 class NonLipschitzDomain(PreconditionError):
-    """Domain lacks a boundary parametrization and is not flagged Lipschitz."""
+    """Domain lacks the boundary parametrization the operation needs."""
 
 
 class UnboundedNearX(PreconditionError):

@@ -536,14 +536,12 @@ def compile_field(src: str, dim: int, atan2_range: str = ATAN2_PMPI,
 
 
 def compile_region(src: str, dim: int, bbox: Box, label: str = "",
-                   atan2_range: str = ATAN2_PMPI, **region_kwargs) -> Region:
+                   atan2_range: str = ATAN2_PMPI) -> Region:
     node = parse(src, dim)
     if _kind(node) != "bool":
         raise ExprSyntaxError("region predicate must be boolean", 1)
     return Region(dim, lambda p: evaluate(node, p, atan2_range), bbox,
-                  label=label or src,
-                  json_spec={"kind": "expr", "payload": {"src": src}},
-                  **region_kwargs)
+                  label=label or src)
 
 
 def compile_vector_field(srcs: list[str], dim: int,

@@ -129,15 +129,11 @@ def gg_residual(f: ScalarField, phi: VectorField, Omega: Region,
     boundaries) are integrated per component; the report carries the
     per-component breakdown.
     """
-    if cfg.mode != "grid":
-        raise PreconditionError(f"gg_residual samples the grid lattice; "
-                                f"quadrature mode {cfg.mode!r} is not supported")
     comps = Omega.components if Omega.components else [Omega]
     for comp in comps:
-        if comp.boundary_fn is None or not comp.lipschitz:
+        if comp.boundary_fn is None:
             raise NonLipschitzDomain(
-                f"component {comp.label!r} has no boundary parametrization "
-                f"or is not flagged Lipschitz")
+                f"component {comp.label!r} has no boundary parametrization")
     reports = []
     lhs_total = rhs_total = 0.0
     grid_h = eps = 0.0

@@ -3,9 +3,8 @@
 A region is a measurable subset of R^n given by a vectorized boolean
 predicate plus a bounding box.  Null sets (points, curves) additionally
 declare an explicit sample generator, since rejection sampling cannot
-find them.  All measure estimates are deterministic given the quadrature
-configuration; every estimator samples the grid lattice, and ``lebesgue``
-alone also offers seeded Monte Carlo.
+find them.  Every measure estimate counts region membership on a midpoint
+grid lattice, so it is deterministic given the quadrature configuration.
 """
 
 from __future__ import annotations
@@ -91,9 +90,6 @@ class Box:
     def is_degenerate(self) -> bool:
         return bool(np.any(self.sides <= 0.0))
 
-    def to_json_dict(self) -> dict:
-        return {"lo": self.lo.tolist(), "hi": self.hi.tolist()}
-
 
 @dataclass
 class Region:
@@ -114,9 +110,7 @@ class Region:
     label: str = ""
     cloud_fn: Optional[Callable[[int], np.ndarray]] = None
     boundary_fn: Optional[Callable[[int], tuple]] = None
-    lipschitz: bool = False
     components: Optional[list] = None
-    json_spec: Optional[dict] = None
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -163,11 +157,7 @@ def box_region(lo, hi, label: str = "box") -> Region:
     def boundary(m: int):
         return _box_boundary(b, m)
 
-    return Region(b.dim, b.contains, b, label=label, boundary_fn=boundary,
-                  lipschitz=True,
-                  json_spec={"kind": "primitive",
-                             "payload": {"name": "box", "lo": b.lo.tolist(),
-                                         "hi": b.hi.tolist()}})
+    return Region(b.dim, b.contains, b, label=label, boundary_fn=boundary)
 
 
 def ball_region(center, radius: float, label: str = "ball") -> Region:
@@ -188,10 +178,7 @@ def ball_region(center, radius: float, label: str = "ball") -> Region:
         return pts, w, inward
 
     return Region(c.size, ind, Box(c - radius, c + radius), label=label,
-                  boundary_fn=boundary, lipschitz=True,
-                  json_spec={"kind": "primitive",
-                             "payload": {"name": "ball", "center": c.tolist(),
-                                         "radius": radius}})
+                  boundary_fn=boundary)
 
 
 def point_region(x, pad: float = 1e-9, label: str = "point") -> Region:
@@ -202,8 +189,7 @@ def point_region(x, pad: float = 1e-9, label: str = "point") -> Region:
         return np.all(np.atleast_2d(p) == x, axis=1)
 
     return Region(x.size, ind, Box(x - pad, x + pad), label=label,
-                  cloud_fn=lambda n: x[None, :],
-                  json_spec={"kind": "pointcloud", "payload": {"points": [x.tolist()]}})
+                  cloud_fn=lambda n: x[None, :])
 
 
 def circle_region(center, radius: float, label: str = "circle") -> Region:
@@ -217,10 +203,7 @@ def circle_region(center, radius: float, label: str = "circle") -> Region:
         t = np.linspace(0.0, 2.0 * math.pi, max(n, 8), endpoint=False)
         return c + radius * np.stack([np.cos(t), np.sin(t)], axis=1)
 
-    return Region(2, ind, Box(c - radius, c + radius), label=label, cloud_fn=cloud,
-                  json_spec={"kind": "primitive",
-                             "payload": {"name": "circle", "center": c.tolist(),
-                                         "radius": radius}})
+    return Region(2, ind, Box(c - radius, c + radius), label=label, cloud_fn=cloud)
 
 
 def segment_region(a, b, label: str = "segment") -> Region:
@@ -241,10 +224,7 @@ def segment_region(a, b, label: str = "segment") -> Region:
         return a + t[:, None] * d
 
     return Region(a.size, ind, Box(np.minimum(a, b), np.maximum(a, b)),
-                  label=label, cloud_fn=cloud,
-                  json_spec={"kind": "primitive",
-                             "payload": {"name": "segment", "a": a.tolist(),
-                                         "b": b.tolist()}})
+                  label=label, cloud_fn=cloud)
 
 
 def _box_boundary(b: Box, m: int):
@@ -309,20 +289,15 @@ class DeltaSchedule:
 class QuadratureConfig:
     """Measure-estimation settings.
 
-    ``resolution`` is points per axis in grid mode and total sample count in
-    Monte Carlo mode.  Only ``lebesgue`` offers Monte Carlo mode; every
-    estimator samples the grid lattice and refuses any other mode with a
-    PreconditionError.  Identical (mode, resolution, seed) give
-    bit-identical estimates.
+    ``resolution`` is grid lattice points per axis of a window; ``seed``
+    fixes the scrambled Halton samples of the Clarke estimators.  Identical
+    (resolution, seed) give bit-identical estimates.
     """
 
-    mode: str = "grid"
     resolution: int = 128
     seed: int = 20260809
 
     def __post_init__(self):
-        if self.mode not in ("grid", "monte_carlo"):
-            raise PreconditionError(f"unknown quadrature mode {self.mode!r}")
         if self.resolution < 2:
             raise PreconditionError("resolution must be at least 2 per axis")
 
@@ -332,11 +307,9 @@ class QuadratureConfig:
 
 @dataclass(frozen=True)
 class MeasureEstimate:
-    """Estimated n-volume; ``hits`` is the exact lattice/sample count."""
+    """Estimated n-volume; ``hits`` is the exact lattice point count."""
 
     value: float
-    std_error: float
-    samples_used: int
     hits: int
 
 
@@ -482,28 +455,18 @@ def shell_lattice(cloud: np.ndarray, delta: float, resolution: int,
 def lebesgue(region: Region, window: Box, cfg: QuadratureConfig) -> MeasureEstimate:
     """Estimate of lambda^n(region intersected with window).
 
-    Grid mode counts region membership at midpoints of a regular lattice
-    (no cell clipping; error is O(h * perimeter)).  Monte Carlo mode draws
-    seed-derived uniform samples over the window.
+    Counts region membership at the midpoints of the window's lattice of
+    ``cfg.resolution`` points per axis (no cell clipping; the error is
+    O(h * perimeter)).
     """
     if region.dim != window.dim:
         raise DimensionMismatch(
             f"region dim {region.dim} vs window dim {window.dim}")
     if window.is_degenerate():
         raise EmptyWindow(f"window has non-positive side lengths: {window.sides}")
-    if cfg.mode == "grid":
-        pts, cellvol = lattice(window, cfg.resolution)
-        hits = int(np.count_nonzero(region.contains(pts)))
-        value = min(hits * cellvol, window.volume)
-        return MeasureEstimate(value, 0.0, pts.shape[0], hits)
-    rng = np.random.default_rng(cfg.seed)
-    n = cfg.resolution
-    pts = window.lo + rng.random((n, window.dim)) * window.sides
+    pts, cellvol = lattice(window, cfg.resolution)
     hits = int(np.count_nonzero(region.contains(pts)))
-    p = hits / n
-    value = window.volume * p
-    std = window.volume * math.sqrt(max(p * (1.0 - p), 0.0) / n)
-    return MeasureEstimate(value, std, n, hits)
+    return MeasureEstimate(min(hits * cellvol, window.volume), hits)
 
 
 # ---------------------------------------------------------------------------
@@ -570,53 +533,3 @@ def neighborhood(C: Region, delta: float, cfg: QuadratureConfig | None = None) -
     return Region(C.dim, lambda p: dist(p) < delta, bbox,
                   label=f"nbhd({C.label},{delta:g})")
 
-
-# ---------------------------------------------------------------------------
-# Region (de)serialization: {dim, kind, payload, bbox}
-
-
-def region_to_json(region: Region) -> dict:
-    if region.json_spec is None:
-        raise PreconditionError(
-            f"region {region.label!r} carries no serializable specification")
-    d = dict(region.json_spec)
-    d.update({"dim": region.dim, "bbox": region.bbox.to_json_dict(),
-              "label": region.label})
-    return d
-
-
-def region_from_json(d: dict) -> Region:
-    kind = d["kind"]
-    payload = d["payload"]
-    label = d.get("label", kind)
-    if kind == "primitive":
-        name = payload["name"]
-        if name == "box":
-            return box_region(payload["lo"], payload["hi"], label=label)
-        if name == "ball":
-            return ball_region(payload["center"], payload["radius"], label=label)
-        if name == "circle":
-            return circle_region(payload["center"], payload["radius"], label=label)
-        if name == "segment":
-            return segment_region(payload["a"], payload["b"], label=label)
-        if name == "two_squares":
-            from .registry import get_region
-            return get_region("two_squares")
-        raise PreconditionError(f"unknown primitive {name!r}")
-    if kind == "pointcloud":
-        pts = np.asarray(payload["points"], dtype=float)
-        if pts.shape[0] == 1:
-            return point_region(pts[0], label=label)
-        reg = Region(pts.shape[1],
-                     lambda p: np.zeros(np.atleast_2d(p).shape[0], dtype=bool),
-                     Box(pts.min(axis=0), pts.max(axis=0)).inflate(1e-9),
-                     label=label, cloud_fn=lambda n: pts,
-                     json_spec={"kind": "pointcloud",
-                                "payload": {"points": pts.tolist()}})
-        return reg
-    if kind == "expr":
-        from .expr import compile_region
-        bbox = d["bbox"]
-        return compile_region(payload["src"], d["dim"],
-                              Box(bbox["lo"], bbox["hi"]), label=label)
-    raise PreconditionError(f"unknown region kind {kind!r}")

@@ -140,8 +140,6 @@ def _two_squares() -> Region:
     right = box_region([1, 0], [2, 1], label="right_square")
     reg = union(left, right, label="two_squares")
     reg.components = [left, right]
-    reg.lipschitz = True
-    reg.json_spec = {"kind": "primitive", "payload": {"name": "two_squares"}}
     return reg
 
 

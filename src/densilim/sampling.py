@@ -38,7 +38,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .errors import NotDensityPoint, NotDensitySet, PreconditionError
+from .errors import NotDensityPoint, NotDensitySet
 from .fields import ScalarField
 from .geometry import (DeltaSchedule, QuadratureConfig, Region, as_point,
                        cloud_distance, kd_tree, point_cloud, row_norm,
@@ -119,12 +119,8 @@ def neighborhood_levels(Omega: Region, anchor, sched: DeltaSchedule,
     below delta) that lie in Omega, in lattice order, f at those points when
     f is given, and the ``reach`` that refinement must stay below delta of.
     Raises NotDensityPoint (point) or NotDensitySet (region) at the first
-    level that carries no lattice point of the domain, and PreconditionError
-    for a quadrature mode other than "grid".
+    level that carries no lattice point of the domain.
     """
-    if cfg.mode != "grid":
-        raise PreconditionError(f"estimators sample the grid lattice; "
-                                f"quadrature mode {cfg.mode!r} is not supported")
     if isinstance(anchor, Region):
         cloud = point_cloud(anchor, cfg)
 

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from densilim.cli import main
 
 
@@ -87,6 +89,16 @@ def test_gauss_green_sweep_csv(capsys):
     assert len(lines) == 3
 
 
+def test_density_csv_series(capsys):
+    code, out = run_cli(capsys, "density", "--set", "x2>0", "--domain", "true",
+                        "--at", "0,0", "--schedule", "0.5,0.5,4,2", "--csv")
+    lines = out.strip().splitlines()
+    assert code == 0
+    assert lines[0] == "delta,value"
+    rows = [tuple(map(float, line.split(","))) for line in lines[1:]]
+    assert rows == [(0.5 * 0.5 ** k, 0.5) for k in range(4)]
+
+
 def test_demo_vanishing_subcommand(capsys):
     code, out = run_cli(capsys, "demo-vanishing", "--f", "x1 + 2*x2 + 0.3",
                         "--e1", "demo_cusp_right", "--e2", "demo_cusp_left",
@@ -142,12 +154,25 @@ def test_seed_env_override(capsys, monkeypatch):
     assert json.loads(out)["config"]["quadrature"]["seed"] == 424242
 
 
-def test_thread_count_does_not_change_bytes(capsys):
-    _, out1 = run_cli(capsys, "density", "--set", "x2>0", "--domain", "true",
-                      "--at", "0,0", "--threads", "1")
-    _, out8 = run_cli(capsys, "density", "--set", "x2>0", "--domain", "true",
-                      "--at", "0,0", "--threads", "8")
-    assert out1 == out8
+@pytest.mark.parametrize("argv", [
+    ["density", "--set", "x2>0", "--domain", "true", "--at", "0,0",
+     "--threads", "8"],
+    ["aplim", "--f", "x1", "--at", "0,0", "--csv"],
+    ["gauss-green", "--f", "1", "--phi", "x1,0", "--csv"],
+    ["density", "--set", "x2>0", "--domain", "true", "--at", "0,0",
+     "--dim", "3"],
+    ["gauss-green", "--f", "1", "--phi", "x1,0", "--schedule", "0.1,0.5,3,2"],
+    ["gauss-green", "--f", "1", "--phi", "x1,0", "--at", "0,0"],
+], ids=["threads", "aplim-csv", "gauss-green-csv-without-sweep",
+        "dim-disagrees-with-at", "gauss-green-schedule", "gauss-green-at"])
+def test_refused_flags_exit_2(capsys, argv):
+    # flags a command would not read, or read against another flag
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses undeclared flags
+        code = exc.code
+    assert code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_console_entry_point():

@@ -9,9 +9,8 @@ from densilim.errors import (DimensionMismatch, EmptyRegion, EmptyWindow,
 from densilim.geometry import (Box, DeltaSchedule, QuadratureConfig, Region,
                                ball_region, ball_window, box_region,
                                circle_region, lattice, lebesgue, neighborhood,
-                               point_cloud, point_region, region_from_json,
-                               region_to_json, segment_region, shell_lattice,
-                               union, intersect)
+                               point_cloud, point_region, segment_region,
+                               shell_lattice, union, intersect)
 
 GRID64 = QuadratureConfig(resolution=64)
 
@@ -23,8 +22,7 @@ HALF = Region(2, lambda p: p[:, 1] > 0, Box([-2, -2], [2, 2]), label="half")
 def test_unit_square_full_containment():
     est = lebesgue(box_region([0, 0], [1, 1]), Box([0, 0], [1, 1]), GRID64)
     assert est.value == 1.0
-    assert est.std_error == 0.0
-    assert est.samples_used == 64 * 64
+    assert est.hits == 64 * 64
 
 
 def test_halfplane_symmetry():
@@ -70,30 +68,6 @@ def test_grid_determinism():
     assert e1.value == e2.value and e1.hits == e2.hits
 
 
-def test_monte_carlo_determinism_and_error():
-    w = Box([-1, -1], [1, 1])
-    cfg = QuadratureConfig(mode="monte_carlo", resolution=20000, seed=7)
-    e1 = lebesgue(ball_region([0, 0], 1.0), w, cfg)
-    e2 = lebesgue(ball_region([0, 0], 1.0), w, cfg)
-    assert e1.value == e2.value
-    assert e1.std_error > 0.0
-    assert abs(e1.value - math.pi) < 5 * e1.std_error + 1e-2
-
-
-def test_estimators_refuse_monte_carlo():
-    # only lebesgue() offers Monte Carlo; estimators would silently sample
-    # the grid instead, so they refuse the mode
-    from densilim.density import density_at_point
-    from densilim.expr import compile_field, compile_vector_field
-    from densilim.gaussgreen import gg_residual
-    mc = QuadratureConfig(mode="monte_carlo", seed=7)
-    with pytest.raises(PreconditionError):
-        density_at_point(HALF, PLANE, [0, 0], DeltaSchedule(0.5, 0.5, 4, 2), mc)
-    with pytest.raises(PreconditionError):
-        gg_residual(compile_field("x1", 2), compile_vector_field(["x1", "0"], 2),
-                    box_region([0, 0], [1, 1]), mc)
-
-
 def test_empty_window_rejected():
     with pytest.raises(EmptyWindow):
         lebesgue(PLANE, Box([0, 0], [0, 1]), GRID64)
@@ -114,9 +88,6 @@ def test_grid_infeasible_in_high_dimension():
                    Box([0] * 4, [1] * 4), label="hypercube")
     with pytest.raises(PreconditionError):
         lebesgue(hyper, hyper.bbox, QuadratureConfig(resolution=128))
-    est = lebesgue(hyper, hyper.bbox,
-                   QuadratureConfig(mode="monte_carlo", resolution=4096, seed=1))
-    assert est.value == 1.0
 
 
 def test_ball_window_examples():
@@ -181,41 +152,13 @@ def test_delta_schedule_validation():
         DeltaSchedule(-1.0, 0.5, 12, 4)
 
 
-@pytest.mark.parametrize("region", [
-    box_region([0, 0], [1, 2]),
-    ball_region([0.5, -0.5], 0.7),
-    circle_region([0, 0], 1.0),
-    segment_region([0, 0], [1, 1]),
-    point_region([0.25, 0.75]),
-])
-def test_region_json_round_trip(region):
-    spec = region_to_json(region)
-    back = region_from_json(spec)
-    pts = np.array([[0.1, 0.2], [0.5, 0.5], [2.0, 2.0], [0.25, 0.75]])
-    assert np.array_equal(back.contains(pts), region.contains(pts))
-
-
-def test_expr_region_json_round_trip():
-    from densilim.expr import compile_region
-    reg = compile_region("x1 > 0 and x2 > 0", 2, Box([-1, -1], [1, 1]))
-    back = region_from_json(region_to_json(reg))
-    pts = np.array([[0.5, 0.5], [-0.5, 0.5], [0.5, -0.5]])
-    assert np.array_equal(back.contains(pts), reg.contains(pts))
-
-
-def test_two_squares_json_round_trip():
-    from densilim.registry import get_region
-    ts = get_region("two_squares")
-    back = region_from_json(region_to_json(ts))
-    pts = np.array([[0.5, 0.5], [1.5, 0.5], [2.5, 0.5], [0.5, 1.5]])
-    assert np.array_equal(back.contains(pts), ts.contains(pts))
-    assert back.components is not None
-
-
-def test_quadrature_config_has_no_parallel_flag():
-    # nothing ran in parallel, so the flag is gone; --threads is ignored
+@pytest.mark.parametrize("knob", [{"parallel": True}, {"mode": "grid"}],
+                         ids=["parallel", "mode"])
+def test_quadrature_config_has_no_parallel_flag(knob):
+    # nothing ran in parallel and every estimator samples the grid lattice,
+    # so neither setting exists
     with pytest.raises(TypeError):
-        QuadratureConfig(parallel=True)
+        QuadratureConfig(**knob)
 
 
 def _refused_peak_mb(cloud, delta, res, match="budget of 2\\^24") -> float:
