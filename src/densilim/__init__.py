@@ -8,7 +8,7 @@ from .aplimits import (ApproxLimitResult, DensityInterval, ap_liminf, ap_limit,
 from .clarke import (CalculusReport, GradientHull, check_calculus, contains,
                      dir_derivative_gradsup, dir_derivative_quotient,
                      gen_gradient)
-from .config import RunConfig, Tolerances
+from .config import Tolerances
 from .density import (ConcentrationResult, DensitySetReport, LimitEstimate,
                       concentration_direction, cone_density, cone_region,
                       density_at_point, density_at_set, is_density_set)

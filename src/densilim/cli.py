@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Every subcommand emits a JSON report embedding the full run configuration.
+Every subcommand emits a JSON report embedding the settings the command read.
 Exit codes: 0 success, 2 precondition violation, 3 numerical
 non-convergence (the report is still emitted), 141 stdout closed before
 the report was written (as for a process ended by SIGPIPE).
@@ -17,12 +17,12 @@ import sys
 import numpy as np
 
 from . import aplimits, clarke, density, gaussgreen, representative
-from .config import RunConfig, Tolerances
+from .config import Tolerances
 from .errors import DensilimError, ExprError, PreconditionError
 from .expr import (ATAN2_02PI, ATAN2_PMPI, compile_field, compile_region,
                    compile_vector_field, split_components)
 from .fields import ScalarField, VectorField
-from .geometry import Box, DeltaSchedule, QuadratureConfig, Region
+from .geometry import Box, DeltaSchedule, QuadratureConfig, Region, point_region
 from . import registry
 
 
@@ -45,23 +45,33 @@ _TOL_FLAGS = {"--tol-limit": "limit_tol", "--tol-density": "density_tol",
               "--tol-jump": "jump_rtol", "--tol-support": "support_tol",
               "--cap": "cap"}
 
+# The Tolerances fields each command hands to the library: they are its only
+# --tol-*/--cap flags and the keys of its report's config.tolerances.
+_TOLERANCES = {
+    "density": {"limit_tol"},
+    "aplim": {"cap", "density_tol", "alpha_rtol", "agree_tol"},
+    "representative": {"cap", "limit_tol", "density_tol", "alpha_rtol",
+                       "agree_tol"},
+    "jump": {"jump_rtol", "cap", "density_tol", "alpha_rtol", "agree_tol"},
+    "clarke": {"cap", "support_tol"},
+    "gauss-green": set(),
+    "demo-vanishing": set(),
+}
 
-def _add_anchor(p: argparse.ArgumentParser):
-    p.add_argument("--at", help="query point, comma-separated coordinates")
+# the calculus-rule parameters each clarke --rule reads
+_RULE_PARAMS = {"scale": {"s"}, "sum": {"g", "alpha", "beta"}, "product": {"g"}}
+
+_AT_HELP = "query point, comma-separated coordinates"
+
+
+def _add_ball(p: argparse.ArgumentParser):
+    """Flags of the commands that sample lattices in a working box."""
+    p.add_argument("--domain", default="plane")
     p.add_argument("--schedule", help="delta schedule as d0,ratio,K,w")
-
-
-def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--dim", type=int, help="ambient dimension (inferred from --at)")
     p.add_argument("--res", type=int, default=QuadratureConfig.resolution,
                    help="grid points per delta-diameter")
-    p.add_argument("--seed", type=int, default=QuadratureConfig.seed)
     p.add_argument("--bbox", help="working bbox as lo1,..,lon,hi1,..,hin")
-    for flag, name in _TOL_FLAGS.items():
-        p.add_argument(flag, type=float, dest=name,
-                       default=getattr(Tolerances, name))
-    p.add_argument("--atan2-range", choices=[ATAN2_02PI, ATAN2_PMPI],
-                   default=ATAN2_PMPI)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,124 +81,121 @@ def build_parser() -> argparse.ArgumentParser:
                     "generalized gradients, and divergence residuals")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("density", help="density of a set at a point or null set")
+    def command(name: str, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        for flag, field in _TOL_FLAGS.items():
+            if field in _TOLERANCES[name]:
+                p.add_argument(flag, type=float, dest=field,
+                               default=getattr(Tolerances, field))
+        p.add_argument("--atan2-range", choices=[ATAN2_02PI, ATAN2_PMPI],
+                       default=ATAN2_PMPI)
+        return p
+
+    p = command("density", "density of a set at a point or null set")
     p.add_argument("--set", required=True, dest="set_", metavar="SET")
-    p.add_argument("--domain", default="plane")
-    p.add_argument("--at-set", help="registry name of a null set C")
+    anchor = p.add_mutually_exclusive_group(required=True)
+    anchor.add_argument("--at", help=_AT_HELP)
+    anchor.add_argument("--at-set", help="registry name of a null set C")
     p.add_argument("--csv", action="store_true",
                    help="print the delta,value series instead of the report")
-    _add_anchor(p)
-    _add_common(p)
+    _add_ball(p)
 
-    p = sub.add_parser("aplim", help="upper/lower approximate limits at a point")
+    p = command("aplim", "upper/lower approximate limits at a point")
     p.add_argument("--f", required=True)
-    p.add_argument("--domain", default="plane")
     p.add_argument("--interval", action="store_true",
                    help="also report the attainable-integral interval with "
                         "its witness sets")
-    _add_anchor(p)
-    _add_common(p)
+    p.add_argument("--at", required=True, help=_AT_HELP)
+    _add_ball(p)
 
-    p = sub.add_parser("representative", help="precise representative at a point")
+    p = command("representative", "precise representative at a point")
     p.add_argument("--f", required=True)
-    p.add_argument("--domain", default="plane")
-    _add_anchor(p)
-    _add_common(p)
+    p.add_argument("--at", required=True, help=_AT_HELP)
+    _add_ball(p)
 
-    p = sub.add_parser("jump", help="jump structure of a field at a point")
+    p = command("jump", "jump structure of a field at a point")
     p.add_argument("--f", required=True)
-    p.add_argument("--domain", default="plane")
-    _add_anchor(p)
-    _add_common(p)
+    p.add_argument("--at", required=True, help=_AT_HELP)
+    _add_ball(p)
 
-    p = sub.add_parser("clarke", help="generalized gradient and calculus rules")
+    p = command("clarke", "generalized gradient and calculus rules")
     p.add_argument("--f", required=True)
-    p.add_argument("--g")
-    p.add_argument("--v", help="direction for the directional derivative")
-    p.add_argument("--rule", choices=["scale", "sum", "product"])
-    p.add_argument("--s", type=float, default=1.0)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=1.0)
+    p.add_argument("--g", help="second field of --rule sum and product")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--v", help="direction for the directional derivative")
+    mode.add_argument("--rule", choices=list(_RULE_PARAMS))
+    p.add_argument("--s", type=float, help="factor of --rule scale (default 1)")
+    p.add_argument("--alpha", type=float, help="--rule sum weight of f (default 1)")
+    p.add_argument("--beta", type=float, help="--rule sum weight of g (default 1)")
     p.add_argument("--n-samples", type=int, default=256)
-    _add_anchor(p)
-    _add_common(p)
+    p.add_argument("--at", help=_AT_HELP + " (default: the origin)")
+    p.add_argument("--schedule", help="delta schedule as d0,ratio,K,w")
+    p.add_argument("--dim", type=int, help="ambient dimension (inferred from --at)")
+    p.add_argument("--seed", type=int, default=QuadratureConfig.seed,
+                   help="Halton sample seed (env DENSILIM_SEED overrides)")
 
-    p = sub.add_parser("gauss-green", help="divergence-identity residual")
+    p = command("gauss-green", "divergence-identity residual")
     p.add_argument("--f", required=True)
     p.add_argument("--phi", required=True,
                    help="vector field, comma-joined components")
-    p.add_argument("--domain", default="unit_square")
+    p.add_argument("--domain", default="unit_square",
+                   help="registry region with a boundary parametrization")
     p.add_argument("--sweep", type=int, default=0,
                    help="emit (h, residual) over this many refinements")
     p.add_argument("--csv", action="store_true",
                    help="print the --sweep series instead of the report")
-    _add_common(p)
+    p.add_argument("--res", type=int, default=QuadratureConfig.resolution,
+                   help="grid points per axis of the domain's bbox")
 
-    p = sub.add_parser("demo-vanishing",
-                       help="difference of concentrating means on two sets")
+    p = command("demo-vanishing", "difference of concentrating means on two sets")
     p.add_argument("--f", required=True)
     p.add_argument("--e1", required=True)
     p.add_argument("--e2", required=True)
-    p.add_argument("--domain", default="plane")
-    _add_anchor(p)
-    _add_common(p)
+    p.add_argument("--at", required=True, help=_AT_HELP)
+    _add_ball(p)
     return ap
 
 
 def _parse_point(args) -> np.ndarray:
-    if not args.at:
-        raise PreconditionError("--at is required for this command")
     return np.array([float(t) for t in args.at.split(",")], dtype=float)
-
-
-def _default_bbox(dim: int) -> Box:
-    return Box([-2.0] * dim, [2.0] * dim)
 
 
 def _parse_bbox(args, dim: int) -> Box:
     if not args.bbox:
-        return _default_bbox(dim)
+        return Box([-2.0] * dim, [2.0] * dim)
     vals = [float(t) for t in args.bbox.split(",")]
     if len(vals) != 2 * dim:
         raise PreconditionError(f"--bbox expects {2 * dim} numbers")
     return Box(vals[:dim], vals[dim:])
 
 
-def resolve_field(spec: str, dim: int, atan2_range: str) -> ScalarField:
+def _resolve(spec: str, kind: str, dim: int, compile_spec):
+    """The registry entry ``spec`` if it is a ``kind``, else ``compile_spec()``."""
     try:
         e = registry.entry(spec)
-        if e.kind == "field":
+        if e.kind == kind:
             if e.dim != dim:
                 raise PreconditionError(
-                    f"registry field {spec!r} has dim {e.dim}, expected {dim}")
+                    f"registry {kind} {spec!r} has dim {e.dim}, expected {dim}")
             return e.build()
     except ExprError:
         pass
-    return compile_field(spec, dim, atan2_range=atan2_range)
+    return compile_spec()
+
+
+def resolve_field(spec: str, dim: int, atan2_range: str) -> ScalarField:
+    return _resolve(spec, "field", dim,
+                    lambda: compile_field(spec, dim, atan2_range=atan2_range))
 
 
 def resolve_vfield(spec: str, dim: int, atan2_range: str) -> VectorField:
-    try:
-        e = registry.entry(spec)
-        if e.kind == "vfield":
-            return e.build()
-    except ExprError:
-        pass
-    return compile_vector_field(split_components(spec), dim,
-                                atan2_range=atan2_range)
+    return _resolve(spec, "vfield", dim, lambda: compile_vector_field(
+        split_components(spec), dim, atan2_range=atan2_range))
 
 
 def resolve_region(spec: str, dim: int, bbox: Box, atan2_range: str) -> Region:
-    try:
-        e = registry.entry(spec)
-        if e.kind == "region":
-            if e.dim != dim:
-                raise PreconditionError(
-                    f"registry region {spec!r} has dim {e.dim}, expected {dim}")
-            return e.build()
-    except ExprError:
-        pass
-    return compile_region(spec, dim, bbox, atan2_range=atan2_range)
+    return _resolve(spec, "region", dim, lambda: compile_region(
+        spec, dim, bbox, atan2_range=atan2_range))
 
 
 def _schedule(args, domain_bbox: Box) -> DeltaSchedule:
@@ -198,17 +205,24 @@ def _schedule(args, domain_bbox: Box) -> DeltaSchedule:
     return DeltaSchedule.default_for(domain_bbox)
 
 
-def _run_config(args, sched: DeltaSchedule) -> tuple[RunConfig, QuadratureConfig]:
-    seed = int(os.environ.get("DENSILIM_SEED", args.seed))
-    quad = QuadratureConfig(resolution=args.res, seed=seed)
-    tol = Tolerances(**{name: getattr(args, name) for name in _TOL_FLAGS.values()})
-    rc = RunConfig(sched, quad, tol, args.atan2_range)
-    return rc, quad
+def _settings(args,
+              sched: DeltaSchedule | None = None) -> tuple[QuadratureConfig, dict]:
+    """The quadrature the command runs with and its report's config block,
+    which holds the settings the command read and no other."""
+    if args.command == "clarke":  # Halton samples: a seed and no lattice
+        quad = {"seed": int(os.environ.get("DENSILIM_SEED", args.seed))}
+    else:
+        quad = {"resolution": args.res}
+    config = {"atan2_range": args.atan2_range, "quadrature": quad,
+              "tolerances": {name: getattr(args, name)
+                             for name in _TOLERANCES[args.command]}}
+    if sched is not None:
+        config["schedule"] = sched.to_json_dict()
+    return QuadratureConfig(**quad), config
 
 
-def _emit(command: str, rc: RunConfig, result: dict) -> None:
-    report = {"command": command, "config": rc.to_json_dict(),
-              "result": _jsonify(result)}
+def _emit(command: str, config: dict, result: dict) -> None:
+    report = {"command": command, "config": config, "result": _jsonify(result)}
     print(json.dumps(report, indent=2, sort_keys=True))
 
 
@@ -228,14 +242,14 @@ def cmd_density(args) -> int:
     Omega = resolve_region(args.domain, dim, bbox, args.atan2_range)
     A = resolve_region(args.set_, dim, Omega.bbox, args.atan2_range)
     sched = _schedule(args, Omega.bbox)
-    rc, quad = _run_config(args, sched)
+    quad, config = _settings(args, sched)
     if args.at_set:
         C = resolve_region(args.at_set, dim, Omega.bbox, args.atan2_range)
-        est = density.density_at_set(A, Omega, C, sched, quad, tol=rc.tol.limit_tol)
+        est = density.density_at_set(A, Omega, C, sched, quad, tol=args.limit_tol)
     else:
         x = _parse_point(args)
         est = density.density_at_point(A, Omega, x, sched, quad,
-                                       tol=rc.tol.limit_tol)
+                                       tol=args.limit_tol)
     if args.csv:
         print("delta,value")
         for d, v in zip(est.deltas, est.values):
@@ -243,7 +257,7 @@ def cmd_density(args) -> int:
         return 0 if est.converged else 3
     out = est.to_json_dict()
     out["value"] = est.point_value
-    _emit("density", rc, out)
+    _emit("density", config, out)
     return 0 if est.converged else 3
 
 
@@ -254,18 +268,14 @@ def cmd_aplim(args) -> int:
     Omega = resolve_region(args.domain, dim, bbox, args.atan2_range)
     f = resolve_field(args.f, dim, args.atan2_range)
     sched = _schedule(args, Omega.bbox)
-    rc, quad = _run_config(args, sched)
-    res = aplimits.ap_limit(f, Omega, x, sched, quad, cap=rc.tol.cap,
-                            density_tol=rc.tol.density_tol,
-                            alpha_rtol=rc.tol.alpha_rtol,
-                            agree_tol=rc.tol.agree_tol)
+    quad, config = _settings(args, sched)
+    res = aplimits.ap_limit(f, Omega, x, sched, quad, **config["tolerances"])
     out = res.to_json_dict()
     if args.interval:
-        from .geometry import point_region
         di = aplimits.dens_interval(f, Omega, point_region(x), sched, quad,
-                                    cap=rc.tol.cap)
+                                    cap=args.cap)
         out["interval"] = di.to_json_dict()
-    _emit("aplim", rc, out)
+    _emit("aplim", config, out)
     return 0
 
 
@@ -276,12 +286,12 @@ def cmd_representative(args) -> int:
                            args.atan2_range)
     f = resolve_field(args.f, dim, args.atan2_range)
     sched = _schedule(args, Omega.bbox)
-    rc, quad = _run_config(args, sched)
+    quad, config = _settings(args, sched)
     pr = representative.precise_representative(
-        f, Omega, x, sched, quad, cap=rc.tol.cap, tol=rc.tol.limit_tol,
-        density_tol=rc.tol.density_tol, alpha_rtol=rc.tol.alpha_rtol,
-        agree_tol=rc.tol.agree_tol)
-    _emit("representative", rc, pr.to_json_dict())
+        f, Omega, x, sched, quad, cap=args.cap, tol=args.limit_tol,
+        density_tol=args.density_tol, alpha_rtol=args.alpha_rtol,
+        agree_tol=args.agree_tol)
+    _emit("representative", config, pr.to_json_dict())
     return 0 if pr.provenance != "default-zero" else 3
 
 
@@ -292,55 +302,55 @@ def cmd_jump(args) -> int:
                            args.atan2_range)
     f = resolve_field(args.f, dim, args.atan2_range)
     sched = _schedule(args, Omega.bbox)
-    rc, quad = _run_config(args, sched)
-    rep = representative.detect_jump(
-        f, Omega, x, sched, quad, jump_rtol=rc.tol.jump_rtol, cap=rc.tol.cap,
-        density_tol=rc.tol.density_tol, alpha_rtol=rc.tol.alpha_rtol,
-        agree_tol=rc.tol.agree_tol)
-    _emit("jump", rc, rep.to_json_dict())
+    quad, config = _settings(args, sched)
+    rep = representative.detect_jump(f, Omega, x, sched, quad,
+                                     **config["tolerances"])
+    _emit("jump", config, rep.to_json_dict())
     return 0
 
 
 def cmd_clarke(args) -> int:
-    dim = args.dim or (len(args.at.split(",")) if args.at else 1)
+    params = {k: getattr(args, k) for k in ("g", "s", "alpha", "beta")
+              if getattr(args, k) is not None}
+    unread = params.keys() - _RULE_PARAMS.get(args.rule, set())
+    if unread:
+        raise PreconditionError(
+            f"--{min(unread)} is not read by --rule {args.rule or '(none)'}")
+    dim = _dim_of(args) if args.at else args.dim or 1
     x = _parse_point(args) if args.at else np.zeros(dim)
     f = resolve_field(args.f, dim, args.atan2_range)
-    sched = DeltaSchedule(0.5, 0.5, 12, 4) if not args.schedule \
-        else _schedule(args, _default_bbox(dim))
-    rc, quad = _run_config(args, sched)
+    sched = _schedule(args, Box([0.0] * dim, [1.0] * dim))  # delta0 = 0.5
+    quad, config = _settings(args, sched)
+    tol = config["tolerances"]
     if args.rule:
-        g = resolve_field(args.g, dim, args.atan2_range) if args.g else None
-        rep = clarke.check_calculus(
-            f, g, x, args.rule, sched, quad, s=args.s, alpha=args.alpha,
-            beta=args.beta, n_samples=args.n_samples, cap=rc.tol.cap,
-            support_tol=rc.tol.support_tol)
-        _emit("clarke", rc, rep.to_json_dict())
+        g = params.pop("g", None)
+        g = resolve_field(g, dim, args.atan2_range) if g else None
+        rep = clarke.check_calculus(f, g, x, args.rule, sched, quad,
+                                    n_samples=args.n_samples, **params, **tol)
+        _emit("clarke", config, rep.to_json_dict())
         return 0
-    hull = clarke.gen_gradient(f, x, sched, quad, n_samples=args.n_samples,
-                               cap=rc.tol.cap, support_tol=rc.tol.support_tol)
+    hull = clarke.gen_gradient(f, x, sched, quad, n_samples=args.n_samples, **tol)
     out = hull.to_json_dict()
     if args.v:
         v = np.array([float(t) for t in args.v.split(",")])
         out["dir_derivative"] = {
             "v": v.tolist(),
             "quotient": clarke.dir_derivative_quotient(
-                f, x, v, sched, quad, n_samples=args.n_samples, cap=rc.tol.cap),
+                f, x, v, sched, quad, n_samples=args.n_samples, cap=args.cap),
             "gradsup": clarke.dir_derivative_gradsup(
-                f, x, v, sched, quad, n_samples=args.n_samples, cap=rc.tol.cap)}
-    _emit("clarke", rc, out)
+                f, x, v, sched, quad, n_samples=args.n_samples, cap=args.cap)}
+    _emit("clarke", config, out)
     return 0
 
 
 def cmd_gauss_green(args) -> int:
     if args.csv and not args.sweep:
         raise PreconditionError("--csv prints the --sweep series; pass --sweep")
-    dim = args.dim or 2
-    Omega = resolve_region(args.domain, dim, _parse_bbox(args, dim),
-                           args.atan2_range)
-    f = resolve_field(args.f, dim, args.atan2_range)
-    phi = resolve_vfield(args.phi, dim, args.atan2_range)
-    sched = DeltaSchedule.default_for(Omega.bbox)
-    rc, quad = _run_config(args, sched)
+    # only registry regions carry the boundary parametrization gg_residual needs
+    Omega = registry.get_region(args.domain)
+    f = resolve_field(args.f, Omega.dim, args.atan2_range)
+    phi = resolve_vfield(args.phi, Omega.dim, args.atan2_range)
+    quad, config = _settings(args)
     if args.sweep:
         pairs = gaussgreen.gg_sweep(f, phi, Omega, quad, levels=args.sweep)
         if args.csv:
@@ -348,10 +358,10 @@ def cmd_gauss_green(args) -> int:
             for h, r in pairs:
                 print(f"{float(h)!r},{float(r)!r}")
         else:
-            _emit("gauss-green", rc, {"sweep": [[h, r] for h, r in pairs]})
+            _emit("gauss-green", config, {"sweep": [[h, r] for h, r in pairs]})
         return 0
     rep = gaussgreen.gg_residual(f, phi, Omega, quad)
-    _emit("gauss-green", rc, rep.to_json_dict())
+    _emit("gauss-green", config, rep.to_json_dict())
     return 0
 
 
@@ -364,10 +374,9 @@ def cmd_demo_vanishing(args) -> int:
     E2 = resolve_region(args.e2, dim, Omega.bbox, args.atan2_range)
     f = resolve_field(args.f, dim, args.atan2_range)
     sched = _schedule(args, Omega.bbox)
-    rc, quad = _run_config(args, sched)
-    value = gaussgreen.vanishing_functional_demo(f, x, E1, E2, Omega, sched,
-                                                 quad, tol=rc.tol.limit_tol)
-    _emit("demo-vanishing", rc, {"value": value})
+    quad, config = _settings(args, sched)
+    value = gaussgreen.vanishing_functional_demo(f, x, E1, E2, Omega, sched, quad)
+    _emit("demo-vanishing", config, {"value": value})
     return 0
 
 

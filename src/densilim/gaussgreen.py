@@ -18,7 +18,6 @@ from typing import Optional
 
 import numpy as np
 
-from .config import Tolerances
 from .errors import (AmbiguousNormal, NonLipschitzDomain,
                      PreconditionError, RegionsNotDisjoint)
 from .fields import ScalarField, VectorField
@@ -165,8 +164,7 @@ def gg_sweep(f: ScalarField, phi: VectorField, Omega: Region,
 
 def vanishing_functional_demo(f: ScalarField, x, E1: Region, E2: Region,
                               Omega: Region, sched: DeltaSchedule,
-                              cfg: QuadratureConfig,
-                              tol: float = Tolerances.limit_tol) -> float:
+                              cfg: QuadratureConfig) -> float:
     """Difference of concentrating means of f along two disjoint approach
     sets at x; vanishes for f continuous at x.
 
@@ -180,6 +178,6 @@ def vanishing_functional_demo(f: ScalarField, x, E1: Region, E2: Region,
         if bool(np.any(E1.contains(pts) & E2.contains(pts))):
             raise RegionsNotDisjoint(
                 f"{E1.label!r} and {E2.label!r} overlap on the sample lattice")
-    m2 = mean_limit(f, E2, x, sched, cfg, tol=tol)
-    m1 = mean_limit(f, E1, x, sched, cfg, tol=tol)
+    m2 = mean_limit(f, E2, x, sched, cfg)
+    m1 = mean_limit(f, E1, x, sched, cfg)
     return m2.estimate.extrapolate() - m1.estimate.extrapolate()

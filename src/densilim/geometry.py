@@ -10,7 +10,7 @@ grid lattice, so it is deterministic given the quadrature configuration.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -300,9 +300,6 @@ class QuadratureConfig:
     def __post_init__(self):
         if self.resolution < 2:
             raise PreconditionError("resolution must be at least 2 per axis")
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)

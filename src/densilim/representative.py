@@ -284,7 +284,7 @@ def _one_sided_residuals(samples: BallSamples, nu: np.ndarray,
 
 
 def boundary_trace(f: ScalarField, Omega: Region, x_boundary, sched: DeltaSchedule,
-                   cfg: QuadratureConfig, tol: float = Tolerances.limit_tol) -> float:
+                   cfg: QuadratureConfig) -> float:
     """Trace of f at a boundary point via interior ball means.
 
     x must sit on an indicator sign change (both member and non-member
@@ -298,4 +298,4 @@ def boundary_trace(f: ScalarField, Omega: Region, x_boundary, sched: DeltaSchedu
     if bool(np.all(inside)) or not bool(np.any(inside)):
         raise NotBoundaryPoint(
             f"no indicator sign change within {probe_r:g} of the queried point")
-    return mean_limit(f, Omega, x, sched, cfg, tol=tol).estimate.point_value
+    return mean_limit(f, Omega, x, sched, cfg).estimate.point_value

@@ -1,10 +1,11 @@
+import argparse
 import json
 import subprocess
 import sys
 
 import pytest
 
-from densilim.cli import main
+from densilim.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -149,8 +150,8 @@ def test_nonconvergence_exit_code(capsys):
 
 def test_seed_env_override(capsys, monkeypatch):
     monkeypatch.setenv("DENSILIM_SEED", "424242")
-    _, out = run_cli(capsys, "density", "--set", "x2>0", "--domain", "true",
-                     "--at", "0,0")
+    _, out = run_cli(capsys, "clarke", "--f", "abs(x1)", "--at", "0",
+                     "--dim", "1")
     assert json.loads(out)["config"]["quadrature"]["seed"] == 424242
 
 
@@ -161,10 +162,33 @@ def test_seed_env_override(capsys, monkeypatch):
     ["gauss-green", "--f", "1", "--phi", "x1,0", "--csv"],
     ["density", "--set", "x2>0", "--domain", "true", "--at", "0,0",
      "--dim", "3"],
+    ["clarke", "--f", "abs(x1)", "--at", "0", "--dim", "2"],
     ["gauss-green", "--f", "1", "--phi", "x1,0", "--schedule", "0.1,0.5,3,2"],
     ["gauss-green", "--f", "1", "--phi", "x1,0", "--at", "0,0"],
+    ["density", "--set", "x2>0", "--domain", "true", "--at", "0,0",
+     "--seed", "1"],
+    ["density", "--set", "x2>0", "--domain", "true", "--at", "0,0",
+     "--cap", "5"],
+    ["aplim", "--f", "x1", "--at", "0,0", "--tol-jump", "0.5"],
+    ["clarke", "--f", "abs(x1)", "--at", "0", "--res", "64"],
+    ["clarke", "--f", "abs(x1)", "--at", "0", "--bbox=-9,9"],
+    ["gauss-green", "--f", "1", "--phi", "x1,0", "--seed", "1"],
+    ["gauss-green", "--f", "1", "--phi", "x1,0", "--dim", "2"],
+    ["demo-vanishing", "--f", "x1", "--e1", "demo_cusp_right",
+     "--e2", "demo_cusp_left", "--at", "0,0", "--tol-limit", "0.1"],
+    ["density", "--set", "x2>0", "--domain", "true", "--at", "0,0",
+     "--at-set", "unit_circle", "--schedule", "0.4,0.5,3,2", "--res", "16"],
+    ["clarke", "--f", "abs(x1)", "--at", "0", "--rule", "scale", "--v", "1"],
+    ["clarke", "--f", "abs(x1)", "--at", "0", "--s", "2"],
+    ["clarke", "--f", "abs(x1)", "--g", "x1", "--at", "0", "--rule", "product",
+     "--alpha", "2"],
 ], ids=["threads", "aplim-csv", "gauss-green-csv-without-sweep",
-        "dim-disagrees-with-at", "gauss-green-schedule", "gauss-green-at"])
+        "dim-disagrees-with-at", "clarke-dim-disagrees-with-at",
+        "gauss-green-schedule", "gauss-green-at",
+        "density-seed", "density-cap", "aplim-tol-jump", "clarke-res",
+        "clarke-bbox", "gauss-green-seed", "gauss-green-dim",
+        "demo-vanishing-tol-limit", "density-at-and-at-set", "clarke-rule-and-v",
+        "clarke-s-without-rule", "clarke-product-alpha"])
 def test_refused_flags_exit_2(capsys, argv):
     # flags a command would not read, or read against another flag
     try:
@@ -196,6 +220,38 @@ def test_closed_stdout_exits_quietly():
     assert b"BrokenPipeError" not in err and b"Traceback" not in err
 
 
+BATTERY = [  # the criterion-10 commands, gauss-green on a coarser grid
+    ["density", "--set", "x2>0", "--domain", "true", "--at", "0,0"],
+    ["aplim", "--f", "1/sqrt(atan2(x2,x1))", "--at", "0,0",
+     "--domain", "unit_disk", "--atan2-range", "0..2pi"],
+    ["representative", "--f", "if(x1>0, 1, 0)", "--at", "0,0"],
+    ["jump", "--f", "if(x1*0.8 + x2*0.6 > 0, 2, -1)", "--at", "0,0"],
+    ["clarke", "--f", "abs(x1)", "--at", "0", "--dim", "1", "--v", "1"],
+    ["gauss-green", "--f", "x1^2 + x2", "--phi", "x2,x1",
+     "--domain", "unit_square", "--res", "32"],
+    ["demo-vanishing", "--f", "x1 + 2*x2 + 0.3", "--e1", "demo_cusp_right",
+     "--e2", "demo_cusp_left", "--domain", "plane", "--at", "0,0",
+     "--schedule", "0.5,0.5,7,4", "--res", "256"],
+]
+
+
+@pytest.mark.parametrize("argv", BATTERY, ids=[argv[0] for argv in BATTERY])
+def test_declared_settings_are_the_reported_ones(capsys, argv):
+    # a flag the report does not print would be a no-op, and a printed
+    # setting without its flag a value the command did not read
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {s: a.dest for a in sub.choices[argv[0]]._actions
+             for s in a.option_strings}
+    code, out = run_cli(capsys, *argv)
+    config = json.loads(out)["config"]
+    assert code == 0
+    assert set(config["tolerances"]) == {
+        dest for s, dest in flags.items() if s.startswith("--tol-") or s == "--cap"}
+    assert ("--seed" in flags) == ("seed" in config["quadrature"])
+    assert ("--res" in flags) == ("resolution" in config["quadrature"])
+
+
 # runs CLI commands in one fresh interpreter and prints, as JSON, the scipy
 # modules loaded after the import and after each command
 _SCIPY_AFTER = """
@@ -222,23 +278,10 @@ def _scipy_after(*commands):
 
 
 def test_cold_cli_loads_scipy_only_for_trees_and_hulls():
-    battery = [  # the criterion-10 commands, gauss-green on a coarser grid
-        ["density", "--set", "x2>0", "--domain", "true", "--at", "0,0"],
-        ["aplim", "--f", "1/sqrt(atan2(x2,x1))", "--at", "0,0",
-         "--domain", "unit_disk", "--atan2-range", "0..2pi"],
-        ["representative", "--f", "if(x1>0, 1, 0)", "--at", "0,0"],
-        ["jump", "--f", "if(x1*0.8 + x2*0.6 > 0, 2, -1)", "--at", "0,0"],
-        ["clarke", "--f", "abs(x1)", "--at", "0", "--dim", "1", "--v", "1"],
-        ["gauss-green", "--f", "x1^2 + x2", "--phi", "x2,x1",
-         "--domain", "unit_square", "--res", "32"],
-        ["demo-vanishing", "--f", "x1 + 2*x2 + 0.3", "--e1", "demo_cusp_right",
-         "--e2", "demo_cusp_left", "--domain", "plane", "--at", "0,0",
-         "--schedule", "0.5,0.5,7,4", "--res", "256"],
-    ]
     tube = ["density", "--set", "unit_disk", "--domain", "plane",
             "--at-set", "unit_circle", "--schedule", "0.4,0.5,3,2", "--res", "16"]
     hull_2d = ["clarke", "--f", "abs(x1) + abs(x2)", "--at", "0,0"]  # Qhull
-    assert _scipy_after(*battery) == [[]] * 8
+    assert _scipy_after(*BATTERY) == [[]] * 8
     for command in (tube, hull_2d):
         before, after = _scipy_after(command)
         assert before == [] and "scipy.spatial" in after
