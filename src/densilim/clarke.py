@@ -1,121 +1,140 @@
 """Generalized directional derivatives and generalized gradients.
 
-For locally Lipschitz f the directional derivative is estimated two ways:
-as a shrinking-ball sup of difference quotients and as a shrinking-ball
-sup of sampled gradients; the two must agree.  Gradients are the exact
-derivatives of the field's expression, taken at sample points where f is
-differentiable; points where the gradient is not finite are dropped.  The
-generalized gradient is the convex hull of gradient samples concentrated
-at the smallest schedule delta (Clarke's representation as the hull of
-limits of gradients), cross-checked against the directional derivative
-through its support function.
+Clarke's generalized gradient of a locally Lipschitz f at x is the hull of
+the limits of gradients at points tending to x, off any null set; its
+support function is f°(x; v), the limsup of (f(y + tv) - f(y))/t as y -> x,
+t -> 0+ (the representation ``aplimits.support_function`` states).  Both are
+read off the balls of ``neighborhood_levels``, anchored at x moved by an
+irrational fraction of the finest cell per axis: no limit changes, and no
+lattice point lands on a kink through x (x1 = +-x2, ...), where the
+expression's exact derivative would take one branch for both.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .config import Tolerances
+from .density import unit_directions
 from .errors import NonLipschitz, PreconditionError, SupportMismatch
 from .fields import ScalarField
-from .geometry import DeltaSchedule, QuadratureConfig, as_point, row_norm
-from .sampling import halton, halton_ball
+from .geometry import (DeltaSchedule, QuadratureConfig, Region, as_point,
+                       ball_window, row_norm)
+from .sampling import neighborhood_levels
+
+GROWTH = 1.25  # least growth per tail level of the quotient sups of a non-Lipschitz f
+STEPS = 16     # quotient steps t: the midpoint grid of (0, delta) with STEPS cells
 
 
-def probe_directions(dim: int, seed: int, extra: int = 64) -> np.ndarray:
-    """Probe set: 2n axis directions plus scrambled-Halton sphere points."""
+def probe_directions(dim: int) -> np.ndarray:
+    """Probe set: the 2n axis directions, and in 2-d and 3-d the 64
+    ``density.unit_directions``."""
     axes = np.concatenate([np.eye(dim), -np.eye(dim)], axis=0)
-    if dim == 1:
-        return axes
-    raw = halton(dim, seed, 0, 4 * extra) * 2.0 - 1.0
-    norms = row_norm(raw)
-    raw = raw[(norms > 1e-9) & (norms <= 1.0)][:extra]
-    sphere = raw / row_norm(raw)[:, None]
-    return np.concatenate([axes, sphere], axis=0)
+    if dim in (2, 3):
+        return np.concatenate([axes, unit_directions(64, dim)], axis=0)
+    return axes
 
 
-def _gradient_levels(f: ScalarField, x: np.ndarray, sched: DeltaSchedule,
-                     cfg: QuadratureConfig, n_samples: int, cap: float,
-                     along: Optional[np.ndarray] = None,
-                     rays: Optional[np.ndarray] = None) -> list:
-    """Finite gradient samples for every schedule delta.
+def _balls(x: np.ndarray, sched: DeltaSchedule, cfg: QuadratureConfig, first: int):
+    """The lattice balls from schedule level ``first`` on, coarse to fine,
+    around x moved by frac(sqrt(p_i)) finest cells along axis i (p_i the
+    i-th prime; with 1 these are independent over the rationals)."""
+    roots, k = [], 1
+    while len(roots) < x.size:
+        k += 1
+        if all(k % p for p in range(2, math.isqrt(k) + 1)):
+            roots.append(math.sqrt(k) % 1.0)
+    anchor = x + np.array(roots) * (2.0 * float(sched.deltas[-1]) / cfg.resolution)
+    space = Region(x.size, lambda p: np.ones(p.shape[0], dtype=bool),
+                   ball_window(anchor, sched.delta0), label=f"R^{x.size}")
+    return neighborhood_levels(space, anchor, sched, cfg, first=first)
 
-    ``along`` adds samples on the +/- ray through x in that direction; the
-    sup of Df . v for norm-like kinks is attained along the query ray, which
-    isotropic samples only approach at their angular resolution.  ``rays``
-    does the same for a whole direction set (hull construction).
-    """
-    ray_dirs = []
-    if along is not None and np.linalg.norm(along) > 0.0:
-        ray_dirs.append(along / np.linalg.norm(along))
-    if rays is not None:
-        ray_dirs.extend(r / np.linalg.norm(r) for r in rays)
-    levels = []
-    for k, d in enumerate(sched.deltas):
-        pts = halton_ball(x, float(d), n_samples, cfg.seed + k)
-        for u in ray_dirs:
-            t = float(d) * (np.arange(1, 17) - 0.5) / 16.0
-            pts = np.concatenate([pts, x + t[:, None] * u, x - t[:, None] * u])
-        g = f.gradient_at(pts)
-        g = g[np.all(np.isfinite(g), axis=1)]
-        if g.shape[0] == 0:
-            raise NonLipschitz(f"no sample point of {f.label!r} has a finite "
-                               f"gradient at delta={d:g}")
-        if float(np.max(row_norm(g))) > cap:
-            raise NonLipschitz(
-                f"gradient norm exceeds cap {cap:g} at delta={d:g}")
-        levels.append(g)
-    return levels
+
+def _finest_gradients(f: ScalarField, x: np.ndarray, sched: DeltaSchedule,
+                      cfg: QuadratureConfig, cap: float):
+    """The finest ball and the gradients at its points, NaN rows where one
+    is not finite."""
+    level = next(_balls(x, sched, cfg, sched.steps - 1))
+    g = f.gradient_at(level.points)
+    finite = np.all(np.isfinite(g), axis=1)
+    if not finite.any():
+        raise NonLipschitz(f"no sample point of {f.label!r} has a finite "
+                           f"gradient at delta={level.delta:g}")
+    g[~finite] = np.nan
+    if float(np.nanmax(row_norm(g))) > cap:
+        raise NonLipschitz(
+            f"gradient norm exceeds cap {cap:g} at delta={level.delta:g}")
+    return level, g
+
+
+def _quotient_sup(f: ScalarField, level, v: np.ndarray, cap: float,
+                  fy: Optional[np.ndarray] = None) -> float:
+    """Sup of (f(y + tv) - f(y))/t over the level's points y, the k-th point
+    taking the (k mod STEPS)-th midpoint of (0, delta) as its t."""
+    y = level.points
+    t = level.delta * (np.arange(y.shape[0]) % STEPS + 0.5) / STEPS
+    q = (f(y + t[:, None] * v) - (f(y) if fy is None else fy)) / t
+    q = q[np.isfinite(q)]
+    if q.size == 0:
+        raise NonLipschitz(f"all quotients discarded at delta={level.delta:g}")
+    s = float(np.max(q))
+    if abs(s) > cap * max(1.0, float(np.linalg.norm(v))):
+        raise NonLipschitz(
+            f"difference quotients exceed cap at delta={level.delta:g}")
+    return s
+
+
+def _tail_sups(f: ScalarField, x: np.ndarray, v: np.ndarray,
+               sched: DeltaSchedule, cfg: QuadratureConfig, cap: float,
+               allowance: float) -> list:
+    """Quotient sups over the tail window, coarse to fine; NonLipschitz when
+    they grow by GROWTH or more at every level and by more than
+    ``allowance`` in total (a jump's 1/delta, a cusp's delta^-1/2)."""
+    levels = _balls(x, sched, cfg, sched.steps - sched.tail_window)
+    sups = [_quotient_sup(f, lv, v, cap) for lv in levels]
+    if (sups[0] > 0.0 and sups[-1] - sups[0] > allowance
+            and all(b >= GROWTH * a for a, b in zip(sups, sups[1:]))):
+        raise NonLipschitz(
+            f"difference quotients of {f.label!r} along {v} grow like a power "
+            f"of 1/delta: " + ", ".join(f"{s:.6g}" for s in sups))
+    return sups
 
 
 def dir_derivative_quotient(f: ScalarField, x, v, sched: DeltaSchedule,
-                            cfg: QuadratureConfig, n_samples: int = 256,
-                            cap: float = Tolerances.cap) -> float:
-    """Directional derivative as sup of difference quotients (f(y+tv)-f(y))/t
-    over y in B_delta(x), t in (0, delta), at the smallest schedule delta."""
-    x = as_point(x)
+                            cfg: QuadratureConfig, cap: float = Tolerances.cap,
+                            support_tol: float = Tolerances.support_tol) -> float:
+    """Directional derivative as the sup of difference quotients over the
+    finest ball; NonLipschitz when the tail window's sups grow geometrically,
+    by more than ``support_tol`` * max(1, |v|) in total (``_tail_sups``)."""
     v = np.asarray(v, dtype=float)
-    sups = []
-    for k, d in enumerate(sched.deltas):
-        d = float(d)
-        y = halton_ball(x, d, n_samples, cfg.seed + 1000 + k)
-        t = d * (halton(1, cfg.seed + 2000 + k, 0, n_samples)[:, 0]
-                 * (1.0 - 1e-9) + 1e-9)
-        q = (f(y + t[:, None] * v) - f(y)) / t
-        q = q[np.isfinite(q)]
-        if q.size == 0:
-            raise NonLipschitz(f"all quotients discarded at delta={d:g}")
-        s = float(np.max(q))
-        if abs(s) > cap * max(1.0, float(np.linalg.norm(v))):
-            raise NonLipschitz(f"difference quotients exceed cap at delta={d:g}")
-        sups.append(s)
-    return sups[-1]
+    allowance = support_tol * max(1.0, float(np.linalg.norm(v)))
+    return _tail_sups(f, as_point(x), v, sched, cfg, cap, allowance)[-1]
 
 
 def dir_derivative_gradsup(f: ScalarField, x, v, sched: DeltaSchedule,
-                           cfg: QuadratureConfig, n_samples: int = 256,
-                           cap: float = Tolerances.cap) -> float:
-    """Directional derivative as the shrinking-ball sup of sampled Df . v."""
-    x = as_point(x)
+                           cfg: QuadratureConfig, cap: float = Tolerances.cap) -> float:
+    """Directional derivative as the sup of Df . v over the finest ball,
+    pushed toward the pointwise sup by ``refine_extremum``."""
     v = np.asarray(v, dtype=float)
-    levels = _gradient_levels(f, x, sched, cfg, n_samples, cap, along=v)
-    return float(np.max(levels[-1] @ v))
+    level, g = _finest_gradients(f, as_point(x), sched, cfg, cap)
+    dv = ScalarField(f.dim, lambda p: f.gradient_at(p) @ v, label=f"D{f.label}.v")
+    return replace(level, values=g @ v).refined_max(dv)
 
 
 @dataclass
 class GradientHull:
     """Convex hull of gradient samples near x.
 
-    ``support(v)`` is the max of g . v over all sampled points; the hull
-    vertices are the extreme points of their convex hull (exact in
-    dimension <= 3).
+    ``points`` are the finite gradients of the finest ball and ``support(v)``
+    the max of g . v over them; the hull vertices are the extreme points of
+    the convex hull of each probe direction's extreme sample.
     """
 
     points: np.ndarray
-    x: np.ndarray
     delta_used: float
     hull_vertices: np.ndarray
     probe_dirs: np.ndarray
@@ -125,16 +144,14 @@ class GradientHull:
         return float(np.max(self.points @ v))
 
     def diameter(self) -> float:
-        vs = self.hull_vertices
-        if vs.shape[0] <= 1:
-            return 0.0
+        vs = self.hull_vertices  # one vertex: 0
         d2 = np.sum((vs[:, None, :] - vs[None, :, :]) ** 2, axis=2)
         return float(np.sqrt(np.max(d2)))
 
     def to_json_dict(self) -> dict:
         return {"vertices": self.hull_vertices.tolist(),
                 "delta_used": self.delta_used,
-                "n_samples": int(self.points.shape[0]),
+                "samples": int(self.points.shape[0]),
                 "support": {str(i): self.support(v)
                             for i, v in enumerate(self.probe_dirs)}}
 
@@ -142,16 +159,11 @@ class GradientHull:
 def convex_hull_vertices(pts: np.ndarray) -> np.ndarray:
     """Extreme points of conv(pts), robust to affine degeneracy (dim <= 3)."""
     pts = np.unique(np.atleast_2d(pts), axis=0)
-    m, n = pts.shape
-    if m == 1:
-        return pts
-    center = pts.mean(axis=0)
-    centered = pts - center
+    centered = pts - pts.mean(axis=0)
     # working rank and principal directions
     _, svals, vt = np.linalg.svd(centered, full_matrices=False)
-    scale = float(svals[0]) if svals.size else 0.0
-    rank = int(np.sum(svals > max(scale, 1.0) * 1e-9))
-    if rank == 0:
+    rank = int(np.sum(svals > max(float(svals[0]), 1.0) * 1e-9))
+    if rank == 0:  # one point, or all equal
         return pts[:1]
     if rank == 1:
         t = centered @ vt[0]
@@ -166,29 +178,30 @@ def convex_hull_vertices(pts: np.ndarray) -> np.ndarray:
 
 
 def gen_gradient(f: ScalarField, x, sched: DeltaSchedule, cfg: QuadratureConfig,
-                 n_samples: int = 256, cap: float = Tolerances.cap,
+                 cap: float = Tolerances.cap,
                  support_tol: float = Tolerances.support_tol) -> GradientHull:
-    """Generalized gradient as the hull of gradient samples at the smallest
-    delta, verified against the directional derivative on a probe set.
+    """Generalized gradient as the hull of the finest ball's gradients,
+    checked against the difference quotients on the axis probes.
 
-    Raises SupportMismatch when the hull support function disagrees with
-    the shrinking-ball gradient sup beyond ``support_tol`` (under-sampling).
+    The finest ball decides alone when the two agree within ``support_tol``
+    and an O(delta) drift, scaled by the largest gradient.  Otherwise the
+    tail window decides (``_tail_sups``): NonLipschitz or SupportMismatch
+    (under-sampling or a bad gradient callback).
     """
     x = as_point(x)
-    probes = probe_directions(x.size, cfg.seed)
-    levels = _gradient_levels(f, x, sched, cfg, n_samples, cap, rays=probes)
-    pts = np.unique(levels[-1], axis=0)
-    hull = GradientHull(pts, x, float(sched.deltas[-1]),
-                        convex_hull_vertices(pts), probes)
-    # cross-check against the independent difference-quotient estimator on
-    # the axis probes; a gap signals under-sampling or a bad gradient callback
-    scale = max(1.0, float(np.max(row_norm(pts))))
+    level, g = _finest_gradients(f, x, sched, cfg, cap)
+    g = g[~np.isnan(g[:, 0])]
+    probes = probe_directions(x.size)
+    extremes = g[[int(np.argmax(g @ v)) for v in probes]]
+    hull = GradientHull(g, level.delta, convex_hull_vertices(extremes), probes)
+    scale = max(1.0, float(np.max(row_norm(g))))
     # quotients smear gradients over B_{delta(1+|v|)}, an O(delta) drift
-    allowance = support_tol * scale + 2.0 * float(sched.deltas[-1]) * scale
-    for v in np.concatenate([np.eye(x.size), -np.eye(x.size)]):
-        ref = dir_derivative_quotient(f, x, v, sched, cfg,
-                                      n_samples=n_samples, cap=cap)
+    allowance = support_tol * scale + 2.0 * level.delta * scale
+    fy = f(level.points)
+    for v in probes[:2 * x.size]:
+        ref = _quotient_sup(f, level, v, cap, fy)
         if abs(hull.support(v) - ref) > allowance:
+            _tail_sups(f, x, v, sched, cfg, cap, allowance)
             raise SupportMismatch(
                 f"support({v}) = {hull.support(v):.6g} vs directional "
                 f"derivative {ref:.6g}")
@@ -228,7 +241,7 @@ def _scaled_support(hull: GradientHull, s: float, v: np.ndarray) -> float:
 def check_calculus(f: ScalarField, g: Optional[ScalarField], x, rule: str,
                    sched: DeltaSchedule, cfg: QuadratureConfig,
                    s: float = 1.0, alpha: float = 1.0, beta: float = 1.0,
-                   n_samples: int = 256, cap: float = Tolerances.cap,
+                   cap: float = Tolerances.cap,
                    support_tol: float = Tolerances.support_tol) -> CalculusReport:
     """Verify a generalized-gradient calculus rule through support functions.
 
@@ -238,36 +251,26 @@ def check_calculus(f: ScalarField, g: Optional[ScalarField], x, rule: str,
     """
     x = as_point(x)
     slack = 1e-6 + 2.0 * support_tol
-    hull_f = gen_gradient(f, x, sched, cfg, n_samples, cap, support_tol)
-    dirs = hull_f.probe_dirs
 
+    def hull(h: ScalarField) -> GradientHull:
+        return gen_gradient(h, x, sched, cfg, cap, support_tol)
+
+    hull_f = hull(f)
     if rule == "scale":
-        comp = gen_gradient(f.scale(s), x, sched, cfg, n_samples, cap, support_tol)
-        rhs = [_scaled_support(hull_f, s, v) for v in dirs]
-        both = [abs(comp.support(v) - r) for v, r in zip(dirs, rhs)]
-        worst = max(both)
-        return CalculusReport("scale", {"s": s}, worst <= slack, worst, slack,
-                              equality=True)
-    if g is None:
+        comp, parts, params = hull(f.scale(s)), [(hull_f, s)], {"s": s}
+    elif g is None:
         raise PreconditionError(f"rule {rule!r} needs a second field")
-    hull_g = gen_gradient(g, x, sched, cfg, n_samples, cap, support_tol)
-
-    if rule == "sum":
-        comp = gen_gradient(f.scale(alpha) + g.scale(beta), x, sched, cfg,
-                            n_samples, cap, support_tol)
-        gaps = [comp.support(v) - (_scaled_support(hull_f, alpha, v)
-                                   + _scaled_support(hull_g, beta, v))
-                for v in dirs]
-        worst = max(gaps)
-        return CalculusReport("sum", {"alpha": alpha, "beta": beta},
-                              worst <= slack, worst, slack, equality=False)
-    if rule == "product":
-        comp = gen_gradient(f * g, x, sched, cfg, n_samples, cap, support_tol)
+    elif rule == "sum":
+        comp = hull(f.scale(alpha) + g.scale(beta))
+        parts, params = [(hull_f, alpha), (hull(g), beta)], dict(alpha=alpha, beta=beta)
+    elif rule == "product":
         fx, gx = f.at(x), g.at(x)
-        gaps = [comp.support(v) - (_scaled_support(hull_g, fx, v)
-                                   + _scaled_support(hull_f, gx, v))
-                for v in dirs]
-        worst = max(gaps)
-        return CalculusReport("product", {"f(x)": fx, "g(x)": gx},
-                              worst <= slack, worst, slack, equality=False)
-    raise PreconditionError(f"unknown calculus rule {rule!r}")
+        comp = hull(f * g)
+        parts, params = [(hull(g), fx), (hull_f, gx)], {"f(x)": fx, "g(x)": gx}
+    else:
+        raise PreconditionError(f"unknown calculus rule {rule!r}")
+    gaps = [comp.support(v) - sum(_scaled_support(h, c, v) for h, c in parts)
+            for v in hull_f.probe_dirs]
+    worst = max(map(abs, gaps)) if rule == "scale" else max(gaps)
+    return CalculusReport(rule, params, worst <= slack, worst, slack,
+                          equality=rule == "scale")

@@ -127,12 +127,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=float, help="factor of --rule scale (default 1)")
     p.add_argument("--alpha", type=float, help="--rule sum weight of f (default 1)")
     p.add_argument("--beta", type=float, help="--rule sum weight of g (default 1)")
-    p.add_argument("--n-samples", type=int, default=256)
     p.add_argument("--at", help=_AT_HELP + " (default: the origin)")
     p.add_argument("--schedule", help="delta schedule as d0,ratio,K,w")
     p.add_argument("--dim", type=int, help="ambient dimension (inferred from --at)")
-    p.add_argument("--seed", type=int, default=QuadratureConfig.seed,
-                   help="Halton sample seed (env DENSILIM_SEED overrides)")
+    p.add_argument("--res", type=int, default=QuadratureConfig.resolution,
+                   help="grid points per delta-diameter")
 
     p = command("gauss-green", "divergence-identity residual")
     p.add_argument("--f", required=True)
@@ -209,16 +208,13 @@ def _settings(args,
               sched: DeltaSchedule | None = None) -> tuple[QuadratureConfig, dict]:
     """The quadrature the command runs with and its report's config block,
     which holds the settings the command read and no other."""
-    if args.command == "clarke":  # Halton samples: a seed and no lattice
-        quad = {"seed": int(os.environ.get("DENSILIM_SEED", args.seed))}
-    else:
-        quad = {"resolution": args.res}
-    config = {"atan2_range": args.atan2_range, "quadrature": quad,
+    config = {"atan2_range": args.atan2_range,
+              "quadrature": {"resolution": args.res},
               "tolerances": {name: getattr(args, name)
                              for name in _TOLERANCES[args.command]}}
     if sched is not None:
         config["schedule"] = sched.to_json_dict()
-    return QuadratureConfig(**quad), config
+    return QuadratureConfig(args.res), config
 
 
 def _emit(command: str, config: dict, result: dict) -> None:
@@ -325,20 +321,18 @@ def cmd_clarke(args) -> int:
     if args.rule:
         g = params.pop("g", None)
         g = resolve_field(g, dim, args.atan2_range) if g else None
-        rep = clarke.check_calculus(f, g, x, args.rule, sched, quad,
-                                    n_samples=args.n_samples, **params, **tol)
+        rep = clarke.check_calculus(f, g, x, args.rule, sched, quad, **params, **tol)
         _emit("clarke", config, rep.to_json_dict())
         return 0
-    hull = clarke.gen_gradient(f, x, sched, quad, n_samples=args.n_samples, **tol)
+    hull = clarke.gen_gradient(f, x, sched, quad, **tol)
     out = hull.to_json_dict()
     if args.v:
         v = np.array([float(t) for t in args.v.split(",")])
         out["dir_derivative"] = {
             "v": v.tolist(),
-            "quotient": clarke.dir_derivative_quotient(
-                f, x, v, sched, quad, n_samples=args.n_samples, cap=args.cap),
-            "gradsup": clarke.dir_derivative_gradsup(
-                f, x, v, sched, quad, n_samples=args.n_samples, cap=args.cap)}
+            "quotient": clarke.dir_derivative_quotient(f, x, v, sched, quad, **tol),
+            "gradsup": clarke.dir_derivative_gradsup(f, x, v, sched, quad,
+                                                     cap=args.cap)}
     _emit("clarke", config, out)
     return 0
 

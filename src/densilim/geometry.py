@@ -289,13 +289,11 @@ class DeltaSchedule:
 class QuadratureConfig:
     """Measure-estimation settings.
 
-    ``resolution`` is grid lattice points per axis of a window; ``seed``
-    fixes the scrambled Halton samples of the Clarke estimators.  Identical
-    (resolution, seed) give bit-identical estimates.
+    ``resolution`` is grid lattice points per axis of a window; identical
+    resolutions give bit-identical estimates.
     """
 
     resolution: int = 128
-    seed: int = 20260809
 
     def __post_init__(self):
         if self.resolution < 2:

@@ -22,11 +22,6 @@ whose essential and pointwise extremes differ on a null set are
 consequently misread, a documented limitation of predicate-defined data.
 The walks of all levels run in lockstep, one ``reach`` call and one field
 call per step, with the results of walking them one after another.
-
-``halton`` is the Owen-scrambled Halton sequence the gradient estimators
-sample from, in numpy: point for point equal to scipy's
-``qmc.Halton(d, scramble=True, seed=seed)``, and cached, since the
-estimators draw the same few (dimension, seed) sequences on every call.
 """
 
 from __future__ import annotations
@@ -78,6 +73,10 @@ class LevelSamples:
         top = top[np.isfinite(scores[top])]
         return Seeds(self.delta, self.cell, self.points[top], scores[top])
 
+    def refined_max(self, f: ScalarField, cap: float = math.inf) -> float:
+        """``refine_extremum`` of f from this level's seeds alone."""
+        return float(refine_extremum(f, self.reach, [self.seeds()], cap=cap)[0])
+
 
 @dataclass
 class Seeds:
@@ -110,9 +109,10 @@ class BallSamples:
 
 
 def neighborhood_levels(Omega: Region, anchor, sched: DeltaSchedule,
-                        cfg: QuadratureConfig,
-                        f: Optional[ScalarField] = None) -> Iterator[LevelSamples]:
-    """Lattice samples of the shrinking neighborhoods of ``anchor`` in Omega.
+                        cfg: QuadratureConfig, f: Optional[ScalarField] = None,
+                        first: int = 0) -> Iterator[LevelSamples]:
+    """Lattice samples of the shrinking neighborhoods of ``anchor`` in Omega,
+    from level ``first`` of the schedule on.
 
     ``anchor`` is a point (balls B_delta(x)) or a Region (tubes around its
     point cloud).  Each level holds the lattice points of the tube (distance
@@ -149,7 +149,7 @@ def neighborhood_levels(Omega: Region, anchor, sched: DeltaSchedule,
     def reach(p):
         return np.where(Omega.contains(p), dist(p), np.inf)
 
-    for d in sched.deltas:
+    for d in sched.deltas[first:]:
         d = float(d)
         pts = shell_lattice(cloud, d, cfg.resolution, tree=tree)
         if pts.shape[0]:
@@ -251,6 +251,7 @@ def _primes(k: int) -> list:
     return out
 
 
+# halton and halton_ball: read only by perfbench/tracer.py, which wraps them
 @functools.lru_cache(maxsize=512)
 def halton(dim: int, seed: int, start: int, count: int) -> np.ndarray:
     """Points start .. start+count-1 of the scrambled Halton sequence.

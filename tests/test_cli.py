@@ -2,6 +2,7 @@ import argparse
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -148,11 +149,20 @@ def test_nonconvergence_exit_code(capsys):
     assert rep["result"]["converged"] is False
 
 
-def test_seed_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("DENSILIM_SEED", "424242")
-    _, out = run_cli(capsys, "clarke", "--f", "abs(x1)", "--at", "0",
-                     "--dim", "1")
-    assert json.loads(out)["config"]["quadrature"]["seed"] == 424242
+@pytest.mark.parametrize("f", ["if(x1>0,1,0)", "sqrt(abs(x1))"])
+def test_non_lipschitz_fields_are_named(capsys, f):
+    code = main(["clarke", "--f", f, "--at", "0", "--dim", "1"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert json.loads(captured.err)["error"] == "NonLipschitz"
+
+
+def test_high_dimension_clarke_is_refused_at_once(capsys):
+    start = time.perf_counter()
+    code = main(["clarke", "--f", "x1", "--at", "0,0,0,0,0,0,0,0"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "PreconditionError"
 
 
 @pytest.mark.parametrize("argv", [
@@ -170,7 +180,8 @@ def test_seed_env_override(capsys, monkeypatch):
     ["density", "--set", "x2>0", "--domain", "true", "--at", "0,0",
      "--cap", "5"],
     ["aplim", "--f", "x1", "--at", "0,0", "--tol-jump", "0.5"],
-    ["clarke", "--f", "abs(x1)", "--at", "0", "--res", "64"],
+    ["clarke", "--f", "abs(x1)", "--at", "0", "--seed", "1"],
+    ["clarke", "--f", "abs(x1)", "--at", "0", "--n-samples", "9"],
     ["clarke", "--f", "abs(x1)", "--at", "0", "--bbox=-9,9"],
     ["gauss-green", "--f", "1", "--phi", "x1,0", "--seed", "1"],
     ["gauss-green", "--f", "1", "--phi", "x1,0", "--dim", "2"],
@@ -185,8 +196,8 @@ def test_seed_env_override(capsys, monkeypatch):
 ], ids=["threads", "aplim-csv", "gauss-green-csv-without-sweep",
         "dim-disagrees-with-at", "clarke-dim-disagrees-with-at",
         "gauss-green-schedule", "gauss-green-at",
-        "density-seed", "density-cap", "aplim-tol-jump", "clarke-res",
-        "clarke-bbox", "gauss-green-seed", "gauss-green-dim",
+        "density-seed", "density-cap", "aplim-tol-jump", "clarke-seed",
+        "clarke-n-samples", "clarke-bbox", "gauss-green-seed", "gauss-green-dim",
         "demo-vanishing-tol-limit", "density-at-and-at-set", "clarke-rule-and-v",
         "clarke-s-without-rule", "clarke-product-alpha"])
 def test_refused_flags_exit_2(capsys, argv):

@@ -317,6 +317,28 @@ def test_max_of_affine_hull_is_its_two_gradients(x0, a, b):
     assert {tuple(v) for v in hull.hull_vertices} == {tuple(a), tuple(b)}
 
 
+# gradients with small integer entries put kinks on lattice-symmetric lines
+gradients = st.tuples(*[st.one_of(st.integers(-3, 3).map(float),
+                                  st.floats(-3.0, 3.0))] * 2).map(np.array)
+
+
+@PROPERTY
+@given(x0=points, a=gradients, b=gradients)
+def test_max_plus_min_of_affine_has_one_gradient(x0, a, b):
+    # max(A, B) + min(A, B) = A + B: a lattice point on the kink, where the
+    # derivative takes one branch for both, would widen its hull
+    assume(np.linalg.norm(a - b) >= 0.5)
+    A, B = _affine(0.0, a, x0), _affine(0.0, b, x0)
+    sched, cfg = DeltaSchedule(0.5, 0.5, 8, 4), QuadratureConfig(resolution=32)
+    vs = gen_gradient(compile_field(f"max({A}, {B})", 2), x0, sched, cfg).hull_vertices
+    gap = [np.min(np.linalg.norm(vs - t, axis=1)) for t in (a, b)]
+    far = [min(np.linalg.norm(v - a), np.linalg.norm(v - b)) for v in vs]
+    assert max(gap + far) <= 1e-3
+    summed = gen_gradient(compile_field(f"max({A}, {B}) + min({A}, {B})", 2),
+                          x0, sched, cfg)
+    assert summed.diameter() <= 1e-9
+
+
 coefficients = st.floats(-1.0, 1.0, allow_nan=False)
 
 
