@@ -12,7 +12,6 @@ expression's exact derivative would take one branch for both.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -24,7 +23,7 @@ from .errors import NonLipschitz, PreconditionError, SupportMismatch
 from .fields import ScalarField
 from .geometry import (DeltaSchedule, QuadratureConfig, Region, as_point,
                        ball_window, row_norm)
-from .sampling import neighborhood_levels
+from .sampling import _primes, neighborhood_levels, refine_extremum
 
 GROWTH = 1.25  # least growth per tail level of the quotient sups of a non-Lipschitz f
 STEPS = 16     # quotient steps t: the midpoint grid of (0, delta) with STEPS cells
@@ -43,12 +42,8 @@ def _balls(x: np.ndarray, sched: DeltaSchedule, cfg: QuadratureConfig, first: in
     """The lattice balls from schedule level ``first`` on, coarse to fine,
     around x moved by frac(sqrt(p_i)) finest cells along axis i (p_i the
     i-th prime; with 1 these are independent over the rationals)."""
-    roots, k = [], 1
-    while len(roots) < x.size:
-        k += 1
-        if all(k % p for p in range(2, math.isqrt(k) + 1)):
-            roots.append(math.sqrt(k) % 1.0)
-    anchor = x + np.array(roots) * (2.0 * float(sched.deltas[-1]) / cfg.resolution)
+    phi = np.sqrt(_primes(x.size)) % 1.0
+    anchor = x + phi * (2.0 * float(sched.deltas[-1]) / cfg.resolution)
     space = Region(x.size, lambda p: np.ones(p.shape[0], dtype=bool),
                    ball_window(anchor, sched.delta0), label=f"R^{x.size}")
     return neighborhood_levels(space, anchor, sched, cfg, first=first)
@@ -118,11 +113,18 @@ def dir_derivative_quotient(f: ScalarField, x, v, sched: DeltaSchedule,
 def dir_derivative_gradsup(f: ScalarField, x, v, sched: DeltaSchedule,
                            cfg: QuadratureConfig, cap: float = Tolerances.cap) -> float:
     """Directional derivative as the sup of Df . v over the finest ball,
-    pushed toward the pointwise sup by ``refine_extremum``."""
+    pushed toward the pointwise sup by ``refine_extremum``; NonLipschitz
+    when that passes cap * max(1, |v|)."""
     v = np.asarray(v, dtype=float)
     level, g = _finest_gradients(f, as_point(x), sched, cfg, cap)
     dv = ScalarField(f.dim, lambda p: f.gradient_at(p) @ v, label=f"D{f.label}.v")
-    return replace(level, values=g @ v).refined_max(dv)
+    bound = cap * max(1.0, float(np.linalg.norm(v)))
+    starts = [replace(level, values=g @ v).seeds()]
+    s = float(refine_extremum(dv, level.reach, starts, cap=bound)[0])
+    if s > bound:
+        raise NonLipschitz(f"Df . v exceeds cap {bound:g} near x at "
+                           f"delta={level.delta:g}")
+    return s
 
 
 @dataclass
@@ -131,7 +133,7 @@ class GradientHull:
 
     ``points`` are the finite gradients of the finest ball and ``support(v)``
     the max of g . v over them; the hull vertices are the extreme points of
-    the convex hull of each probe direction's extreme sample.
+    their convex hull, to within ``convex_hull_vertices``' tolerance.
     """
 
     points: np.ndarray
@@ -156,25 +158,30 @@ class GradientHull:
                             for i, v in enumerate(self.probe_dirs)}}
 
 
-def convex_hull_vertices(pts: np.ndarray) -> np.ndarray:
-    """Extreme points of conv(pts), robust to affine degeneracy (dim <= 3)."""
-    pts = np.unique(np.atleast_2d(pts), axis=0)
-    centered = pts - pts.mean(axis=0)
-    # working rank and principal directions
-    _, svals, vt = np.linalg.svd(centered, full_matrices=False)
+def convex_hull_vertices(pts: np.ndarray, tol: float = 0.0) -> np.ndarray:
+    """Extreme points of conv(pts) in lexicographic order, robust to affine
+    degeneracy.  With ``tol`` > 0 a point within tol of a facet does not
+    become a vertex (Qhull option W): every point lies within about tol of
+    their hull, and a curved hull keeps a bounded vertex count."""
+    pts = np.atleast_2d(pts)
+    mean, block = pts.mean(axis=0), 1 << 16
+    # working rank and principal directions, from the R factor of the
+    # centered points, folded in blocks so that pts is not copied
+    r = np.empty((0, pts.shape[1]))
+    for i in range(0, pts.shape[0], block):
+        r = np.linalg.qr(np.vstack([r, pts[i:i + block] - mean]), mode="r")
+    _, svals, vt = np.linalg.svd(r, full_matrices=False)
     rank = int(np.sum(svals > max(float(svals[0]), 1.0) * 1e-9))
     if rank == 0:  # one point, or all equal
         return pts[:1]
     if rank == 1:
-        t = centered @ vt[0]
-        idx = sorted({int(np.argmin(t)), int(np.argmax(t))})
-        return pts[idx]
-    proj = centered @ vt[:rank].T
-    from scipy.spatial import ConvexHull
+        t = pts @ vt[0]
+        idx = [int(np.argmin(t)), int(np.argmax(t))]
+    else:
+        from scipy.spatial import ConvexHull
 
-    hull = ConvexHull(proj)
-    idx = np.sort(hull.vertices)
-    return pts[idx]
+        idx = ConvexHull(pts @ vt[:rank].T, qhull_options=f"W{tol:g}").vertices
+    return np.unique(pts[idx], axis=0)
 
 
 def gen_gradient(f: ScalarField, x, sched: DeltaSchedule, cfg: QuadratureConfig,
@@ -191,10 +198,10 @@ def gen_gradient(f: ScalarField, x, sched: DeltaSchedule, cfg: QuadratureConfig,
     x = as_point(x)
     level, g = _finest_gradients(f, x, sched, cfg, cap)
     g = g[~np.isnan(g[:, 0])]
-    probes = probe_directions(x.size)
-    extremes = g[[int(np.argmax(g @ v)) for v in probes]]
-    hull = GradientHull(g, level.delta, convex_hull_vertices(extremes), probes)
     scale = max(1.0, float(np.max(row_norm(g))))
+    probes = probe_directions(x.size)
+    hull = GradientHull(g, level.delta,
+                        convex_hull_vertices(g, support_tol * scale), probes)
     # quotients smear gradients over B_{delta(1+|v|)}, an O(delta) drift
     allowance = support_tol * scale + 2.0 * level.delta * scale
     fy = f(level.points)

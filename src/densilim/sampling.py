@@ -73,10 +73,6 @@ class LevelSamples:
         top = top[np.isfinite(scores[top])]
         return Seeds(self.delta, self.cell, self.points[top], scores[top])
 
-    def refined_max(self, f: ScalarField, cap: float = math.inf) -> float:
-        """``refine_extremum`` of f from this level's seeds alone."""
-        return float(refine_extremum(f, self.reach, [self.seeds()], cap=cap)[0])
-
 
 @dataclass
 class Seeds:

@@ -81,6 +81,23 @@ def test_hull_max_segment():
     assert max(d, d2) <= 1e-3
 
 
+def test_hull_keeps_a_vertex_between_probe_directions():
+    # the middle piece's gradient is extreme only for directions between
+    # 25.4 and 27.7 degrees, where no probe direction lies
+    f = compile_field("max(max(x1, 2*x2), 0.52*x1 + 1.01*x2)", 2)
+    h = gen_gradient(f, [0.0, 0.0], SCHED, CFG)
+    assert np.array_equal(h.hull_vertices, [[0.0, 2.0], [0.52, 1.01], [1.0, 0.0]])
+
+
+def test_hull_of_a_disk_has_few_vertices():
+    # every sample of radial_norm at 0 is extreme; merging facets within
+    # the support tolerance keeps the vertex list short
+    h = gen_gradient(registry.get_field("radial_norm"), [0.0, 0.0], SCHED, CFG)
+    assert h.points.shape[0] > 10000 and h.hull_vertices.shape[0] <= 100
+    for v in h.probe_dirs:
+        assert h.support(v) - float(np.max(h.hull_vertices @ v)) <= 2e-3
+
+
 def test_hull_smooth_collapses():
     f = compile_field("x1^2 + x2", 2)
     h = gen_gradient(f, [0.3, 0.1], SCHED, CFG)
@@ -148,6 +165,14 @@ def test_non_lipschitz_detection():
     f = compile_field("sqrt(abs(x1))", 1)
     with pytest.raises(NonLipschitz):
         dir_derivative_quotient(f, [0.0], [1.0], SCHED, CFG, cap=100.0)
+
+
+def test_gradsup_past_the_cap_is_non_lipschitz():
+    # the lattice gradients of sqrt|x1| stay below the cap; the refinement
+    # walk toward the cusp passes it
+    f = compile_field("sqrt(abs(x1))", 1)
+    with pytest.raises(NonLipschitz, match=r"Df \. v exceeds cap"):
+        dir_derivative_gradsup(f, [0.0], [1.0], SCHED, CFG, cap=1000.0)
 
 
 def test_jump_and_cusp_are_named_non_lipschitz():
