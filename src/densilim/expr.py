@@ -312,16 +312,30 @@ def _require(node, kind: str, context: str):
 
 
 def evaluate(node, points: np.ndarray, atan2_range: str = ATAN2_PMPI) -> np.ndarray:
+    """Values of the node at each row of points, shape (m,).
+
+    Constants are numpy scalars that broadcast, so a constant exponent
+    reaches ``np.power`` as a scalar and numpy's exact paths: x^2 is x*x,
+    x^0.5 is sqrt(x) and x^-1 is 1/x.  A constant expression is filled out
+    to the m points.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     with np.errstate(all="ignore"):
-        return _eval(node, points, atan2_range)
+        return _full(_eval(node, points, atan2_range), points)
+
+
+def _full(value, X: np.ndarray):
+    """An array value, or a constant one filled out to the points of X: pow
+    and the transcendentals take constant operands, except pow's exponent,
+    as arrays, because numpy's scalar and array loops need not agree."""
+    return np.full(X.shape[0], value) if np.ndim(value) == 0 else value
 
 
 def _eval(node, X: np.ndarray, mode: str):
     if isinstance(node, Num):
-        return np.full(X.shape[0], node.value)
+        return np.float64(node.value)
     if isinstance(node, BoolLit):
-        return np.full(X.shape[0], node.value, dtype=bool)
+        return np.bool_(node.value)
     if isinstance(node, Var):
         if node.index > X.shape[1]:
             raise DimensionMismatch(
@@ -341,7 +355,7 @@ def _eval(node, X: np.ndarray, mode: str):
         if node.op == "/":
             return np.where(b != 0.0, a / np.where(b != 0.0, b, 1.0), np.nan)
         if node.op == "^":
-            return np.power(a, b)
+            return np.power(_full(a, X), b)
     if isinstance(node, Cmp):
         a = _eval(node.left, X, mode)
         b = _eval(node.right, X, mode)
@@ -366,6 +380,8 @@ def _eval(node, X: np.ndarray, mode: str):
             b = _eval(node.args[2], X, mode)
             return np.where(c, a, b)
         args = [_eval(a, X, mode) for a in node.args]
+        if node.name not in ("abs", "min", "max"):
+            args = [_full(a, X) for a in args]
         if node.name == "abs":
             return np.abs(args[0])
         if node.name == "sqrt":

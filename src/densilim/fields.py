@@ -37,7 +37,7 @@ class ScalarField:
         with np.errstate(all="ignore"):
             values = self.fn(points)
         return _sanitize(np.broadcast_to(np.asarray(values, dtype=float),
-                                         (points.shape[0],)).copy())
+                                         (points.shape[0],)))
 
     def at(self, x) -> float:
         return float(self(np.atleast_2d(np.asarray(x, dtype=float)))[0])

@@ -1,14 +1,14 @@
-"""Divergence-theorem residuals with the distance-gradient normal field.
+"""Divergence-theorem residuals with the boundary parametrization's normals.
 
 The volume side takes grad(f) and div(phi) from the exact gradients of the
 field expressions.  The boundary term is computed without boundary traces:
 boundary samples are pushed a sub-cell offset into the domain, and the
 integrand there is taken against the outward normal that the region's
-boundary parametrization declares at the foot point.  That normal is the
-negated gradient of the distance-to-boundary field at the offset point,
-because the offset stays below half the boundary sample spacing and below
-the boundary's reach.  Domains with inner boundaries are handled per
-component with independent reports.
+boundary parametrization declares at the foot point.  The offset stays
+below half the boundary sample spacing and below the boundary's reach, so
+the foot point is the offset point's nearest boundary point; the boundary
+term differentiates no distance field.  Domains with inner boundaries are
+handled per component with independent reports.
 """
 
 from __future__ import annotations
@@ -115,8 +115,8 @@ def _boundary_side(f: ScalarField, phi: VectorField, comp: Region,
 def gg_residual(f: ScalarField, phi: VectorField, Omega: Region,
                 cfg: QuadratureConfig) -> GGReport:
     """Residual of: integral of f div(phi) + phi . grad(f) over Omega equals
-    the boundary term computed on an inner offset layer with the
-    distance-gradient normal field.
+    the boundary term computed on an inner offset layer with the outward
+    normals of the boundary parametrization.
 
     Each boundary sample b with inward unit normal n_in(b) (from the
     region's ``boundary_fn``) is moved to p = b + eps n_in(b), and f phi . nu

@@ -36,8 +36,7 @@ import numpy as np
 from .errors import NotDensityPoint, NotDensitySet
 from .fields import ScalarField
 from .geometry import (DeltaSchedule, QuadratureConfig, Region, as_point,
-                       cloud_distance, kd_tree, point_cloud, row_norm,
-                       shell_lattice)
+                       kd_tree, point_cloud, row_norm, shell_lattice)
 
 Reach = Callable[[np.ndarray], np.ndarray]  # (m, n) -> (m,) distance, inf off Omega
 REFINE_TOP = 3      # lattice samples that seed refinement walks
@@ -136,11 +135,10 @@ def neighborhood_levels(Omega: Region, anchor, sched: DeltaSchedule,
         def dist(p):
             return row_norm(np.atleast_2d(p) - centre)
     else:
-        tree = kd_tree(cloud)  # one tree for the tube lattices of every level
-        distance = functools.cache(lambda: cloud_distance(cloud))
+        tree = kd_tree(cloud)  # one tree for the tube lattices and refinement
 
-        def dist(p):  # only refinement measures distances: build on first use
-            return distance()(p)
+        def dist(p):
+            return tree.query(np.atleast_2d(p), k=1)[0]
 
     def reach(p):
         return np.where(Omega.contains(p), dist(p), np.inf)

@@ -10,8 +10,8 @@ from densilim.density import (concentration_direction, cone_density,
 from densilim.errors import NotDensityPoint, NotDensitySet, PreconditionError
 from densilim.expr import compile_field, compile_region
 from densilim.geometry import (Box, DeltaSchedule, QuadratureConfig, Region,
-                               ball_region, circle_region, cloud_distance,
-                               point_region, segment_region)
+                               ball_region, circle_region, point_region,
+                               segment_region)
 
 CFG = QuadratureConfig(resolution=128)
 PLANE = registry.get_region("plane")
@@ -92,23 +92,38 @@ def test_density_at_circle():
     assert abs(est.point_value - 0.5) <= 1e-2
 
 
+def _counting_trees(monkeypatch):
+    """Patch kd_tree to list the trees built, each with the sizes of its
+    queries made without a distance bound: shell_lattice bounds its cell
+    queries, a refinement walk does not."""
+    trees, original = [], geometry.kd_tree
+
+    class Tree:
+        def __init__(self, cloud):
+            self.tree, self.queried = original(cloud), []
+            trees.append(self)
+
+        def query(self, x, **kwargs):
+            if "distance_upper_bound" not in kwargs:
+                self.queried.append(len(x))
+            return self.tree.query(x, **kwargs)
+
+    monkeypatch.setattr(geometry, "kd_tree", Tree)
+    monkeypatch.setattr(sampling, "kd_tree", Tree)
+    return trees
+
+
 def test_density_at_set_queries_no_lattice_point(monkeypatch):
     # shell_lattice returns the tube's points; the sampler only tests the domain
-    queried = []
-
-    def counting(cloud):
-        dist = cloud_distance(cloud)
-        return lambda p: queried.append(len(p)) or dist(p)
-
-    monkeypatch.setattr(sampling, "cloud_distance", counting)
+    trees = _counting_trees(monkeypatch)
     est = density_at_set(ball_region([0, 0], 1.0), PLANE, circle_region([0, 0], 1.0),
                          DeltaSchedule(0.4, 0.5, 4, 3), QuadratureConfig(resolution=32))
-    assert est.denominator_counts.min() > 0 and sum(queried) == 0
+    assert est.denominator_counts.min() > 0
+    assert len(trees) == 1 and sum(trees[0].queried) == 0
 
 
 def test_tube_levels_share_one_kd_tree(monkeypatch):
-    # one tree serves every level's tube lattice; the distance that
-    # refinement needs is built on its first query only
+    # one tree serves every level's tube lattice and the refinement walks
     built, original = [], geometry.kd_tree
 
     def counting(points):
@@ -123,7 +138,16 @@ def test_tube_levels_share_one_kd_tree(monkeypatch):
     assert len(built) == 1
     segment = segment_region([0, 0], [0.6, 0.0])
     ess_sup_near(compile_field("x1 + x2", 2), PLANE, segment, sched, cfg)
-    assert len(built) == 3
+    assert len(built) == 2
+
+
+def test_ess_sup_near_a_segment_builds_one_kd_tree(monkeypatch):
+    # the refinement walks measure their distances with the tree that the
+    # shell lattices were cut from, not with a second tree of the cloud
+    trees = _counting_trees(monkeypatch)
+    ess_sup_near(compile_field("x1 + x2", 2), PLANE, segment_region([0, 0], [0.6, 0.0]),
+                 DeltaSchedule(0.4, 0.5, 4, 3), QuadratureConfig(resolution=32))
+    assert len(trees) == 1 and sum(trees[0].queried) > 0
 
 
 def test_density_at_unit_circle_on_the_default_schedule():

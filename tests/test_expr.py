@@ -150,3 +150,31 @@ def test_boolean_operand_type_errors():
         parse("x1 + (x2 > 0)", 2)
     with pytest.raises(ExprSyntaxError):
         parse("not x1", 2)
+
+
+def test_constant_exponents_take_numpys_exact_paths():
+    # a constant exponent reaches np.power as a scalar: 2 squares, 0.5 roots
+    rng = np.random.default_rng(17)
+    x = rng.uniform(-1.0, 1.0, (10_000, 1)) * 10.0 ** rng.uniform(-8.0, 8.0, (10_000, 1))
+    square = evaluate(parse("x1^2", 1), x)
+    assert np.array_equal(square.view(np.uint64),
+                          evaluate(parse("x1*x1", 1), x).view(np.uint64))
+    x = np.vstack([np.abs(x), [[0.0], [np.inf]]])
+    root = evaluate(parse("x1^0.5", 1), x)
+    assert np.array_equal(root.view(np.uint64),
+                          evaluate(parse("sqrt(x1)", 1), x).view(np.uint64))
+
+
+@pytest.mark.parametrize("src, dtype", [("2", float), ("2^3^2", float),
+                                        ("true", bool), ("false", bool),
+                                        ("if(true, 1, x1)", float)])
+def test_constant_expressions_give_one_value_per_point(src, dtype):
+    X = np.random.default_rng(3).random((7, 2))
+    out = evaluate(parse(src, 2), X)
+    assert out.shape == (7,) and out.dtype == dtype
+
+
+def test_constant_field_gradient_has_one_row_per_point():
+    X = np.random.default_rng(4).random((7, 2))
+    g = compile_field("2^3", 2).gradient_at(X)
+    assert g.shape == (7, 2) and np.all(g == 0.0)

@@ -430,6 +430,81 @@ def test_parse_inverts_to_source(node):
     assert parse(to_source(node), 2) == node
 
 
+def _scalar(node) -> bool:
+    """Whether the evaluator keeps the node a numpy scalar: a constant built
+    by the exact operations, which it never fills out to the points."""
+    if isinstance(node, (Num, BoolLit)):
+        return True
+    if isinstance(node, Var) or (isinstance(node, Bin) and node.op == "^"):
+        return False
+    if isinstance(node, Call):
+        return (node.name in ("abs", "min", "max", "if")
+                and all(_scalar(a) for a in node.args))
+    kids = (node.arg,) if isinstance(node, (Neg, Not)) else (node.left, node.right)
+    return all(_scalar(k) for k in kids)
+
+
+def _reference(node, X):
+    """The evaluator with every constant an array over the points; only a
+    scalar exponent is passed to np.power as a float."""
+    m = X.shape[0]
+
+    def ev(nd):
+        if isinstance(nd, (Num, BoolLit)):
+            return np.full(m, nd.value)
+        if isinstance(nd, Var):
+            return X[:, nd.index - 1]
+        if isinstance(nd, Neg):
+            return -ev(nd.arg)
+        if isinstance(nd, Not):
+            return ~ev(nd.arg)
+        if isinstance(nd, Call):
+            a = [ev(x) for x in nd.args]
+            return {"abs": lambda: np.abs(a[0]),
+                    "sqrt": lambda: np.where(a[0] >= 0.0, np.sqrt(np.abs(a[0])), np.nan),
+                    "exp": lambda: np.exp(a[0]),
+                    "log": lambda: np.where(a[0] > 0.0, np.log(np.abs(a[0]) + (a[0] <= 0.0)),
+                                            np.nan),
+                    "sin": lambda: np.sin(a[0]), "cos": lambda: np.cos(a[0]),
+                    "atan2": lambda: np.arctan2(a[0], a[1]),
+                    "min": lambda: np.minimum(a[0], a[1]),
+                    "max": lambda: np.maximum(a[0], a[1]),
+                    "if": lambda: np.where(*a)}[nd.name]()
+        a, b = ev(nd.left), ev(nd.right)
+        if isinstance(nd, BoolOp):
+            return (a & b) if nd.op == "and" else (a | b)
+        if isinstance(nd, Cmp):
+            return {"<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b}[nd.op]
+        if nd.op == "/":
+            return np.where(b != 0.0, a / np.where(b != 0.0, b, 1.0), np.nan)
+        if nd.op == "^":
+            return np.power(a, float(b[0]) if _scalar(nd.right) else b)
+        return {"+": np.add, "-": np.subtract, "*": np.multiply}[nd.op](a, b)
+
+    with np.errstate(all="ignore"):
+        return ev(node)
+
+
+EVAL_POINTS = np.array([[u, v] for u in (-2.0, -0.5, -0.0, 0.0, 0.5, 1.0, 3.7)
+                        for v in (-1.0, -0.0, 0.0, 0.25, 2.0)])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(node=trees(), power=st.sampled_from([None, 2.0, 0.5, -1.0, 0.0, 1.0, 3.0]))
+def test_evaluate_is_the_reference_evaluator_bit_for_bit(node, power):
+    # constants are numpy scalars in evaluate; filling them out to arrays
+    # changes no bit except through a scalar exponent's exact numpy paths,
+    # which the drawn power puts on top of the tree
+    if power is not None:
+        node = Bin("^", node, Neg(Num(-power)) if power < 0 else Num(power))
+    X = np.vstack([EVAL_POINTS, np.random.default_rng(23).uniform(-3.0, 3.0, (40, 2))])
+    got, want = evaluate(node, X), _reference(node, X)
+    assert got.shape == want.shape == (X.shape[0],) and got.dtype == want.dtype
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.array_equal(np.where(np.isnan(got), 0.0, got).view(np.uint64),
+                          np.where(np.isnan(want), 0.0, want).view(np.uint64))
+
+
 # ---------------------------------------------------------------------------
 # lockstep refinement
 
