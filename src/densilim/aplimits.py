@@ -38,9 +38,6 @@ class DensityInterval:
         if self.lo > self.hi:
             raise PreconditionError("interval endpoints out of order")
 
-    def contains(self, value: float, tol: float = 0.0) -> bool:
-        return self.lo - tol <= value <= self.hi + tol
-
     def to_json_dict(self) -> dict:
         return {"lo": self.lo, "hi": self.hi,
                 "lo_witness": getattr(self.lo_attained_on, "label", None),

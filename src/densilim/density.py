@@ -19,6 +19,9 @@ from .geometry import (Box, DeltaSchedule, QuadratureConfig, Region, as_point,
                        intersect, lebesgue, point_cloud, row_norm)
 from .sampling import neighborhood_levels
 
+N_DIRS, N_DIRS_3D = 64, 192  # candidate directions of concentration_direction
+ALPHA0 = math.pi / 4.0  # widest cone of its angle ladder, and its score's cone
+
 
 def count_ratio(count: int, den: int) -> float:
     """count/den with complement-symmetric rounding.
@@ -187,7 +190,7 @@ def is_density_set(C: Region, Omega: Region, sched: DeltaSchedule,
 # Cones and directional concentration
 
 
-def cone_region(x, v, alpha: float, dim: int, radius: float = 1e6) -> Region:
+def cone_region(x, v, alpha: float, dim: int) -> Region:
     """Open rotational cone with vertex x, axis v, half-angle alpha."""
     x = as_point(x, dim)
     v = np.asarray(v, dtype=float)
@@ -199,7 +202,8 @@ def cone_region(x, v, alpha: float, dim: int, radius: float = 1e6) -> Region:
         r = row_norm(off)
         return off @ v > r * cos_a  # excludes the vertex: 0 > 0 is false
 
-    return Region(dim, ind, Box(x - radius, x + radius), label=f"cone(a={alpha:g})")
+    # the cone is unbounded: this bbox stands in for R^n
+    return Region(dim, ind, Box(x - 1e6, x + 1e6), label=f"cone(a={alpha:g})")
 
 
 def cone_density(Omega: Region, x, v, alpha: float, sched: DeltaSchedule,
@@ -246,27 +250,27 @@ def unit_directions(n_dirs: int, dim: int) -> np.ndarray:
 
 
 def concentration_direction(Omega: Region, x, sched: DeltaSchedule,
-                            cfg: QuadratureConfig, n_dirs: int | None = None,
-                            alpha0: float = math.pi / 4.0,
+                            cfg: QuadratureConfig,
                             tol: float = Tolerances.limit_tol) -> ConcentrationResult:
     """Direction along which Omega concentrates its mass at x.
 
     Candidates are ranked by cone density aggregated over a ladder of
     shrinking opening angles (a single fixed angle cannot separate
-    directions inside its own plateau); the reported score is the cone
-    density at alpha0 for the winner.  ``unique`` is False when the
-    near-maximal candidates do not form one contiguous angular cluster
-    (isotropy or multiple lobes).
+    directions inside its own plateau) over the schedule's tail window,
+    the only levels sampled; the reported score is the cone density at
+    ALPHA0 for the winner.  ``unique`` is False when the near-maximal
+    candidates do not form one contiguous angular cluster (isotropy or
+    multiple lobes).
     """
     x = as_point(x, Omega.dim)
-    if n_dirs is None:
-        n_dirs = 192 if Omega.dim == 3 else 64
+    n_dirs = N_DIRS_3D if Omega.dim == 3 else N_DIRS
     dirs = unit_directions(n_dirs, Omega.dim)
-    ladder = [alpha0 / (2 ** j) for j in range(4)]
+    ladder = [ALPHA0 / (2 ** j) for j in range(4)]
     cos_ladder = np.array([math.cos(a) for a in ladder])
 
-    per_alpha = np.zeros((len(ladder), len(dirs), sched.steps))
-    for k, lv in enumerate(neighborhood_levels(Omega, x, sched, cfg)):
+    tail = np.zeros((len(ladder), len(dirs), sched.tail_window))
+    first = sched.steps - sched.tail_window
+    for k, lv in enumerate(neighborhood_levels(Omega, x, sched, cfg, first=first)):
         off = lv.points - x
         r = row_norm(off)
         with np.errstate(invalid="ignore"):
@@ -274,23 +278,20 @@ def concentration_direction(Omega: Region, x, sched: DeltaSchedule,
         dots = unit @ dirs.T  # (points, dirs)
         for j, cos_a in enumerate(cos_ladder):
             counts = np.count_nonzero(dots > cos_a, axis=0)
-            per_alpha[j, :, k] = np.array(
+            tail[j, :, k] = np.array(
                 [count_ratio(int(c), lv.count) for c in counts])
 
     # aggregate each direction: mean over the ladder of tail-windowed values
-    tail = per_alpha[:, :, -sched.tail_window:]
     agg = tail.mean(axis=(0, 2))
     best = min((i for i in range(len(dirs)) if agg[i] >= np.max(agg) - tol),
                key=lambda i: tuple(dirs[i]))
     top = np.flatnonzero(agg >= np.max(agg) - tol)
-    unique = _is_contiguous_cap(dirs[top], n_dirs, Omega.dim) and len(top) < len(dirs)
-
-    score_series = per_alpha[0, best, -sched.tail_window:]
-    score = float(score_series[-1])
+    unique = _is_contiguous_cap(dirs[top], n_dirs) and len(top) < len(dirs)
+    score = float(tail[0, best, -1])
     return ConcentrationResult(dirs[best], score, unique, agg, dirs)
 
 
-def _is_contiguous_cap(top_dirs: np.ndarray, n_dirs: int, dim: int) -> bool:
+def _is_contiguous_cap(top_dirs: np.ndarray, n_dirs: int) -> bool:
     """True when the given directions all lie within one small angular cap."""
     if len(top_dirs) == 0:
         return False

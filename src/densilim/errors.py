@@ -48,7 +48,8 @@ class UnboundedNearX(PreconditionError):
 
 
 class AmbiguousNormal(PreconditionError):
-    """Distance-gradient norm below 0.5: point is near the medial axis."""
+    """The nearest boundary samples' mean normal has norm below 0.5: the point
+    is near the medial axis."""
 
 
 class NonLipschitz(DensilimError):

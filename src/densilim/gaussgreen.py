@@ -22,7 +22,7 @@ from .errors import (AmbiguousNormal, NonLipschitzDomain,
                      PreconditionError, RegionsNotDisjoint)
 from .fields import ScalarField, VectorField
 from .geometry import (DeltaSchedule, QuadratureConfig, Region, as_point,
-                       lattice)
+                       lattice, row_norm)
 # scipy's KD tree, loaded on first use; perfbench/tracer.py patches this name
 from .geometry import kd_tree as cKDTree
 from .representative import mean_limit
@@ -51,48 +51,45 @@ class GGReport:
         return d
 
 
-def _boundary_cloud(Omega: Region, m: int) -> np.ndarray:
-    if Omega.boundary_fn is not None:
-        pts, _, _ = Omega.boundary_fn(m)
-        return pts
-    # fall back to indicator transitions on a lattice
-    res = 256
-    pts, _ = lattice(Omega.bbox, res)
-    side = res
-    mask = Omega.contains(pts).reshape((side,) * Omega.dim)
-    if Omega.dim != 2:
-        raise NonLipschitzDomain(
-            "edge detection for predicate regions is only available in 2-d")
-    edge = np.zeros_like(mask)
-    edge[:-1, :] |= mask[:-1, :] != mask[1:, :]
-    edge[:, :-1] |= mask[:, :-1] != mask[:, 1:]
-    cloud = pts.reshape((side, side, 2))[edge]
-    if cloud.shape[0] == 0:
-        raise NonLipschitzDomain("no boundary transitions found on the lattice")
-    return cloud
-
-
 def normal_field(Omega: Region, y, cfg: QuadratureConfig) -> np.ndarray:
-    """Outward unit normal at y as the negated distance-field gradient.
+    """Outward unit normal at an interior y from its nearest boundary samples.
 
-    The gradient is a central difference of the KD distance to a boundary
-    cloud.  Raises AmbiguousNormal when its norm falls below 0.5 (several
-    boundary sheets at comparable distance).
+    The samples of a region with a ``boundary_fn`` carry the outward normals
+    it declares (the negated inward ones); those of a predicate region are
+    the indicator transitions of its bbox lattice at ``cfg.resolution``
+    (2-d only), each with the unit direction from y to it.  The normal is the
+    mean normal of the samples within one lattice cell (max bbox side over
+    the resolution) of the nearest one.  Raises AmbiguousNormal when the norm
+    of that mean falls below 0.5 (boundary pieces at comparable distance).
     """
     y = as_point(y, Omega.dim)
     if not bool(Omega.contains(y[None, :])[0]):
         raise PreconditionError("normal_field expects an interior point")
-    cloud = _boundary_cloud(Omega, 16 * cfg.resolution)
-    tree = cKDTree(cloud)
-    # the step must dominate the cloud scalloping scale
-    spacing = 4.0 * float(np.max(Omega.bbox.sides)) / cloud.shape[0]
-    h = max(4.0 * spacing, 1e-4 * float(np.min(Omega.bbox.sides)))
-    steps = h * np.eye(Omega.dim)
-    grad = (tree.query(y + steps)[0] - tree.query(y - steps)[0]) / (2.0 * h)
-    norm = float(np.linalg.norm(grad))
+    if Omega.boundary_fn is not None:
+        pts, _, inward = Omega.boundary_fn(16 * cfg.resolution)
+        dist = row_norm(pts - y)
+        normals = -inward
+    else:
+        if Omega.dim != 2:
+            raise NonLipschitzDomain(
+                "edge detection for predicate regions is only available in 2-d")
+        res = cfg.resolution
+        grid, _ = lattice(Omega.bbox, res)
+        mask = Omega.contains(grid).reshape(res, res)
+        edge = np.zeros_like(mask)
+        edge[:-1, :] |= mask[:-1, :] != mask[1:, :]
+        edge[:, :-1] |= mask[:, :-1] != mask[:, 1:]
+        pts = grid.reshape(res, res, 2)[edge]
+        if pts.shape[0] == 0:
+            raise NonLipschitzDomain("no boundary transitions found on the lattice")
+        dist = row_norm(pts - y)
+        normals = (pts - y) / dist[:, None]
+    cell = float(np.max(Omega.bbox.sides)) / cfg.resolution
+    mean = normals[dist <= np.min(dist) + cell].mean(axis=0)
+    norm = float(np.linalg.norm(mean))
     if not norm >= 0.5:
-        raise AmbiguousNormal("distance gradient norm below 0.5 at the query")
-    return -grad / norm
+        raise AmbiguousNormal("the nearest boundary normals disagree at the query")
+    return mean / norm
 
 
 def _volume_side(f: ScalarField, phi: VectorField, comp: Region,

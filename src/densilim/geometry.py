@@ -181,14 +181,14 @@ def ball_region(center, radius: float, label: str = "ball") -> Region:
                   boundary_fn=boundary)
 
 
-def point_region(x, pad: float = 1e-9, label: str = "point") -> Region:
+def point_region(x, label: str = "point") -> Region:
     """Single-point null set; the bbox is degenerate at x (cloud bbox rules)."""
     x = as_point(x)
 
     def ind(p):
         return np.all(np.atleast_2d(p) == x, axis=1)
 
-    return Region(x.size, ind, Box(x - pad, x + pad), label=label,
+    return Region(x.size, ind, Box(x, x), label=label,
                   cloud_fn=lambda n: x[None, :])
 
 
@@ -277,8 +277,8 @@ class DeltaSchedule:
         return self.delta0 * self.ratio ** np.arange(self.steps)
 
     @classmethod
-    def default_for(cls, box: Box, steps: int = 12, tail_window: int = 4) -> "DeltaSchedule":
-        return cls(0.5 * float(np.min(box.sides)), 0.5, steps, tail_window)
+    def default_for(cls, box: Box) -> "DeltaSchedule":
+        return cls(0.5 * float(np.min(box.sides)))
 
     def to_json_dict(self) -> dict:
         return {"delta0": self.delta0, "ratio": self.ratio,
@@ -393,8 +393,12 @@ def shell_lattice(cloud: np.ndarray, delta: float, resolution: int,
         sq = d[0] * d[0]  # squared distances, summed in row_norm's column order
         for di in d[1:]:
             sq = np.add.outer(sq, di * di)
-        keep = np.nonzero(np.sqrt(sq) < delta)  # lexicographic, as the lattice
-        return np.stack([a[k] for a, k in zip(axes, keep)], axis=1)
+        keep = np.nonzero(np.sqrt(sq, out=sq) < delta)  # in lattice order
+        del sq
+        out = np.empty((keep[0].size, n))
+        for i, (a, k) in enumerate(zip(axes, keep)):
+            out[:, i] = a[k]
+        return out
     lo = base_lo - delta
     h = 2.0 * delta / resolution
     steps = np.ceil((base_hi + delta - lo) / h) + 1  # lattice points per axis
@@ -512,7 +516,7 @@ def cloud_distance(cloud: np.ndarray):
     return dist
 
 
-def neighborhood(C: Region, delta: float, cfg: QuadratureConfig | None = None) -> Region:
+def neighborhood(C: Region, delta: float, cfg: QuadratureConfig) -> Region:
     """Open delta-neighborhood {y : dist_C(y) < delta} of the set C.
 
     dist_C is the distance to a pre-sampled point cloud of C; the bbox is the
@@ -521,7 +525,6 @@ def neighborhood(C: Region, delta: float, cfg: QuadratureConfig | None = None) -
     """
     if delta <= 0:
         raise PreconditionError("delta must be positive")
-    cfg = cfg or QuadratureConfig()
     cloud = point_cloud(C, cfg)
     dist = cloud_distance(cloud)
     bbox = Box(cloud.min(axis=0), cloud.max(axis=0)).inflate(delta)

@@ -121,6 +121,17 @@ def test_aplim_interval_witnesses(capsys):
     assert rep["result"]["interval"]["hi_witness"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["aplim", "--f", "x1", "--at", "0.3,0.1", "--interval", "--res", "65"],
+    ["density", "--set", "x1>0", "--at-set", "origin", "--res", "65"],
+], ids=["aplim-interval", "density-at-origin"])
+def test_points_are_null_at_odd_resolutions(capsys, argv):
+    # a point's bbox is the point itself, so no lattice point can hit it
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["config"]["quadrature"]["resolution"] == 65
+
+
 def test_syntax_error_exit_code(capsys):
     code = main(["density", "--set", "max(x1,", "--domain", "true",
                  "--at", "0,0"])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from densilim import registry
+from densilim import gaussgreen, geometry, registry
 from densilim.errors import (AmbiguousNormal, NonLipschitzDomain,
                              PreconditionError, RegionsNotDisjoint)
 from densilim.expr import compile_field, compile_region, compile_vector_field
@@ -37,6 +37,42 @@ def test_normal_on_disk_radial():
 def test_normal_ambiguous_at_center():
     with pytest.raises(AmbiguousNormal):
         normal_field(SQUARE, [0.5, 0.5], CFG256)
+
+
+def test_normal_ambiguous_at_disk_center():
+    with pytest.raises(AmbiguousNormal):
+        normal_field(DISK, [0.0, 0.0], CFG256)
+
+
+def test_normal_on_square_diagonal_is_the_mean_of_two_sides():
+    nu = normal_field(SQUARE, [0.1, 0.1], CFG256)
+    assert np.allclose(nu, [-math.sqrt(0.5), -math.sqrt(0.5)], atol=1e-12)
+
+
+def test_normal_of_predicate_region_reads_the_working_resolution():
+    sizes = []
+    disk = compile_region("x1^2 + x2^2 < 1", 2, Box([-1, -1], [1, 1]))
+    indicator = disk.indicator
+
+    def counted(p):
+        sizes.append(p.shape[0])
+        return indicator(p)
+
+    disk.indicator = counted
+    nu = normal_field(disk, [0.8, 0.0], QuadratureConfig(resolution=64))
+    assert sizes == [1, 64 ** 2]
+    assert nu @ np.array([1.0, 0.0]) >= math.cos(math.radians(10.0))
+
+
+def test_normal_builds_no_kd_tree(monkeypatch):
+    def no_tree(points):
+        raise AssertionError("normal_field built a KD tree")
+
+    monkeypatch.setattr(gaussgreen, "cKDTree", no_tree)
+    monkeypatch.setattr(geometry, "kd_tree", no_tree)
+    disk = compile_region("x1^2 + x2^2 < 1", 2, Box([-1, -1], [1, 1]))
+    for region, y in ((SQUARE, [0.5, 0.1]), (DISK, [0.6, 0.0]), (disk, [0.8, 0.0])):
+        normal_field(region, y, CFG256)
 
 
 def test_normal_on_predicate_region_via_edge_detection():

@@ -35,7 +35,7 @@ PROPERTY = settings(max_examples=15, deadline=None, derandomize=True,
 coord = st.floats(-0.5, 0.5, allow_nan=False)
 points = st.tuples(coord, coord).map(np.array)
 angles = st.floats(0.0, 2.0 * math.pi, allow_nan=False)
-grids = st.tuples(st.sampled_from([8, 16, 32]),          # resolution
+grids = st.tuples(st.sampled_from([8, 15, 16, 32]),      # resolution
                   st.floats(0.1, 1.0, allow_nan=False),  # delta0
                   st.integers(2, 6))                     # steps
 
