@@ -22,8 +22,8 @@ from .density import unit_directions
 from .errors import NonLipschitz, PreconditionError, SupportMismatch
 from .fields import ScalarField
 from .geometry import (DeltaSchedule, QuadratureConfig, Region, as_point,
-                       ball_window, row_norm)
-from .sampling import _primes, neighborhood_levels, refine_extremum
+                       ball_window, irrational_fractions, row_norm)
+from .sampling import neighborhood_levels, refine_extremum
 
 GROWTH = 1.25  # least growth per tail level of the quotient sups of a non-Lipschitz f
 STEPS = 16     # quotient steps t: the midpoint grid of (0, delta) with STEPS cells
@@ -40,9 +40,9 @@ def probe_directions(dim: int) -> np.ndarray:
 
 def _balls(x: np.ndarray, sched: DeltaSchedule, cfg: QuadratureConfig, first: int):
     """The lattice balls from schedule level ``first`` on, coarse to fine,
-    around x moved by frac(sqrt(p_i)) finest cells along axis i (p_i the
-    i-th prime; with 1 these are independent over the rationals)."""
-    phi = np.sqrt(_primes(x.size)) % 1.0
+    around x moved by ``irrational_fractions`` of a finest cell along
+    each axis."""
+    phi = irrational_fractions(x.size)
     anchor = x + phi * (2.0 * float(sched.deltas[-1]) / cfg.resolution)
     space = Region(x.size, lambda p: np.ones(p.shape[0], dtype=bool),
                    ball_window(anchor, sched.delta0), label=f"R^{x.size}")

@@ -14,9 +14,9 @@ from typing import Optional
 import numpy as np
 
 from .config import Tolerances
-from .errors import NotDensitySet, PreconditionError
+from .errors import EmptyRegion, NotDensitySet, PreconditionError
 from .geometry import (Box, DeltaSchedule, QuadratureConfig, Region, as_point,
-                       intersect, lebesgue, point_cloud, row_norm)
+                       intersect, irrational_fractions, lebesgue, row_norm)
 from .sampling import neighborhood_levels
 
 N_DIRS, N_DIRS_3D = 64, 192  # candidate directions of concentration_direction
@@ -134,11 +134,19 @@ def density_at_point(A: Region, Omega: Region, x, sched: DeltaSchedule,
 
 
 def null_within(C: Region, Omega: Region, cfg: QuadratureConfig) -> int:
-    """Lattice hits of C & Omega over their common bbox (0 means null set)."""
-    inter_box = C.bbox.intersect(Omega.bbox)
-    if inter_box.is_degenerate():
+    """Lattice hits of C & Omega over their common bbox (0 means null set).
+
+    Each cell of the bbox is sampled at the ``irrational_fractions`` of
+    its sides instead of its midpoint: the midpoints lie on the diagonals
+    of the bbox, so an oblique segment from corner to corner would read as
+    fat.
+    """
+    box = C.bbox.intersect(Omega.bbox)
+    if box.is_degenerate():
         return 0
-    return lebesgue(intersect(C, Omega), inter_box, cfg).hits
+    shift = (irrational_fractions(box.dim) - 0.5) * box.sides / cfg.resolution
+    return lebesgue(intersect(C, Omega), Box(box.lo + shift, box.hi + shift),
+                    cfg).hits
 
 
 def require_null(C: Region, Omega: Region, cfg: QuadratureConfig) -> None:
@@ -173,12 +181,10 @@ def is_density_set(C: Region, Omega: Region, sched: DeltaSchedule,
         return DensitySetReport(False, null_hits, hits,
                                 failed="lambda(C & Omega) > 0 at working resolution")
     try:
-        point_cloud(C, cfg)  # a set without samples is a verdict, not an error
-    except PreconditionError as exc:
-        return DensitySetReport(False, 0, hits, failed=str(exc))
-    try:
         for k, lv in enumerate(neighborhood_levels(Omega, C, sched, cfg)):
             hits[k] = lv.count
+    except EmptyRegion as exc:  # a set without samples is a verdict, not an error
+        return DensitySetReport(False, 0, hits, failed=str(exc))
     except NotDensitySet:
         bad = sched.deltas[int(np.argmax(hits == 0))]
         return DensitySetReport(False, 0, hits,

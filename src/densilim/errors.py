@@ -20,7 +20,7 @@ class DimensionMismatch(PreconditionError):
 
 
 class EmptyRegion(PreconditionError):
-    """No sample of the region was found at maximum probing resolution."""
+    """The region declares no sample generator, so it has no point cloud."""
 
 
 class NotDensityPoint(PreconditionError):

@@ -22,7 +22,7 @@ from .errors import (AmbiguousNormal, NonLipschitzDomain,
                      PreconditionError, RegionsNotDisjoint)
 from .fields import ScalarField, VectorField
 from .geometry import (DeltaSchedule, QuadratureConfig, Region, as_point,
-                       lattice, row_norm)
+                       intersect, lattice, row_norm)
 # scipy's KD tree, loaded on first use; perfbench/tracer.py patches this name
 from .geometry import kd_tree as cKDTree
 from .representative import mean_limit
@@ -165,8 +165,9 @@ def vanishing_functional_demo(f: ScalarField, x, E1: Region, E2: Region,
     """Difference of concentrating means of f along two disjoint approach
     sets at x; vanishes for f continuous at x.
 
-    Both sets must carry positive measure in every ball around x; the two
-    ball-mean limits are extrapolated to delta = 0 and subtracted.
+    The means are taken over E_i & Omega, which must carry positive measure
+    in every ball around x (NotDensityPoint otherwise); the two ball-mean
+    limits are extrapolated to delta = 0 and subtracted.
     """
     x = as_point(x, Omega.dim)
     inter = E1.bbox.intersect(E2.bbox)
@@ -175,6 +176,6 @@ def vanishing_functional_demo(f: ScalarField, x, E1: Region, E2: Region,
         if bool(np.any(E1.contains(pts) & E2.contains(pts))):
             raise RegionsNotDisjoint(
                 f"{E1.label!r} and {E2.label!r} overlap on the sample lattice")
-    m2 = mean_limit(f, E2, x, sched, cfg)
-    m1 = mean_limit(f, E1, x, sched, cfg)
+    m2 = mean_limit(f, intersect(E2, Omega), x, sched, cfg)
+    m1 = mean_limit(f, intersect(E1, Omega), x, sched, cfg)
     return m2.estimate.extrapolate() - m1.estimate.extrapolate()

@@ -2,15 +2,16 @@
 
 A region is a measurable subset of R^n given by a vectorized boolean
 predicate plus a bounding box.  Null sets (points, curves) additionally
-declare an explicit sample generator, since rejection sampling cannot
-find them.  Every measure estimate counts region membership on a midpoint
-grid lattice, so it is deterministic given the quadrature configuration.
+declare an explicit sample generator, their only point cloud, since a
+lattice almost never meets them.  Every measure estimate counts region
+membership on a midpoint grid lattice, so it is deterministic given the
+quadrature configuration.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -70,10 +71,6 @@ class Box:
     def volume(self) -> float:
         return float(np.prod(self.sides))
 
-    @property
-    def center(self) -> np.ndarray:
-        return 0.5 * (self.lo + self.hi)
-
     def inflate(self, pad: float) -> "Box":
         return Box(self.lo - pad, self.hi + pad)
 
@@ -96,10 +93,10 @@ class Region:
     """Predicate-defined subset of R^n with a bounding box.
 
     ``cloud_fn(n)`` returns >= 1 points on the region and must be supplied
-    for null sets.  ``boundary_fn(m)`` returns (points, arc weights, inward
-    unit normals) and enables boundary quadrature on Lipschitz primitives:
-    the Gauss-Green boundary side integrates against the negated inward
-    normals.
+    for null sets: it is their only point cloud.  ``boundary_fn(m)``
+    returns (points, arc weights, inward unit normals) and enables boundary
+    quadrature on Lipschitz primitives: the Gauss-Green boundary side
+    integrates against the negated inward normals.
     ``components`` lists subdomains treated separately by the divergence
     checks (domains with inner boundaries).
     """
@@ -111,7 +108,6 @@ class Region:
     cloud_fn: Optional[Callable[[int], np.ndarray]] = None
     boundary_fn: Optional[Callable[[int], tuple]] = None
     components: Optional[list] = None
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.bbox.dim != self.dim:
@@ -335,6 +331,28 @@ def lattice(window: Box, resolution: int) -> tuple[np.ndarray, float]:
     return pts, cellvol
 
 
+def _primes(k: int) -> list:
+    out = []
+    c = 2
+    while len(out) < k:
+        if all(c % p for p in out):
+            out.append(c)
+        c += 1
+    return out
+
+
+def irrational_fractions(dim: int) -> np.ndarray:
+    """frac(sqrt(p_i)) for the first ``dim`` primes p_i.
+
+    With 1 they are independent over the rationals, so a lattice moved by
+    these fractions of a cell along each axis (or by these fractions less
+    one half) has no point on a line of rational slope, in cell units,
+    through a point of the unmoved lattice: none on the diagonals of its
+    window, none on a kink through its centre.
+    """
+    return np.sqrt(_primes(dim)) % 1.0
+
+
 def ball_window(x, delta: float) -> Box:
     """Bounding box [x - delta, x + delta]^n of the ball B_delta(x)."""
     if delta <= 0:
@@ -472,30 +490,17 @@ def lebesgue(region: Region, window: Box, cfg: QuadratureConfig) -> MeasureEstim
 # Point clouds, distance fields, neighborhoods
 
 
-def point_cloud(region: Region, cfg: QuadratureConfig) -> np.ndarray:
-    """Sample points of the region (declared generator or rejection lattice)."""
-    key = ("cloud", cfg.resolution)
-    if key in region._cache:
-        return region._cache[key]
-    if region.cloud_fn is not None:
-        cloud = np.atleast_2d(np.asarray(region.cloud_fn(CLOUD_SIZE), dtype=float))
-        cloud = np.unique(cloud, axis=0)  # duplicates degenerate the KD-tree
-    else:
-        cloud = None
-        res = max(cfg.resolution, 64)
-        while res <= 1024:
-            pts, _ = lattice(region.bbox, res)
-            mask = region.contains(pts)
-            if np.any(mask):
-                cloud = pts[mask]
-                break
-            res *= 2
-        if cloud is None:
-            raise EmptyRegion(
-                f"no sample of region {region.label!r} found up to resolution 1024; "
-                "null sets must declare an explicit sample generator")
-    region._cache[key] = cloud
-    return cloud
+def point_cloud(region: Region) -> np.ndarray:
+    """The points ``region.cloud_fn(CLOUD_SIZE)`` declares, in their order.
+
+    Raises EmptyRegion, without sampling anything, for a region that
+    declares no generator: a lattice almost never meets a null set.
+    """
+    if region.cloud_fn is None:
+        raise EmptyRegion(
+            f"region {region.label!r} declares no sample generator; "
+            "null sets must declare one")
+    return np.atleast_2d(np.asarray(region.cloud_fn(CLOUD_SIZE), dtype=float))
 
 
 def kd_tree(points: np.ndarray):
@@ -516,18 +521,17 @@ def cloud_distance(cloud: np.ndarray):
     return dist
 
 
-def neighborhood(C: Region, delta: float, cfg: QuadratureConfig) -> Region:
+def neighborhood(C: Region, delta: float) -> Region:
     """Open delta-neighborhood {y : dist_C(y) < delta} of the set C.
 
-    dist_C is the distance to a pre-sampled point cloud of C; the bbox is the
-    cloud bbox inflated by delta, so neighborhoods of the same set nest
-    exactly across deltas.
+    dist_C is the distance to C's declared point cloud (``point_cloud``);
+    the bbox is the cloud bbox inflated by delta, so neighborhoods of the
+    same set nest exactly across deltas.
     """
     if delta <= 0:
         raise PreconditionError("delta must be positive")
-    cloud = point_cloud(C, cfg)
+    cloud = point_cloud(C)
     dist = cloud_distance(cloud)
     bbox = Box(cloud.min(axis=0), cloud.max(axis=0)).inflate(delta)
     return Region(C.dim, lambda p: dist(p) < delta, bbox,
                   label=f"nbhd({C.label},{delta:g})")
-

@@ -181,11 +181,8 @@ def get_region(name: str) -> Region:
     return e.build()
 
 
-def clarke_fields(dim: Optional[int] = None) -> list:
-    out = names(kind="field", tag="clarke")
-    if dim is not None:
-        out = [n for n in out if entry(n).dim == dim]
-    return out
+def clarke_fields() -> list:
+    return names(kind="field", tag="clarke")
 
 
 def calculus_pairs() -> list:

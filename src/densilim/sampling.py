@@ -35,8 +35,8 @@ import numpy as np
 
 from .errors import NotDensityPoint, NotDensitySet
 from .fields import ScalarField
-from .geometry import (DeltaSchedule, QuadratureConfig, Region, as_point,
-                       kd_tree, point_cloud, row_norm, shell_lattice)
+from .geometry import (DeltaSchedule, QuadratureConfig, Region, _primes,
+                       as_point, kd_tree, point_cloud, row_norm, shell_lattice)
 
 Reach = Callable[[np.ndarray], np.ndarray]  # (m, n) -> (m,) distance, inf off Omega
 REFINE_TOP = 3      # lattice samples that seed refinement walks
@@ -117,7 +117,7 @@ def neighborhood_levels(Omega: Region, anchor, sched: DeltaSchedule,
     level that carries no lattice point of the domain.
     """
     if isinstance(anchor, Region):
-        cloud = point_cloud(anchor, cfg)
+        cloud = point_cloud(anchor)
 
         def vanished(d):
             return NotDensitySet(f"neighborhood of {anchor.label!r} at delta={d:g} "
@@ -129,7 +129,8 @@ def neighborhood_levels(Omega: Region, anchor, sched: DeltaSchedule,
             return NotDensityPoint(f"measure of domain ball at delta={d:g} "
                                    f"vanished at resolution {cfg.resolution}")
     tree = None
-    if cloud.shape[0] == 1:  # a KD tree of one point gives the same distances
+    # one point, however often declared: a KD tree of it gives the same distances
+    if np.all(cloud.min(axis=0) == cloud.max(axis=0)):
         centre = cloud[0]
 
         def dist(p):
@@ -233,16 +234,6 @@ def _sub_offsets(n: int) -> np.ndarray:
     axes = [np.linspace(-1.0, 1.0, 5)] * n
     grids = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)
-
-
-def _primes(k: int) -> list:
-    out = []
-    c = 2
-    while len(out) < k:
-        if all(c % p for p in out):
-            out.append(c)
-        c += 1
-    return out
 
 
 # halton and halton_ball: read only by perfbench/tracer.py, which wraps them

@@ -111,6 +111,16 @@ def test_demo_vanishing_subcommand(capsys):
     assert abs(rep["result"]["value"]) <= 1e-3
 
 
+def test_demo_vanishing_reads_its_domain(capsys):
+    # the unit square holds no point of the left cusp
+    code = main(["demo-vanishing", "--f", "x1 + 2*x2 + 0.3",
+                 "--e1", "demo_cusp_left", "--e2", "demo_cusp_right",
+                 "--domain", "unit_square", "--at", "0,0",
+                 "--schedule", "0.5,0.5,7,4", "--res", "64"])
+    assert code == 2
+    assert "NotDensityPoint" in capsys.readouterr().err
+
+
 def test_aplim_interval_witnesses(capsys):
     code, out = run_cli(capsys, "aplim", "--f", "if(x2>0, 1, 0)",
                         "--at", "0,0", "--domain", "plane", "--interval")

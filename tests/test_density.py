@@ -6,7 +6,8 @@ import pytest
 from densilim import geometry, registry, sampling
 from densilim.aplimits import ess_sup_near
 from densilim.density import (concentration_direction, cone_density,
-                              density_at_point, density_at_set, is_density_set)
+                              density_at_point, density_at_set, is_density_set,
+                              null_within)
 from densilim.errors import NotDensityPoint, NotDensitySet, PreconditionError
 from densilim.expr import compile_field, compile_region
 from densilim.geometry import (Box, DeltaSchedule, QuadratureConfig, Region,
@@ -167,6 +168,15 @@ def test_density_at_point_set_consistency():
     assert np.max(np.abs(e_set.values - e_pt.values)) <= 1e-9
 
 
+def test_degenerate_segment_is_its_point(monkeypatch):
+    # 4096 copies of one point take the one-point ball path, with no KD tree
+    trees = _counting_trees(monkeypatch)
+    hp, sched = region("x2 > 0.1"), DeltaSchedule(0.4, 0.5, 4, 3)
+    e_set = density_at_set(hp, PLANE, segment_region([0.3, 0.2], [0.3, 0.2]), sched, CFG)
+    e_pt = density_at_point(hp, PLANE, [0.3, 0.2], sched, CFG)
+    assert np.array_equal(e_set.values, e_pt.values) and not trees
+
+
 def test_density_at_segment():
     # oracle: stadium halves split by the segment axis; caps vanish with delta
     C = segment_region([0, 0], [1, 0])
@@ -186,6 +196,24 @@ def test_is_density_set_examples():
                     Box([-1, -1], [1, 1]), label="closed_disk")
     rep = is_density_set(closed, disk, sched, CFG)
     assert not rep.is_density_set and "lambda(C & Omega)" in rep.failed
+
+
+def test_oblique_segment_is_null_and_disk_is_not():
+    # the bbox's midpoint lattice puts 22/17/48/97 points on this segment
+    segment = segment_region([0, 0], [0.6, 0.8])
+    for res in (32, 33, 64, 128):
+        assert null_within(segment, PLANE, QuadratureConfig(resolution=res)) == 0
+    rep = is_density_set(ball_region([0, 0], 1.0), PLANE, DeltaSchedule(0.4, 0.5, 2, 2),
+                         QuadratureConfig(resolution=32))
+    assert not rep.is_density_set and rep.null_measure_hits == 805
+
+
+def test_line_without_generator_is_refused_by_name():
+    # null at every resolution, yet without declared samples it has no cloud
+    line = compile_region("x1 >= x2 and x1 <= x2", 2, Box([-1, -1], [1, 1]))
+    rep = is_density_set(line, PLANE, DeltaSchedule(0.4, 0.5, 3, 2), CFG)
+    assert not rep.is_density_set and rep.null_measure_hits == 0
+    assert "declares no sample generator" in rep.failed
 
 
 def test_density_at_set_rejects_fat_sets():

@@ -4,10 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from densilim import geometry
 from densilim.errors import (DimensionMismatch, EmptyRegion, EmptyWindow,
                              PreconditionError)
-from densilim.geometry import (Box, DeltaSchedule, QuadratureConfig, Region,
-                               ball_region, ball_window, box_region,
+from densilim.geometry import (CLOUD_SIZE, Box, DeltaSchedule, QuadratureConfig,
+                               Region, ball_region, ball_window, box_region,
                                circle_region, lattice, lebesgue, neighborhood,
                                point_cloud, point_region, segment_region,
                                shell_lattice, union, intersect)
@@ -101,8 +102,8 @@ def test_ball_window_examples():
 
 def test_neighborhood_of_point_is_ball():
     x = np.array([0.25, -0.5])
-    assert np.array_equal(point_cloud(point_region(x), GRID64), x[None, :])
-    nb = neighborhood(point_region([0.0, 0.0]), 0.3, GRID64)
+    assert np.array_equal(point_cloud(point_region(x)), x[None, :])
+    nb = neighborhood(point_region([0.0, 0.0]), 0.3)
     probes = np.array([[0.0, 0.0], [0.29, 0.0], [0.0, -0.29], [0.31, 0.0],
                        [0.25, 0.25]])
     inside = nb.contains(probes)
@@ -110,7 +111,7 @@ def test_neighborhood_of_point_is_ball():
 
 
 def test_neighborhood_of_circle_is_annulus():
-    nb = neighborhood(circle_region([0, 0], 1.0), 0.1, GRID64)
+    nb = neighborhood(circle_region([0, 0], 1.0), 0.1)
     probes = np.array([[0.95, 0.0], [0.0, 1.05], [0.0, 0.0], [0.85, 0.0],
                        [1.2, 0.0]])
     assert list(nb.contains(probes)) == [True, True, False, False, False]
@@ -118,15 +119,15 @@ def test_neighborhood_of_circle_is_annulus():
 
 def test_stadium_area():
     # oracle: rectangle 2*delta*len plus two half-disk caps, pi*delta^2
-    nb = neighborhood(segment_region([0, 0], [1, 0]), 0.2, GRID64)
+    nb = neighborhood(segment_region([0, 0], [1, 0]), 0.2)
     est = lebesgue(nb, nb.bbox, QuadratureConfig(resolution=512))
     assert abs(est.value - (0.4 + math.pi * 0.04)) <= 2e-3
 
 
 def test_neighborhood_nesting():
     C = segment_region([0, 0], [1, 0])
-    n1 = neighborhood(C, 0.1, GRID64)
-    n2 = neighborhood(C, 0.2, GRID64)
+    n1 = neighborhood(C, 0.1)
+    n2 = neighborhood(C, 0.2)
     pts, _ = lattice(n2.bbox, 64)
     m1 = n1.contains(pts)
     m2 = n2.contains(pts)
@@ -137,7 +138,28 @@ def test_empty_region_detection():
     never = Region(2, lambda p: np.zeros(p.shape[0], dtype=bool),
                    Box([0, 0], [1, 1]), label="never")
     with pytest.raises(EmptyRegion):
-        neighborhood(never, 0.1, GRID64)
+        neighborhood(never, 0.1)
+
+
+def test_region_without_generator_lays_no_lattice(monkeypatch):
+    # a null set's only cloud is the one it declares
+    def refuse(*args):
+        raise AssertionError("lattice laid")
+
+    monkeypatch.setattr(geometry, "lattice", refuse)
+    line = Region(2, lambda p: p[:, 0] == p[:, 1], Box([-1, -1], [1, 1]),
+                  label="diagonal")
+    with pytest.raises(EmptyRegion, match="declares no sample generator"):
+        point_cloud(line)
+
+
+def test_point_cloud_is_the_declared_points_in_order():
+    declared = np.array([[0.5, 0.0], [-1.0, 2.0], [0.5, 0.0], [0.25, -3.0]])
+    C = Region(2, lambda p: np.zeros(p.shape[0], dtype=bool),
+               Box([-1, -3], [0.5, 2]), cloud_fn=lambda n: declared)
+    assert np.array_equal(point_cloud(C), declared)
+    circle = circle_region([0, 0], 1.0)
+    assert np.array_equal(point_cloud(circle), circle.cloud_fn(CLOUD_SIZE))
 
 
 def test_delta_schedule_validation():
@@ -174,13 +196,13 @@ def _refused_peak_mb(cloud, delta, res, match="budget of 2\\^24") -> float:
 
 def test_tube_budget_refuses_tiny_delta_on_unit_circle():
     # about 1.3e8 lattice points lie in its tube
-    cloud = point_cloud(circle_region([0, 0], 1.0), GRID64)
+    cloud = point_cloud(circle_region([0, 0], 1.0))
     assert _refused_peak_mb(cloud, 1e-4, 64) < 64
 
 
 def test_tube_budget_refuses_3d_unit_segment_at_res_128():
     # about 3.2e7 lattice points lie in its tube
-    cloud = point_cloud(segment_region([0, 0, 0], np.ones(3) / math.sqrt(3)), GRID64)
+    cloud = point_cloud(segment_region([0, 0, 0], np.ones(3) / math.sqrt(3)))
     assert _refused_peak_mb(cloud, 1 / 64, 128) < 64
 
 

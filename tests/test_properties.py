@@ -14,16 +14,18 @@ from scipy.stats import qmc
 from densilim.aplimits import ap_liminf, ap_limsup, ess_inf_near, ess_sup_near
 from densilim import registry
 from densilim.clarke import gen_gradient
-from densilim.density import cone_region, density_at_point, density_at_set
+from densilim.density import (cone_region, density_at_point, density_at_set,
+                              is_density_set)
 from densilim.errors import PreconditionError
 from densilim.expr import (BoolLit, BoolOp, Bin, Call, Cmp, Neg, Not, Num, Var,
                            compile_field, compile_region, compile_vector_field,
                            derivative, evaluate, parse, to_source)
 from densilim.gaussgreen import gg_residual
-from densilim.geometry import (Box, DeltaSchedule, QuadratureConfig,
+from densilim.geometry import (Box, DeltaSchedule, QuadratureConfig, Region,
                                ball_region, ball_window, box_region,
                                circle_region, cloud_distance, complement,
-                               lattice, point_region, row_norm, shell_lattice)
+                               lattice, point_region, row_norm, segment_region,
+                               shell_lattice)
 from densilim.representative import mean_limit
 from densilim.sampling import (REFINE_LEVELS, halton, neighborhood_levels,
                                refine_extremum)
@@ -196,6 +198,58 @@ def test_shell_lattice_is_the_kd_tube(drawn, res):
     cloud, delta = drawn
     assert np.array_equal(shell_lattice(cloud, delta, res),
                           _tube_reference(cloud, delta, res))
+
+
+def _declared(cloud):
+    """A null set whose only samples are the given rows."""
+    return Region(cloud.shape[1], lambda p: np.zeros(p.shape[0], dtype=bool),
+                  Box(cloud.min(axis=0), cloud.max(axis=0)), cloud_fn=lambda m: cloud)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(drawn=tube_clouds(), res=st.sampled_from([3, 8, 17]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_cloud_order_changes_no_bit(drawn, res, seed):
+    # point_cloud keeps the declared order; nothing downstream may read it
+    cloud, delta = drawn
+    shuffled = cloud[np.random.default_rng(seed).permutation(cloud.shape[0])]
+    assert np.array_equal(shell_lattice(cloud, delta, res),
+                          shell_lattice(shuffled, delta, res))
+    n = cloud.shape[1]
+    box = Box(cloud.min(axis=0) - 3.0 * delta, cloud.max(axis=0) + 3.0 * delta)
+    space = compile_region("true", n, box)
+    A = compile_region(f"x1 > {float(cloud[0, 0])!r}", n, box)
+    f = compile_field(f"x1 - x{n}^2", n)
+    sched, cfg = DeltaSchedule(delta, 0.5, 2, 2), QuadratureConfig(resolution=res)
+    C, D = _declared(cloud), _declared(shuffled)
+    a = density_at_set(A, space, C, sched, cfg)
+    b = density_at_set(A, space, D, sched, cfg)
+    assert np.array_equal(a.numerator_counts, b.numerator_counts)
+    assert np.array_equal(a.denominator_counts, b.denominator_counts)
+    assert np.array_equal(a.values, b.values)
+    assert np.array_equal([ess_sup_near(f, space, C, sched, cfg)],
+                          [ess_sup_near(f, space, D, sched, cfg)])
+
+
+@st.composite
+def oblique_segments(draw):
+    """A 2-d or 3-d segment in [-1.5, 1.5]^n, no side of its bbox below 0.05."""
+    n = draw(st.sampled_from([2, 3]))
+    a = np.array(draw(st.lists(coord, min_size=n, max_size=n)))
+    side = st.floats(0.05, 1.0).flatmap(lambda t: st.sampled_from([-t, t]))
+    return segment_region(a, a + np.array(draw(st.lists(side, min_size=n, max_size=n))))
+
+
+@settings(max_examples=24, deadline=None, derandomize=True, database=None)
+@given(segment=oblique_segments(), res=st.sampled_from([32, 33]))
+def test_oblique_segments_are_density_sets(segment, res):
+    # the midpoint lattice of a segment's bbox has points on the segment;
+    # the null test must not count them
+    n = segment.dim
+    space = compile_region("true", n, Box(-2.0 * np.ones(n), 2.0 * np.ones(n)))
+    rep = is_density_set(segment, space, DeltaSchedule(2.0, 0.5, 2, 2),
+                         QuadratureConfig(resolution=res))
+    assert rep.is_density_set and rep.null_measure_hits == 0
 
 
 # the estimators' seeds: cfg.seed + k, + 1000 + k and + 2000 + k
