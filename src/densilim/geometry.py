@@ -10,6 +10,7 @@ quadrature configuration.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -21,6 +22,7 @@ from .errors import DimensionMismatch, EmptyRegion, EmptyWindow, PreconditionErr
 Indicator = Callable[[np.ndarray], np.ndarray]  # (m, n) float -> (m,) bool
 CLOUD_SIZE = 4096  # points asked of a region's declared sample generator
 LATTICE_BUDGET = 2 ** 24  # points one lattice or tube lattice may hold
+TUBE_GROUP = 2 ** 20  # tube points expanded, sorted and decoded at a time
 
 
 def as_point(x, dim: int | None = None) -> np.ndarray:
@@ -368,6 +370,15 @@ def _index_grid(counts) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
+@functools.lru_cache(maxsize=32)
+def _cube(size: int, n: int) -> np.ndarray:
+    """``_index_grid((size,) * n)``, read-only: the offsets of an aligned
+    cell's points, or with size 2 of a split cell's children."""
+    out = _index_grid((size,) * n)
+    out.flags.writeable = False
+    return out
+
+
 def shell_lattice(cloud: np.ndarray, delta: float, resolution: int,
                   tree=None) -> np.ndarray:
     """The lattice points of the delta-tube around a cloud.
@@ -384,11 +395,23 @@ def shell_lattice(cloud: np.ndarray, delta: float, resolution: int,
     dropped and one within delta minus its half-diagonal is inside whole,
     so a thin tube around a long structure costs its own size, not its
     bbox's, and only points near the tube's boundary are queried.
+    Witnesses spare most of those queries: a split cell hands the cloud
+    point nearest its centre to its children, and below 8 dimensions a
+    child that the ``row_norm`` distance to that point already puts inside
+    whole is kept without a query.  There KD distances are ``row_norm``'s
+    bits, so the KD minimum is at most the witnessed distance and the query
+    would have kept the child whole too: the kept, split and dropped cells
+    are those of querying every cell.
     ``tree``, a ``kd_tree`` of the cloud, saves building one per call when
     the same cloud is queried at several deltas.  Raises PreconditionError,
     before allocating them, when the tube points found plus the points of
     the cells left to split, counted as at most base**n per cell, exceed
     LATTICE_BUDGET, and when the bbox lattice outgrows int64 indices.
+    The search records each whole cell as its corner key and size.  The
+    output is allocated once, and the cells' points are expanded, sorted
+    and decoded in groups of whole top-level slabs along axis 0, of at most
+    TUBE_GROUP points unless one slab holds more, so beside the output a
+    tube holds the cells and one group's keys, never a key per point.
 
     A degenerate (single-point) cloud x gives the ball's points of its
     window lattice, those with ``row_norm(pts - x) < delta``, refused like
@@ -432,21 +455,33 @@ def shell_lattice(cloud: np.ndarray, delta: float, resolution: int,
     size = base
     while math.prod((-(-steps // size)).tolist()) > 4096:
         size *= 2
+    top = size
     # rounding of coordinates and distances: cells this close to a cut are
     # split further, so the result equals a query of every point
     scale = float(np.max(np.abs(np.concatenate([lo, base_hi + delta]))))
     slack = 1e-9 * delta + 8.0 * math.sqrt(n) * np.finfo(float).eps * scale
     if tree is None:
         tree = kd_tree(cloud)
-    corner, found, keys = _index_grid(-(-steps // size)) * size, 0, []
+    corner, near = _index_grid(-(-steps // size)) * size, None
+    found, cells = 0, []  # cells: (sorted corner keys, size) of whole cells
     while corner.shape[0]:
         half = 0.5 * (size - 1) * h * math.sqrt(n)  # centre to the farthest point
         reach = delta + half + slack
-        dc, _ = tree.query(lo + (corner + 0.5 * size) * h, distance_upper_bound=reach)
-        # a single point's query is its own KD distance
-        whole = dc < delta if size == 1 else dc + half < delta - slack
+        # a single point (half 0) is inside when its KD distance is below delta
+        cut = delta if size == 1 else delta - slack
+        centre = lo + (corner + 0.5 * size) * h
+        if near is None:
+            dc, near = tree.query(centre, distance_upper_bound=reach)
+        else:  # the witness's distance is at least the KD distance
+            dc = row_norm(centre - cloud[near])
+            ask = dc + half >= cut
+            if np.any(ask):
+                dc[ask], near[ask] = tree.query(centre[ask],
+                                                distance_upper_bound=reach)
+        whole = dc + half < cut
         split = (dc < reach) & ~whole & (size > 1)
-        found += np.count_nonzero(whole) * size ** n
+        # Python ints: a top-level cell may hold 2^63 points or more
+        found += int(np.count_nonzero(whole)) * size ** n
         # a cell left counts its points, at most base**n of them
         count = found + np.count_nonzero(split) * min(size, base) ** n
         if count > LATTICE_BUDGET:
@@ -454,18 +489,34 @@ def shell_lattice(cloud: np.ndarray, delta: float, resolution: int,
                 f"{count} tube points and points of the cells left to split "
                 "exceed the budget of 2^24; raise delta or lower the resolution")
         if np.any(whole):
-            keys.append(((corner[whole] @ stride)[:, None]
-                         + _index_grid([size] * n) @ stride).ravel())
+            cells.append((np.sort(corner[whole] @ stride), size))
         size //= 2
-        corner = (corner[split][:, None, :]
-                  + _index_grid([2] * n) * size).reshape(-1, n)
-    key = np.concatenate(keys) if keys else np.empty(0, dtype=np.int64)
-    del keys
-    key.sort()
-    out = np.empty((key.size, n))
-    for i in range(n):
-        k, key = np.divmod(key, stride[i])
-        out[:, i] = lo[i] + (k + 0.5) * h
+        corner = (corner[split][:, None, :] + _cube(2, n) * size).reshape(-1, n)
+        near = np.repeat(near[split], 2 ** n) if n < 8 else None
+    out = np.empty((found, n))
+    slab = [keys // stride[0] // top for keys, _ in cells]  # top-level, axis 0
+    slabs = np.zeros(-(-steps[0] // top), dtype=np.int64)  # points per slab
+    for sl, (_, s) in zip(slab, cells):
+        slabs += np.bincount(sl, minlength=slabs.size) * s ** n
+    ends, start, j = np.cumsum(slabs), 0, 0
+    while start < found:  # slabs j to j1 - 1, of at most TUBE_GROUP points
+        j1 = max(j + 1, int(np.searchsorted(ends, start + TUBE_GROUP, "right")))
+        stop = int(ends[j1 - 1])
+        key, at = np.empty(stop - start, dtype=np.int64), 0
+        for (keys, s), sl in zip(cells, slab):
+            a, b = np.searchsorted(sl, (j, j1))
+            offsets = _cube(s, n) @ stride
+            m = (b - a) * offsets.size
+            np.add(keys[a:b, None], offsets,
+                   out=key[at:at + m].reshape(b - a, offsets.size))
+            at += m
+        key.sort()
+        for i in range(n - 1):  # decode without np.divmod, whose remainder is slow
+            k = key // stride[i]
+            key -= k * stride[i]
+            out[start:stop, i] = lo[i] + (k + 0.5) * h
+        out[start:stop, -1] = lo[-1] + (key + 0.5) * h  # stride 1
+        start, j = stop, j1
     return out
 
 

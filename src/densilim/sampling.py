@@ -7,7 +7,11 @@ an anchor within the domain, the field values there and the levels'
 shared ``reach``.  The anchor is a point, whose neighborhoods are
 balls, or a region, whose neighborhoods are tubes around its point cloud.
 ``shell_lattice`` returns the lattice points of the tube, so a level only
-drops those outside the domain.  A point is the degenerate one-point cloud:
+drops those outside the domain.  It queries the KD tree only for cells that
+the cloud point nearest their parent's centre (its witness) does not
+already put inside the tube whole, and it expands whole cells slab group
+by slab group into an output allocated once, so a tube holds little more
+than its own points.  A point is the degenerate one-point cloud:
 its tube is the ball of the window lattice, found axis by axis from an
 outer sum of per-axis squared offsets with the bits of ``row_norm``, the
 distance refinement measures, so densities at points and at null sets,

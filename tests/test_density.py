@@ -151,6 +151,25 @@ def test_ess_sup_near_a_segment_builds_one_kd_tree(monkeypatch):
     assert len(trees) == 1 and sum(trees[0].queried) > 0
 
 
+def test_tube_witnesses_spare_kd_queries(monkeypatch):
+    # a split cell's nearest cloud point keeps most children whole unqueried
+    rows, original = [], geometry.kd_tree
+
+    class Tree:
+        def __init__(self, cloud):
+            self.tree = original(cloud)
+
+        def query(self, x, **kwargs):
+            if "distance_upper_bound" in kwargs:
+                rows.append(len(x))
+            return self.tree.query(x, **kwargs)
+
+    monkeypatch.setattr(geometry, "kd_tree", Tree)
+    cloud = geometry.point_cloud(circle_region([0, 0], 1.0))
+    assert geometry.shell_lattice(cloud, 0.05, 64).shape == (257372, 2)
+    assert sum(rows) <= 22000  # 31,209 when every undecided cell is queried
+
+
 def test_density_at_unit_circle_on_the_default_schedule():
     # delta falls to 2^-10: about 2.9 million tube points at the last level
     sched = DeltaSchedule.default_for(PLANE.bbox)

@@ -194,6 +194,39 @@ def _refused_peak_mb(cloud, delta, res, match="budget of 2\\^24") -> float:
         tracemalloc.stop()
 
 
+def test_tube_lattice_peak_is_bounded_by_its_output():
+    # the whole cells are expanded slab group by slab group into the output
+    cloud = point_cloud(circle_region([0, 0], 1.0))
+    tracemalloc.start()
+    try:
+        out = shell_lattice(cloud, 4e-3, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (3197084, 2)
+    assert peak <= 2 * out.nbytes
+
+
+@pytest.mark.parametrize("cloud, delta, res", [
+    ([[0.0, 0.0], [0.0, 1.0]], 1e-15, 2),
+    ([[0.0, 0.0], [1.0, 0.0]], 1e-15, 2),
+    ([[0.0, 0.0, 0.0], [0.0, 0.3, 1.0]], 1e-9, 3)])
+def test_tube_of_far_apart_points_on_a_fine_lattice(cloud, delta, res):
+    # the top cells hold more than 2^63 points, the tube a few balls
+    cloud = np.array(cloud)
+    lo, h = cloud.min(axis=0) - delta, 2.0 * delta / res
+    near = []  # the lattice indices within res steps of each cloud point
+    for c in ((cloud - lo) / h).astype(np.int64):
+        axes = [np.arange(ci - res, ci + res + 1) for ci in c]
+        near.append(np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")],
+                             axis=1))
+    pts = lo + (np.unique(np.concatenate(near), axis=0) + 0.5) * h
+    d, _ = geometry.kd_tree(cloud).query(pts)
+    want = pts[d < delta]
+    assert want.shape[0] > 0
+    assert np.array_equal(shell_lattice(cloud, delta, res), want)
+
+
 def test_tube_budget_refuses_tiny_delta_on_unit_circle():
     # about 1.3e8 lattice points lie in its tube
     cloud = point_cloud(circle_region([0, 0], 1.0))

@@ -12,7 +12,7 @@ from scipy.spatial import cKDTree
 from scipy.stats import qmc
 
 from densilim.aplimits import ap_liminf, ap_limsup, ess_inf_near, ess_sup_near
-from densilim import registry
+from densilim import geometry, registry
 from densilim.clarke import gen_gradient
 from densilim.density import (cone_region, density_at_point, density_at_set,
                               is_density_set)
@@ -198,6 +198,54 @@ def test_shell_lattice_is_the_kd_tube(drawn, res):
     cloud, delta = drawn
     assert np.array_equal(shell_lattice(cloud, delta, res),
                           _tube_reference(cloud, delta, res))
+
+
+@st.composite
+def witness_clouds(draw):
+    """A cloud, a delta and a resolution where a witness is least obvious.
+
+    4-d clouds at coarse resolutions, clouds whose rows repeat, and circles
+    of radius below delta, whose centre is equidistant from every point.
+    """
+    kind = draw(st.sampled_from(["4d", "repeated", "small circle"]))
+    if kind == "4d":
+        delta = draw(st.floats(1e-3, 1.0))
+        anchor = np.array(draw(st.lists(coord, min_size=4, max_size=4)))
+        rows = st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4)
+        offsets = delta * np.array(draw(st.lists(rows, min_size=2, max_size=12)))
+        return anchor + offsets, delta, draw(st.sampled_from([2, 3, 5]))
+    res = draw(st.sampled_from([2, 3, 5, 17, 32]))
+    if kind == "repeated":
+        cloud, delta = draw(tube_clouds())
+        picks = draw(st.lists(st.integers(0, cloud.shape[0] - 1), min_size=1,
+                              max_size=2 * cloud.shape[0]))
+        return np.concatenate([cloud, cloud[picks]]), delta, res
+    delta = draw(st.floats(1e-3, 1.0))
+    r = delta * draw(st.floats(0.05, 0.99))
+    t = np.linspace(0.0, 2 * np.pi, draw(st.integers(2, 200)), endpoint=False)
+    centre = np.array(draw(st.lists(coord, min_size=2, max_size=2)))
+    return centre + r * np.stack([np.cos(t), np.sin(t)], axis=1), delta, res
+
+
+@settings(max_examples=45, deadline=None, derandomize=True, database=None)
+@given(drawn=witness_clouds())
+def test_witnessed_tube_is_the_kd_tube(drawn):
+    # cells kept on a witness's distance are cells a query would keep
+    cloud, delta, res = drawn
+    assert np.array_equal(shell_lattice(cloud, delta, res),
+                          _tube_reference(cloud, delta, res))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(drawn=tube_clouds(), res=st.sampled_from([3, 17, 32]),
+       group=st.sampled_from([1, 50, 1000]))
+def test_slab_groups_change_no_bit(drawn, res, group):
+    # a tube assembled a few slabs at a time is the tube assembled at once
+    cloud, delta = drawn
+    want = shell_lattice(cloud, delta, res)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "TUBE_GROUP", group)
+        assert np.array_equal(shell_lattice(cloud, delta, res), want)
 
 
 def _declared(cloud):
