@@ -13,6 +13,7 @@ expression's exact derivative would take one branch for both.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -132,14 +133,20 @@ class GradientHull:
     """Convex hull of gradient samples near x.
 
     ``points`` are the finite gradients of the finest ball and ``support(v)``
-    the max of g . v over them; the hull vertices are the extreme points of
-    their convex hull, to within ``convex_hull_vertices``' tolerance.
+    the max of g . v over all of them.  ``hull_vertices`` are the extreme
+    points of their convex hull, to within ``convex_hull_vertices``'
+    tolerance ``tol``; they are computed on first read and cached, so a
+    reader of supports alone never builds the hull.
     """
 
     points: np.ndarray
     delta_used: float
-    hull_vertices: np.ndarray
+    tol: float
     probe_dirs: np.ndarray
+
+    @cached_property
+    def hull_vertices(self) -> np.ndarray:
+        return convex_hull_vertices(self.points, self.tol)
 
     def support(self, v) -> float:
         v = np.asarray(v, dtype=float)
@@ -147,8 +154,9 @@ class GradientHull:
 
     def diameter(self) -> float:
         vs = self.hull_vertices  # one vertex: 0
-        d2 = np.sum((vs[:, None, :] - vs[None, :, :]) ** 2, axis=2)
-        return float(np.sqrt(np.max(d2)))
+        # row by row: the pairwise squared distances without their (V, V, n) array
+        d2 = max(float(np.max(np.sum((v - vs) ** 2, axis=1))) for v in vs)
+        return float(np.sqrt(d2))
 
     def to_json_dict(self) -> dict:
         return {"vertices": self.hull_vertices.tolist(),
@@ -200,8 +208,7 @@ def gen_gradient(f: ScalarField, x, sched: DeltaSchedule, cfg: QuadratureConfig,
     g = g[~np.isnan(g[:, 0])]
     scale = max(1.0, float(np.max(row_norm(g))))
     probes = probe_directions(x.size)
-    hull = GradientHull(g, level.delta,
-                        convex_hull_vertices(g, support_tol * scale), probes)
+    hull = GradientHull(g, level.delta, support_tol * scale, probes)
     # quotients smear gradients over B_{delta(1+|v|)}, an O(delta) drift
     allowance = support_tol * scale + 2.0 * level.delta * scale
     fy = f(level.points)

@@ -1,16 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from densilim import registry
-from densilim.clarke import (check_calculus, contains,
+from densilim import clarke, registry
+from densilim.clarke import (GradientHull, check_calculus, contains,
                              convex_hull_vertices, dir_derivative_gradsup,
                              dir_derivative_quotient, gen_gradient,
                              probe_directions)
 from densilim.errors import NonLipschitz, SupportMismatch
 from densilim.expr import compile_field
-from densilim.geometry import DeltaSchedule, QuadratureConfig
+from densilim.geometry import DeltaSchedule, QuadratureConfig, row_norm
 
 CFG = QuadratureConfig(resolution=128)
 SCHED = DeltaSchedule(0.5, 0.5, 12, 4)
@@ -257,3 +258,47 @@ def test_calculus_registry_pairs():
         rep = check_calculus(f, g, np.zeros(registry.entry(fname).dim), rule,
                              SCHED, CFG, **kw)
         assert rep.holds, (fname, gname, rule, rep.max_violation)
+
+
+def test_only_vertex_readers_build_the_hull(monkeypatch):
+    # rules, supports and membership read all the samples; the hull's
+    # vertices are computed once, when first read
+    calls = []
+
+    def counting(pts, tol=0.0):
+        calls.append(tol)
+        return convex_hull_vertices(pts, tol)
+
+    monkeypatch.setattr(clarke, "convex_hull_vertices", counting)
+    f, g = registry.get_field("radial_norm"), registry.get_field("max_xy")
+    for rule in ("scale", "sum", "product"):
+        rep = check_calculus(f, None if rule == "scale" else g, [0.0, 0.0],
+                             rule, SCHED, CFG)
+        assert rep.holds
+    h = gen_gradient(f, [0.0, 0.0], SCHED, CFG)
+    assert h.support([1.0, 0.0]) > 0.99 and contains(h, [0.5, 0.5])
+    assert calls == []
+    out = h.to_json_dict()
+    assert len(calls) == 1 and h.to_json_dict() == out
+    h.diameter()
+    assert calls == [h.tol]
+
+
+def test_diameter_memory_is_linear_in_vertices():
+    # about 2,000 points on a sphere, every one a vertex: the pairwise
+    # differences alone would take V^2 * n * 8 = 96 MB
+    rng = np.random.default_rng(20211)
+    pts = rng.standard_normal((2000, 3))
+    pts /= row_norm(pts)[:, None]
+    h = GradientHull(pts, 0.1, 0.0, probe_directions(3))
+    vs = h.hull_vertices
+    assert vs.shape[0] >= 1900
+    tracemalloc.start()
+    try:
+        d = h.diameter()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    pairwise = np.sum((vs[:, None, :] - vs[None, :, :]) ** 2, axis=2)
+    assert d == float(np.sqrt(np.max(pairwise)))
+    assert peak <= 16 * vs.nbytes

@@ -318,3 +318,14 @@ def test_cold_cli_loads_scipy_only_for_trees_and_hulls():
         before, after = _scipy_after(command)
         assert before == [] and "scipy.spatial" in after
         assert not any(m.startswith("scipy.stats") for m in after)
+
+
+def test_cold_clarke_rules_load_no_scipy():
+    # check_calculus reads supports only, so no hull, and no Qhull, is built
+    rules = [["clarke", "--f", "x1^2+sin(x2)", "--g", "abs(x1)", "--rule", "sum",
+              "--at", "0,0"],
+             ["clarke", "--f", "abs(x1) + abs(x2)", "--g", "x1 - x2",
+              "--rule", "product", "--at", "0,0"],
+             ["clarke", "--f", "abs(x1) + abs(x2)", "--rule", "scale", "--s", "-2",
+              "--at", "0,0"]]
+    assert _scipy_after(*rules) == [[]] * 4

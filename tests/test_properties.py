@@ -13,7 +13,7 @@ from scipy.stats import qmc
 
 from densilim.aplimits import ap_liminf, ap_limsup, ess_inf_near, ess_sup_near
 from densilim import geometry, registry
-from densilim.clarke import gen_gradient
+from densilim.clarke import convex_hull_vertices, gen_gradient
 from densilim.density import (cone_region, density_at_point, density_at_set,
                               is_density_set)
 from densilim.errors import PreconditionError
@@ -417,6 +417,32 @@ def test_max_of_affine_hull_is_its_two_gradients(x0, a, b):
     hull = gen_gradient(f, x0, DeltaSchedule(0.5, 0.5, 8, 4),
                         QuadratureConfig(resolution=32))
     assert {tuple(v) for v in hull.hull_vertices} == {tuple(a), tuple(b)}
+
+
+def _assert_lazy_vertices_are_eager(hull):
+    # the vertices of the hull's own samples at its own tolerance, bit for
+    # bit, and the same array on every read
+    vs = hull.hull_vertices
+    eager = convex_hull_vertices(hull.points, hull.tol)
+    assert vs.shape == eager.shape and vs.tobytes() == eager.tobytes()
+    assert hull.hull_vertices is vs
+
+
+@PROPERTY
+@given(x0=points, a=points.map(lambda p: 3.0 * p), b=points.map(lambda p: 3.0 * p))
+def test_lazy_hull_vertices_of_max_of_affine(x0, a, b):
+    assume(np.linalg.norm(a - b) >= 0.5)
+    f = compile_field(f"max({_affine(0.0, a, x0)}, {_affine(0.0, b, x0)})", 2)
+    _assert_lazy_vertices_are_eager(gen_gradient(
+        f, x0, DeltaSchedule(0.5, 0.5, 8, 4), QuadratureConfig(resolution=32)))
+
+
+@pytest.mark.parametrize("name", registry.clarke_fields())
+def test_lazy_hull_vertices_of_registry_fields(name):
+    e = registry.entry(name)
+    _assert_lazy_vertices_are_eager(gen_gradient(
+        e.build(), np.zeros(e.dim), DeltaSchedule(0.5, 0.5, 8, 4),
+        QuadratureConfig(resolution=32)))
 
 
 # gradients with small integer entries put kinks on lattice-symmetric lines
