@@ -18,6 +18,16 @@ distance refinement measures, so densities at points and at null sets,
 essential bounds, approximate limits and ball means all read the same
 samples.
 
+Consecutive estimator calls at one point share its ball lattices:
+``ball_lattice`` keeps, for the most recently sampled point and
+resolution, the read-only lattice of each delta, and drops them all when
+another point or resolution is sampled.  A ball of more than
+``BALL_KEEP`` points is returned but not kept, so the memo holds at most
+``BALL_KEEP`` points for each delta sampled at that point.  A lattice is a
+pure function of the point, delta and resolution, and a miss builds it
+with ``shell_lattice``, so every report is bit for bit what sampling afresh
+gives.  Field values and domain membership are never kept.
+
 The refinement pass zooms a small sub-lattice around the current best
 sample, which moves the lattice sup/inf toward the pointwise sup/inf.
 This is what lets unbounded concentrations (integrable singularities)
@@ -37,7 +47,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .errors import NotDensityPoint, NotDensitySet
+from .errors import NotDensityPoint, NotDensitySet, PreconditionError
 from .fields import ScalarField
 from .geometry import (DeltaSchedule, QuadratureConfig, Region, _primes,
                        as_point, kd_tree, point_cloud, row_norm, shell_lattice)
@@ -45,6 +55,11 @@ from .geometry import (DeltaSchedule, QuadratureConfig, Region, _primes,
 Reach = Callable[[np.ndarray], np.ndarray]  # (m, n) -> (m,) distance, inf off Omega
 REFINE_TOP = 3      # lattice samples that seed refinement walks
 REFINE_LEVELS = 80  # steps per refinement walk
+BALL_KEEP = 2 ** 16  # points of the largest ball lattice the memo keeps
+
+# ((centre bytes, resolution), {delta: read-only ball lattice}) of the
+# last point sampled
+_balls: tuple = (None, {})
 
 
 @dataclass
@@ -100,11 +115,11 @@ class BallSamples:
         return np.array([lv.delta for lv in self.levels])
 
     def finite_range(self) -> tuple[float, float]:
-        lo = min(float(np.min(lv.finite_values)) for lv in self.levels
-                 if lv.finite_values.size)
-        hi = max(float(np.max(lv.finite_values)) for lv in self.levels
-                 if lv.finite_values.size)
-        return lo, hi
+        finite = [v for v in (lv.finite_values for lv in self.levels) if v.size]
+        if not finite:
+            raise PreconditionError("all tail samples were discarded as NaN")
+        return (min(float(np.min(v)) for v in finite),
+                max(float(np.max(v)) for v in finite))
 
 
 def neighborhood_levels(Omega: Region, anchor, sched: DeltaSchedule,
@@ -117,21 +132,28 @@ def neighborhood_levels(Omega: Region, anchor, sched: DeltaSchedule,
     point cloud).  Each level holds the lattice points of the tube (distance
     below delta) that lie in Omega, in lattice order, f at those points when
     f is given, and the ``reach`` that refinement must stay below delta of.
-    Raises NotDensityPoint (point) or NotDensitySet (region) at the first
-    level that carries no lattice point of the domain.
+    Raises PreconditionError, before building any lattice or tree, when the
+    anchor has a non-finite coordinate, and NotDensityPoint (point) or
+    NotDensitySet (region) at the first level that carries no lattice point
+    of the domain.  A point's balls come from ``ball_lattice``, which may
+    return them read-only.
     """
     if isinstance(anchor, Region):
         cloud = point_cloud(anchor)
+        name = repr(anchor.label)
 
         def vanished(d):
             return NotDensitySet(f"neighborhood of {anchor.label!r} at delta={d:g} "
                                  "carries no lattice points of the domain")
     else:
         cloud = as_point(anchor, Omega.dim)[None, :]
+        name = str(cloud[0].tolist())
 
         def vanished(d):
             return NotDensityPoint(f"measure of domain ball at delta={d:g} "
                                    f"vanished at resolution {cfg.resolution}")
+    if not np.all(np.isfinite(cloud)):
+        raise PreconditionError(f"the anchor {name} has a non-finite coordinate")
     tree = None
     # one point, however often declared: a KD tree of it gives the same distances
     if np.all(cloud.min(axis=0) == cloud.max(axis=0)):
@@ -150,7 +172,10 @@ def neighborhood_levels(Omega: Region, anchor, sched: DeltaSchedule,
 
     for d in sched.deltas[first:]:
         d = float(d)
-        pts = shell_lattice(cloud, d, cfg.resolution, tree=tree)
+        if tree is None:
+            pts = ball_lattice(centre, d, cfg.resolution)
+        else:
+            pts = shell_lattice(cloud, d, cfg.resolution, tree=tree)
         if pts.shape[0]:
             inside = Omega.contains(pts)
             if not inside.all():  # no copy when the domain holds the whole tube
@@ -159,6 +184,27 @@ def neighborhood_levels(Omega: Region, anchor, sched: DeltaSchedule,
             raise vanished(d)
         yield LevelSamples(d, pts, None if f is None else f(pts),
                            2.0 * d / cfg.resolution, reach)
+
+
+def ball_lattice(centre: np.ndarray, delta: float, resolution: int) -> np.ndarray:
+    """``shell_lattice`` of the one-point cloud ``centre``, read-only.
+
+    The lattices of the last point sampled are kept, keyed by the bytes of
+    ``centre`` and the resolution, one per delta; a call at another point or
+    resolution drops them.  A lattice of more than ``BALL_KEEP`` points is
+    returned but not kept.
+    """
+    global _balls
+    key = (centre.tobytes(), resolution)
+    if _balls[0] != key:
+        _balls = (key, {})
+    pts = _balls[1].get(delta)
+    if pts is None:
+        pts = shell_lattice(centre[None, :], delta, resolution)
+        pts.flags.writeable = False
+        if pts.shape[0] <= BALL_KEEP:
+            _balls[1][delta] = pts
+    return pts
 
 
 def ball_samples(f: ScalarField, Omega: Region, x, sched: DeltaSchedule,

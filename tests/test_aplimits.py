@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from densilim import registry
+from densilim import registry, sampling
 from densilim.aplimits import (ap_liminf, ap_limit, ap_limsup, dens_interval,
                                ess_inf_near, ess_sup_near, support_function)
 from densilim.errors import NotDensitySet, PreconditionError
@@ -11,6 +11,7 @@ from densilim.expr import ATAN2_02PI, compile_field, compile_vector_field
 from densilim.fields import VectorField, constant_field
 from densilim.geometry import (Box, DeltaSchedule, QuadratureConfig, Region,
                                ball_region, circle_region, point_region)
+from densilim.representative import mean_limit
 
 CFG = QuadratureConfig(resolution=128)
 PLANE = registry.get_region("plane")
@@ -253,3 +254,59 @@ def test_cap_check_refines_finest_level_first_then_the_rest_together(
     value = ap_limsup(registry.get_field("sine_mix"), PLANE, [0.1, 0.2], sched, cfg)
     assert math.isfinite(value)
     assert calls == [[sched.deltas[-1]]]
+
+
+@pytest.fixture
+def lattice_builds(monkeypatch):
+    """Counts the lattices the sampler builds, starting from an empty memo."""
+    builds = []
+    build = sampling.shell_lattice
+
+    def counted(cloud, delta, resolution, tree=None):
+        builds.append((np.atleast_2d(cloud)[0].tolist(), delta, resolution))
+        return build(cloud, delta, resolution, tree=tree)
+
+    monkeypatch.setattr(sampling, "shell_lattice", counted)
+    monkeypatch.setattr(sampling, "_balls", (None, {}))
+    return builds
+
+
+def test_sandwich_calls_at_one_point_share_its_ball_lattices(lattice_builds):
+    f = registry.get_field("abs_x1")
+    x = np.array([0.0, 0.25])
+    cfg = QuadratureConfig(resolution=64)
+    ess_inf_near(f, PLANE, point_region(x), SCHED, cfg)
+    ess_sup_near(f, PLANE, point_region(x), SCHED, cfg)
+    ap_liminf(f, PLANE, x, SCHED, cfg)
+    ap_limsup(f, PLANE, x, SCHED, cfg)
+    mean_limit(f, PLANE, x, SCHED, cfg)
+    assert len(lattice_builds) == 12  # 60 without the memo
+
+
+def test_interval_and_ap_limit_share_ball_lattices(lattice_builds):
+    f = compile_field("x1 + abs(x2)", 2)
+    cfg = QuadratureConfig(resolution=64)
+    dens_interval(f, PLANE, point_region([0.1, 0.0]), SCHED, cfg)
+    ap_limit(f, PLANE, [0.1, 0.0], SCHED, cfg)
+    assert len(lattice_builds) == 12  # 36 without the memo
+
+
+def test_sampling_another_point_drops_the_ball_lattices(lattice_builds):
+    f = compile_field("x1", 2)
+    cfg = QuadratureConfig(resolution=32)
+    for x in ([0.0, 0.0], [0.0, 0.0], [0.5, 0.0], [0.0, 0.0]):
+        mean_limit(f, PLANE, x, SCHED, cfg)
+    assert len(lattice_builds) == 36
+    assert [b[0] for b in lattice_builds[::12]] == [[0.0, 0.0], [0.5, 0.0],
+                                                    [0.0, 0.0]]
+
+
+def test_large_ball_lattices_are_not_kept(lattice_builds):
+    x = np.zeros(3)
+    big = sampling.ball_lattice(x, 0.5, 64)
+    assert big.shape[0] > sampling.BALL_KEEP and not big.flags.writeable
+    sampling.ball_lattice(x, 0.5, 64)
+    assert len(lattice_builds) == 2
+    small = sampling.ball_lattice(x, 0.5, 32)  # about 17k points: kept
+    assert sampling.ball_lattice(x, 0.5, 32) is small
+    assert len(lattice_builds) == 3

@@ -329,3 +329,31 @@ def test_cold_clarke_rules_load_no_scipy():
              ["clarke", "--f", "abs(x1) + abs(x2)", "--rule", "scale", "--s", "-2",
               "--at", "0,0"]]
     assert _scipy_after(*rules) == [[]] * 4
+
+
+NON_FINITE_AT = [["aplim", "--f", "x1", "--at", "nan,0"],
+                 ["representative", "--f", "x1", "--at", "0,nan"],
+                 ["clarke", "--f", "abs(x1)", "--at", "nan", "--dim", "1"],
+                 ["jump", "--f", "x1", "--at", "0,inf"],
+                 ["density", "--set", "x1>0", "--domain", "true", "--at", "inf,0"]]
+
+
+@pytest.mark.parametrize("argv", NON_FINITE_AT, ids=[a[0] for a in NON_FINITE_AT])
+def test_non_finite_point_is_refused(capsys, argv):
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "PreconditionError"
+    assert "non-finite coordinate" in err["message"]
+
+
+def test_non_finite_point_is_refused_before_loading_scipy():
+    assert _scipy_after(*NON_FINITE_AT) == [[]] * 6
+
+
+def test_jump_without_finite_samples_is_refused(capsys):
+    # the same refusal as aplim and representative on the same field
+    for command in ("jump", "aplim", "representative"):
+        assert main([command, "--f", "log(-1-x1^2)", "--at", "0,0"]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "PreconditionError",
+            "message": "all tail samples were discarded as NaN"}

@@ -27,8 +27,8 @@ from densilim.geometry import (Box, DeltaSchedule, QuadratureConfig, Region,
                                lattice, point_region, row_norm, segment_region,
                                shell_lattice)
 from densilim.representative import mean_limit
-from densilim.sampling import (REFINE_LEVELS, halton, neighborhood_levels,
-                               refine_extremum)
+from densilim.sampling import (REFINE_LEVELS, ball_lattice, halton,
+                               neighborhood_levels, refine_extremum)
 
 BOX = Box([-2.0, -2.0], [2.0, 2.0])
 PROPERTY = settings(max_examples=15, deadline=None, derandomize=True,
@@ -124,6 +124,35 @@ def test_one_point_shell_lattice_is_the_masked_window_lattice(ball, res):
     got = shell_lattice(x[None, :], delta, res)
     assert got.shape == reference.shape
     assert np.array_equal(got.view(np.int64), reference.view(np.int64))
+
+
+@st.composite
+def memo_points(draw):
+    """A point in 1-3 dimensions whose coordinates are 0.0, -0.0 or up to
+    1e6 deltas, and a delta in [1e-7, 1]."""
+    n = draw(st.integers(1, 3))
+    delta = draw(st.floats(1.0, 10.0)) * 10.0 ** draw(st.integers(-7, -1))
+    x = [draw(st.sampled_from([0.0, -0.0, 1.0, -1.0])) * draw(st.floats(0.0, 1e6))
+         * delta for _ in range(n)]
+    return np.array(x), delta
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(a=memo_points(), b=memo_points(), res=st.sampled_from([5, 8, 15, 16, 33]))
+def test_memoized_ball_lattices_are_fresh_shell_lattices(a, b, res):
+    # the balls of a point stay its bits after another point was sampled
+    x, delta = a
+    deltas = [delta * 0.5 ** k for k in range(4)]
+    fresh = [shell_lattice(x[None, :], d, res) for d in deltas]
+    for point in (x, b[0], x):
+        for d in deltas:
+            got = ball_lattice(point, d, res)
+            assert not got.flags.writeable
+            assert np.array_equal(got.view(np.int64),
+                                  shell_lattice(point[None, :], d, res).view(np.int64))
+    for d, ref in zip(deltas, fresh):
+        assert np.array_equal(ball_lattice(x, d, res).view(np.int64),
+                              ref.view(np.int64))
 
 
 # zeros, subnormals, squares that overflow or underflow, infinities and NaN
