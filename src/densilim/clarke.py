@@ -39,7 +39,8 @@ def probe_directions(dim: int) -> np.ndarray:
     return axes
 
 
-def _balls(x: np.ndarray, sched: DeltaSchedule, cfg: QuadratureConfig, first: int):
+def _shifted_levels(x: np.ndarray, sched: DeltaSchedule, cfg: QuadratureConfig,
+                    first: int):
     """The lattice balls from schedule level ``first`` on, coarse to fine,
     around x moved by ``irrational_fractions`` of a finest cell along
     each axis."""
@@ -54,7 +55,7 @@ def _finest_gradients(f: ScalarField, x: np.ndarray, sched: DeltaSchedule,
                       cfg: QuadratureConfig, cap: float):
     """The finest ball and the gradients at its points, NaN rows where one
     is not finite."""
-    level = next(_balls(x, sched, cfg, sched.steps - 1))
+    level = next(_shifted_levels(x, sched, cfg, sched.steps - 1))
     g = f.gradient_at(level.points)
     finite = np.all(np.isfinite(g), axis=1)
     if not finite.any():
@@ -90,7 +91,7 @@ def _tail_sups(f: ScalarField, x: np.ndarray, v: np.ndarray,
     """Quotient sups over the tail window, coarse to fine; NonLipschitz when
     they grow by GROWTH or more at every level and by more than
     ``allowance`` in total (a jump's 1/delta, a cusp's delta^-1/2)."""
-    levels = _balls(x, sched, cfg, sched.steps - sched.tail_window)
+    levels = _shifted_levels(x, sched, cfg, sched.steps - sched.tail_window)
     sups = [_quotient_sup(f, lv, v, cap) for lv in levels]
     if (sups[0] > 0.0 and sups[-1] - sups[0] > allowance
             and all(b >= GROWTH * a for a, b in zip(sups, sups[1:]))):

@@ -261,8 +261,8 @@ class DeltaSchedule:
     tail_window: int = 4
 
     def __post_init__(self):
-        if self.delta0 <= 0:
-            raise PreconditionError("delta0 must be positive")
+        if not 0.0 < self.delta0 < math.inf:  # NaN too
+            raise PreconditionError("delta0 must be positive and finite")
         if not 0.0 < self.ratio < 1.0:
             raise PreconditionError("ratio must lie in (0, 1)")
         if self.steps < 1:

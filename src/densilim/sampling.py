@@ -18,15 +18,21 @@ distance refinement measures, so densities at points and at null sets,
 essential bounds, approximate limits and ball means all read the same
 samples.
 
-Consecutive estimator calls at one point share its ball lattices:
-``ball_lattice`` keeps, for the most recently sampled point and
-resolution, the read-only lattice of each delta, and drops them all when
-another point or resolution is sampled.  A ball of more than
-``BALL_KEEP`` points is returned but not kept, so the memo holds at most
-``BALL_KEEP`` points for each delta sampled at that point.  A lattice is a
-pure function of the point, delta and resolution, and a miss builds it
-with ``shell_lattice``, so every report is bit for bit what sampling afresh
-gives.  Field values and domain membership are never kept.
+Estimator calls about one anchor share its KD tree and lattices.  A
+process-wide memo keeps, per anchor cloud and resolution (keyed by the
+cloud's shape and bytes), the cloud's KD tree (none for one point) and one
+read-only lattice per delta sampled.  Its charge, counted in points, is
+each kept tree's cloud rows plus each kept lattice's points; once it
+exceeds ``MEMO_POINTS`` the least recently sampled anchors are evicted,
+never the one being sampled, so the memo holds at most ``MEMO_POINTS``
+points unless that anchor alone holds more.  A lattice of more than
+``MEMO_POINTS`` points is returned but not kept.  So a density set's
+verdict, the essential bounds near it and densities at it build each of
+its tubes and its tree once, as estimators at one point build its balls
+once.  A tree and a lattice are pure functions of the cloud, delta and
+resolution, and a miss builds them with ``kd_tree`` and ``shell_lattice``,
+so every report is bit for bit what sampling afresh gives; a miss that
+raises keeps nothing.  Field values and domain membership are never kept.
 
 The refinement pass zooms a small sub-lattice around the current best
 sample, which moves the lattice sup/inf toward the pointwise sup/inf.
@@ -55,11 +61,7 @@ from .geometry import (DeltaSchedule, QuadratureConfig, Region, _primes,
 Reach = Callable[[np.ndarray], np.ndarray]  # (m, n) -> (m,) distance, inf off Omega
 REFINE_TOP = 3      # lattice samples that seed refinement walks
 REFINE_LEVELS = 80  # steps per refinement walk
-BALL_KEEP = 2 ** 16  # points of the largest ball lattice the memo keeps
-
-# ((centre bytes, resolution), {delta: read-only ball lattice}) of the
-# last point sampled
-_balls: tuple = (None, {})
+MEMO_POINTS = 2 ** 17  # points of trees' clouds and lattices the memo keeps
 
 
 @dataclass
@@ -122,6 +124,74 @@ class BallSamples:
                 max(float(np.max(v)) for v in finite))
 
 
+@dataclass
+class _Anchor:
+    """What the memo keeps of one cloud at one resolution."""
+
+    tree: object    # KD tree of the cloud, None for one point
+    lattices: dict  # delta -> read-only shell_lattice
+    points: int     # its charge: the tree's cloud rows and the lattices' points
+
+
+class _Memo(dict):
+    """(cloud shape, cloud bytes, resolution) -> ``_Anchor``, least recently
+    sampled first; ``points`` is the sum of their charges."""
+
+    points = 0
+
+    def clear(self) -> None:
+        super().clear()
+        self.points = 0
+
+    def tree(self, key, cloud: np.ndarray):
+        """The kept KD tree of the cloud, else a new one (None for one point)."""
+        if cloud.shape[0] == 1:
+            return None
+        anchor = self.get(key)
+        if anchor is not None:
+            return anchor.tree
+        tree = kd_tree(cloud)
+        self._charge(key, _Anchor(tree, {}, 0), cloud.shape[0])
+        return tree
+
+    def lattice(self, key, cloud: np.ndarray, tree, delta: float,
+                resolution: int) -> np.ndarray:
+        """The kept lattice of the cloud at delta, else a new read-only one."""
+        anchor = self.pop(key, None)
+        if anchor is not None:
+            self[key] = anchor  # the most recently sampled
+            pts = anchor.lattices.get(delta)
+            if pts is not None:
+                return pts
+        pts = shell_lattice(cloud, delta, resolution, tree=tree)
+        pts.flags.writeable = False
+        points = pts.shape[0]
+        if anchor is None:  # one point, or evicted since its tree was built
+            anchor = _Anchor(tree, {}, 0)
+            points += 0 if tree is None else cloud.shape[0]
+        if self._charge(key, anchor, points):
+            anchor.lattices[delta] = pts
+        return pts
+
+    def _charge(self, key, anchor: _Anchor, points: int) -> bool:
+        """Charge ``points`` more to key's anchor (kept, or new) and keep it
+        as the most recently sampled, evicting the least recently sampled
+        others while the charges exceed ``MEMO_POINTS``; False, keeping
+        nothing more, when ``points`` alone exceed it."""
+        if points > MEMO_POINTS:
+            return False
+        anchor.points += points
+        self.points += points
+        self.pop(key, None)
+        self[key] = anchor
+        while self.points > MEMO_POINTS and len(self) > 1:
+            self.points -= self.pop(next(iter(self))).points
+        return True
+
+
+_memo = _Memo()
+
+
 def neighborhood_levels(Omega: Region, anchor, sched: DeltaSchedule,
                         cfg: QuadratureConfig, f: Optional[ScalarField] = None,
                         first: int = 0) -> Iterator[LevelSamples]:
@@ -133,10 +203,11 @@ def neighborhood_levels(Omega: Region, anchor, sched: DeltaSchedule,
     below delta) that lie in Omega, in lattice order, f at those points when
     f is given, and the ``reach`` that refinement must stay below delta of.
     Raises PreconditionError, before building any lattice or tree, when the
-    anchor has a non-finite coordinate, and NotDensityPoint (point) or
-    NotDensitySet (region) at the first level that carries no lattice point
-    of the domain.  A point's balls come from ``ball_lattice``, which may
-    return them read-only.
+    anchor has a non-finite coordinate or one so large that the finest
+    lattice cell is at most four float spacings wide there, and
+    NotDensityPoint (point) or NotDensitySet (region) at the first level
+    that carries no lattice point of the domain.  The tree and the
+    read-only lattices come from the memo.
     """
     if isinstance(anchor, Region):
         cloud = point_cloud(anchor)
@@ -154,28 +225,34 @@ def neighborhood_levels(Omega: Region, anchor, sched: DeltaSchedule,
                                    f"vanished at resolution {cfg.resolution}")
     if not np.all(np.isfinite(cloud)):
         raise PreconditionError(f"the anchor {name} has a non-finite coordinate")
-    tree = None
+    deltas = sched.deltas
+    cell = 2.0 * float(deltas[-1]) / cfg.resolution
+    spacing = float(np.spacing(float(abs(cloud).max())))
+    if not cell > 4.0 * spacing:  # else the lattice collapses onto a few floats
+        raise PreconditionError(
+            f"the anchor {name} dwarfs the finest lattice cell: {cell:g} wide, "
+            f"where floats are {spacing:g} apart; move the anchor nearer the "
+            "origin, raise delta or lower the resolution")
     # one point, however often declared: a KD tree of it gives the same distances
     if np.all(cloud.min(axis=0) == cloud.max(axis=0)):
+        cloud = cloud[:1]
+    key = (cloud.shape, cloud.tobytes(), cfg.resolution)
+    tree = _memo.tree(key, cloud)  # one tree for the tube lattices and refinement
+    if tree is None:
         centre = cloud[0]
 
         def dist(p):
             return row_norm(np.atleast_2d(p) - centre)
     else:
-        tree = kd_tree(cloud)  # one tree for the tube lattices and refinement
-
         def dist(p):
             return tree.query(np.atleast_2d(p), k=1)[0]
 
     def reach(p):
         return np.where(Omega.contains(p), dist(p), np.inf)
 
-    for d in sched.deltas[first:]:
+    for d in deltas[first:]:
         d = float(d)
-        if tree is None:
-            pts = ball_lattice(centre, d, cfg.resolution)
-        else:
-            pts = shell_lattice(cloud, d, cfg.resolution, tree=tree)
+        pts = _memo.lattice(key, cloud, tree, d, cfg.resolution)
         if pts.shape[0]:
             inside = Omega.contains(pts)
             if not inside.all():  # no copy when the domain holds the whole tube
@@ -186,25 +263,18 @@ def neighborhood_levels(Omega: Region, anchor, sched: DeltaSchedule,
                            2.0 * d / cfg.resolution, reach)
 
 
-def ball_lattice(centre: np.ndarray, delta: float, resolution: int) -> np.ndarray:
-    """``shell_lattice`` of the one-point cloud ``centre``, read-only.
+def tube_lattice(cloud, delta: float, resolution: int) -> np.ndarray:
+    """``shell_lattice`` of the cloud, read-only, through the memo that
+    ``neighborhood_levels`` samples: built once per cloud, delta and
+    resolution while the memo keeps it."""
+    cloud = np.atleast_2d(np.asarray(cloud, dtype=float))
+    key = (cloud.shape, cloud.tobytes(), resolution)
+    return _memo.lattice(key, cloud, _memo.tree(key, cloud), delta, resolution)
 
-    The lattices of the last point sampled are kept, keyed by the bytes of
-    ``centre`` and the resolution, one per delta; a call at another point or
-    resolution drops them.  A lattice of more than ``BALL_KEEP`` points is
-    returned but not kept.
-    """
-    global _balls
-    key = (centre.tobytes(), resolution)
-    if _balls[0] != key:
-        _balls = (key, {})
-    pts = _balls[1].get(delta)
-    if pts is None:
-        pts = shell_lattice(centre[None, :], delta, resolution)
-        pts.flags.writeable = False
-        if pts.shape[0] <= BALL_KEEP:
-            _balls[1][delta] = pts
-    return pts
+
+def ball_lattice(centre: np.ndarray, delta: float, resolution: int) -> np.ndarray:
+    """``tube_lattice`` of the one-point cloud ``centre``."""
+    return tube_lattice(centre, delta, resolution)
 
 
 def ball_samples(f: ScalarField, Omega: Region, x, sched: DeltaSchedule,

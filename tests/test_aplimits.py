@@ -6,11 +6,14 @@ import pytest
 from densilim import registry, sampling
 from densilim.aplimits import (ap_liminf, ap_limit, ap_limsup, dens_interval,
                                ess_inf_near, ess_sup_near, support_function)
+from densilim.density import density_at_set, is_density_set
 from densilim.errors import NotDensitySet, PreconditionError
-from densilim.expr import ATAN2_02PI, compile_field, compile_vector_field
+from densilim.expr import (ATAN2_02PI, compile_field, compile_region,
+                           compile_vector_field)
 from densilim.fields import VectorField, constant_field
 from densilim.geometry import (Box, DeltaSchedule, QuadratureConfig, Region,
-                               ball_region, circle_region, point_region)
+                               ball_region, circle_region, point_region,
+                               segment_region)
 from densilim.representative import mean_limit
 
 CFG = QuadratureConfig(resolution=128)
@@ -267,7 +270,7 @@ def lattice_builds(monkeypatch):
         return build(cloud, delta, resolution, tree=tree)
 
     monkeypatch.setattr(sampling, "shell_lattice", counted)
-    monkeypatch.setattr(sampling, "_balls", (None, {}))
+    sampling._memo.clear()
     return builds
 
 
@@ -296,17 +299,60 @@ def test_sampling_another_point_drops_the_ball_lattices(lattice_builds):
     cfg = QuadratureConfig(resolution=32)
     for x in ([0.0, 0.0], [0.0, 0.0], [0.5, 0.0], [0.0, 0.0]):
         mean_limit(f, PLANE, x, SCHED, cfg)
-    assert len(lattice_builds) == 36
-    assert [b[0] for b in lattice_builds[::12]] == [[0.0, 0.0], [0.5, 0.0],
-                                                    [0.0, 0.0]]
+    assert len(lattice_builds) == 24
+    assert [b[0] for b in lattice_builds[::12]] == [[0.0, 0.0], [0.5, 0.0]]
 
 
 def test_large_ball_lattices_are_not_kept(lattice_builds):
     x = np.zeros(3)
     big = sampling.ball_lattice(x, 0.5, 64)
-    assert big.shape[0] > sampling.BALL_KEEP and not big.flags.writeable
+    assert big.shape[0] > sampling.MEMO_POINTS and not big.flags.writeable
     sampling.ball_lattice(x, 0.5, 64)
     assert len(lattice_builds) == 2
     small = sampling.ball_lattice(x, 0.5, 32)  # about 17k points: kept
     assert sampling.ball_lattice(x, 0.5, 32) is small
     assert len(lattice_builds) == 3
+
+
+def test_calls_about_segments_build_each_tube_and_tree_once(lattice_builds,
+                                                            monkeypatch):
+    # three verdicts, then the bounds near two of the segments and a density
+    # at one: every (segment, delta) is built once, one tree per segment
+    trees, build = [], sampling.kd_tree
+
+    def counted(cloud):
+        trees.append(cloud[0].tolist())
+        return build(cloud)
+
+    monkeypatch.setattr(sampling, "kd_tree", counted)
+    sched, cfg = DeltaSchedule(0.2, 0.5, 4, 2), QuadratureConfig(resolution=32)
+    segments = [segment_region([-0.5, 0.1], [-0.4, 0.1]),
+                segment_region([0.1, -0.5], [0.1, 0.5]),
+                segment_region([-0.5, 0.3], [0.5, 0.3])]
+    for seg in segments:
+        assert is_density_set(seg, PLANE, sched, cfg).is_density_set
+    f = compile_field("0.5 + x1 - 2*x2", 2)
+    ess_sup_near(f, PLANE, segments[0], sched, cfg)
+    ess_inf_near(f, PLANE, segments[1], sched, cfg)
+    density_at_set(compile_region("x1 > 0.1", 2, PLANE.bbox), PLANE, segments[1],
+                   sched, cfg)
+    builds = [(tuple(start), delta) for start, delta, _ in lattice_builds]
+    assert len(builds) == len(set(builds)) == 12  # 24 without the memo
+    assert trees == [[-0.5, 0.1], [0.1, -0.5], [-0.5, 0.3]]  # 6 without
+
+
+def test_the_memo_evicts_the_least_recently_sampled_anchor(lattice_builds,
+                                                           monkeypatch):
+    a, b, c = [0.0, 0.0], [0.5, 0.0], [0.0, 0.5]
+    size = sampling.ball_lattice(np.array(a), 0.5, 16).shape[0]
+    monkeypatch.setattr(sampling, "MEMO_POINTS", 2 * size + size // 2)
+    for x in (b, a, c, a, b, a, c):  # c evicts b, then b evicts c
+        sampling.ball_lattice(np.array(x), 0.5, 16)
+        assert sampling._memo.points <= sampling.MEMO_POINTS
+    assert [start for start, _, _ in lattice_builds] == [a, b, c, b, c]
+    # the anchor being sampled stays whole, alone past the budget
+    monkeypatch.setattr(sampling, "MEMO_POINTS", size + size // 2)
+    for delta in (0.5, 0.25, 0.5, 0.25):
+        sampling.ball_lattice(np.array(c), delta, 16)
+    assert len(lattice_builds) == 6 and list(sampling._memo) == [
+        ((1, 2), np.array([c]).tobytes(), 16)]

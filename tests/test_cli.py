@@ -357,3 +357,34 @@ def test_jump_without_finite_samples_is_refused(capsys):
         assert json.loads(capsys.readouterr().err) == {
             "error": "PreconditionError",
             "message": "all tail samples were discarded as NaN"}
+
+
+NON_FINITE_DELTA0 = [
+    ["aplim", "--f", "x1", "--at", "0,0", "--schedule", "nan,0.5,4,2", "--res", "16"],
+    ["density", "--set", "x1>0", "--domain", "true", "--at", "0,0",
+     "--schedule", "inf,0.5,4,2", "--res", "16"]]
+
+
+@pytest.mark.parametrize("argv", NON_FINITE_DELTA0, ids=["nan", "inf"])
+def test_non_finite_delta0_is_refused(argv):
+    # stderr holds the refusal and nothing else: no numpy warning
+    proc = subprocess.run([sys.executable, "-m", "densilim.cli", *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert json.loads(proc.stderr) == {"error": "PreconditionError",
+                                       "message": "delta0 must be positive and finite"}
+
+
+HUGE_AT = [["clarke", "--f", "abs(x1)", "--at", "1e300", "--dim", "1", "--res", "16"],
+           ["density", "--set", "x1>0", "--domain", "true", "--at", "1e308,0",
+            "--res", "16"]]
+
+
+@pytest.mark.parametrize("argv", HUGE_AT, ids=[a[0] for a in HUGE_AT])
+def test_anchor_that_dwarfs_the_finest_cell_is_refused(capsys, argv):
+    # x + h rounds to x there, so the lattice would collapse onto x
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)
+    assert captured.out == "" and err["error"] == "PreconditionError"
+    assert "dwarfs the finest lattice cell" in err["message"]

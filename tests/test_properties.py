@@ -28,7 +28,7 @@ from densilim.geometry import (Box, DeltaSchedule, QuadratureConfig, Region,
                                shell_lattice)
 from densilim.representative import mean_limit
 from densilim.sampling import (REFINE_LEVELS, ball_lattice, halton,
-                               neighborhood_levels, refine_extremum)
+                               neighborhood_levels, refine_extremum, tube_lattice)
 
 BOX = Box([-2.0, -2.0], [2.0, 2.0])
 PROPERTY = settings(max_examples=15, deadline=None, derandomize=True,
@@ -140,17 +140,30 @@ def memo_points(draw):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(a=memo_points(), b=memo_points(), res=st.sampled_from([5, 8, 15, 16, 33]))
 def test_memoized_ball_lattices_are_fresh_shell_lattices(a, b, res):
-    # the balls of a point stay its bits after another point was sampled
+    # a point's balls and a segment's and a circle's tubes stay their bits
+    # after other anchors and resolutions were sampled
     x, delta = a
     deltas = [delta * 0.5 ** k for k in range(4)]
-    fresh = [shell_lattice(x[None, :], d, res) for d in deltas]
-    for point in (x, b[0], x):
-        for d in deltas:
-            got = ball_lattice(point, d, res)
+    anchors = [x[None, :]]
+    if res ** x.size <= 2 ** 12:  # a 3-d tube at res 33 takes seconds
+        anchors.append(geometry.point_cloud(segment_region(x, x + delta)))
+    if x.size == 2:
+        anchors.append(geometry.point_cloud(circle_region(x, delta)))
+    fresh = [[shell_lattice(cloud, d, res) for d in deltas] for cloud in anchors]
+
+    def check(cloud, r, refs):
+        for d, ref in zip(deltas, refs):
+            got = tube_lattice(cloud, d, r)
             assert not got.flags.writeable
-            assert np.array_equal(got.view(np.int64),
-                                  shell_lattice(point[None, :], d, res).view(np.int64))
-    for d, ref in zip(deltas, fresh):
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+    for cloud, refs in zip(anchors, fresh):
+        check(cloud, res, refs)
+    for cloud, r in ((b[0][None, :], res), (x[None, :], 2 * res)):
+        check(cloud, r, [shell_lattice(cloud, d, r) for d in deltas])
+    for cloud, refs in zip(anchors, fresh):
+        check(cloud, res, refs)
+    for d, ref in zip(deltas, fresh[0]):
         assert np.array_equal(ball_lattice(x, d, res).view(np.int64),
                               ref.view(np.int64))
 
