@@ -20,7 +20,8 @@ import numpy as np
 
 from .config import Tolerances
 from .density import unit_directions
-from .errors import NonLipschitz, PreconditionError, SupportMismatch
+from .errors import (DimensionMismatch, NonLipschitz, PreconditionError,
+                     SupportMismatch)
 from .fields import ScalarField
 from .geometry import (DeltaSchedule, QuadratureConfig, Region, as_point,
                        ball_window, irrational_fractions, row_norm)
@@ -53,11 +54,13 @@ def _shifted_levels(x: np.ndarray, sched: DeltaSchedule, cfg: QuadratureConfig,
 
 def _finest_gradients(f: ScalarField, x: np.ndarray, sched: DeltaSchedule,
                       cfg: QuadratureConfig, cap: float):
-    """The finest ball and the gradients at its points, NaN rows where one
-    is not finite."""
+    """The finest ball, f's values at its points and the gradients there,
+    NaN rows where one is not finite."""
     level = next(_shifted_levels(x, sched, cfg, sched.steps - 1))
-    g = f.gradient_at(level.points)
-    finite = np.all(np.isfinite(g), axis=1)
+    fy, g = f.value_and_gradient(level.points)
+    finite = np.isfinite(g[:, 0])
+    for i in range(1, g.shape[1]):
+        finite &= np.isfinite(g[:, i])
     if not finite.any():
         raise NonLipschitz(f"no sample point of {f.label!r} has a finite "
                            f"gradient at delta={level.delta:g}")
@@ -65,16 +68,34 @@ def _finest_gradients(f: ScalarField, x: np.ndarray, sched: DeltaSchedule,
     if float(np.nanmax(row_norm(g))) > cap:
         raise NonLipschitz(
             f"gradient norm exceeds cap {cap:g} at delta={level.delta:g}")
-    return level, g
+    return level, fy, g
+
+
+def _moved(y: np.ndarray, t: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``y + t[:, None] * v``, bit for bit, a column at a time."""
+    out = np.empty_like(y)
+    for i in range(y.shape[1]):
+        np.multiply(t, v[i], out=out[:, i])
+        out[:, i] += y[:, i]
+    return out
+
+
+def _quotient_steps(level) -> np.ndarray:
+    """The step t of each of the level's points: the k-th point takes the
+    (k mod STEPS)-th midpoint of (0, delta)."""
+    m = level.points.shape[0]
+    return np.tile(level.delta * (np.arange(STEPS) + 0.5) / STEPS, -(-m // STEPS))[:m]
 
 
 def _quotient_sup(f: ScalarField, level, v: np.ndarray, cap: float,
-                  fy: Optional[np.ndarray] = None) -> float:
-    """Sup of (f(y + tv) - f(y))/t over the level's points y, the k-th point
-    taking the (k mod STEPS)-th midpoint of (0, delta) as its t."""
+                  fy: Optional[np.ndarray] = None,
+                  t: Optional[np.ndarray] = None) -> float:
+    """Sup of (f(y + tv) - f(y))/t over the level's points y, with the
+    steps of ``_quotient_steps``; ``fy`` and ``t``, when given, are f's
+    values and those steps on the level."""
     y = level.points
-    t = level.delta * (np.arange(y.shape[0]) % STEPS + 0.5) / STEPS
-    q = (f(y + t[:, None] * v) - (f(y) if fy is None else fy)) / t
+    t = _quotient_steps(level) if t is None else t
+    q = (f(_moved(y, t, v)) - (f(y) if fy is None else fy)) / t
     q = q[np.isfinite(q)]
     if q.size == 0:
         raise NonLipschitz(f"all quotients discarded at delta={level.delta:g}")
@@ -101,13 +122,22 @@ def _tail_sups(f: ScalarField, x: np.ndarray, v: np.ndarray,
     return sups
 
 
+def _direction(f: ScalarField, v) -> np.ndarray:
+    """v as a float vector; DimensionMismatch unless it has f's dimension."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (f.dim,):
+        raise DimensionMismatch(
+            f"direction v of shape {v.shape} vs field {f.label!r} of dim {f.dim}")
+    return v
+
+
 def dir_derivative_quotient(f: ScalarField, x, v, sched: DeltaSchedule,
                             cfg: QuadratureConfig, cap: float = Tolerances.cap,
                             support_tol: float = Tolerances.support_tol) -> float:
     """Directional derivative as the sup of difference quotients over the
     finest ball; NonLipschitz when the tail window's sups grow geometrically,
     by more than ``support_tol`` * max(1, |v|) in total (``_tail_sups``)."""
-    v = np.asarray(v, dtype=float)
+    v = _direction(f, v)
     allowance = support_tol * max(1.0, float(np.linalg.norm(v)))
     return _tail_sups(f, as_point(x), v, sched, cfg, cap, allowance)[-1]
 
@@ -117,8 +147,8 @@ def dir_derivative_gradsup(f: ScalarField, x, v, sched: DeltaSchedule,
     """Directional derivative as the sup of Df . v over the finest ball,
     pushed toward the pointwise sup by ``refine_extremum``; NonLipschitz
     when that passes cap * max(1, |v|)."""
-    v = np.asarray(v, dtype=float)
-    level, g = _finest_gradients(f, as_point(x), sched, cfg, cap)
+    v = _direction(f, v)
+    level, _, g = _finest_gradients(f, as_point(x), sched, cfg, cap)
     dv = ScalarField(f.dim, lambda p: f.gradient_at(p) @ v, label=f"D{f.label}.v")
     bound = cap * max(1.0, float(np.linalg.norm(v)))
     starts = [replace(level, values=g @ v).seeds()]
@@ -205,16 +235,16 @@ def gen_gradient(f: ScalarField, x, sched: DeltaSchedule, cfg: QuadratureConfig,
     (under-sampling or a bad gradient callback).
     """
     x = as_point(x)
-    level, g = _finest_gradients(f, x, sched, cfg, cap)
+    level, fy, g = _finest_gradients(f, x, sched, cfg, cap)
     g = g[~np.isnan(g[:, 0])]
     scale = max(1.0, float(np.max(row_norm(g))))
     probes = probe_directions(x.size)
     hull = GradientHull(g, level.delta, support_tol * scale, probes)
     # quotients smear gradients over B_{delta(1+|v|)}, an O(delta) drift
     allowance = support_tol * scale + 2.0 * level.delta * scale
-    fy = f(level.points)
+    t = _quotient_steps(level)
     for v in probes[:2 * x.size]:
-        ref = _quotient_sup(f, level, v, cap, fy)
+        ref = _quotient_sup(f, level, v, cap, fy, t)
         if abs(hull.support(v) - ref) > allowance:
             _tail_sups(f, x, v, sched, cfg, cap, allowance)
             raise SupportMismatch(

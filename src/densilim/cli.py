@@ -14,7 +14,14 @@ import math
 import os
 import sys
 
-import numpy as np
+# The CLI's arrays are vectors, so BLAS threads only cost start-up time:
+# one thread per pool unless the user set a count.  This must run before
+# numpy loads, and the package's __init__ loads none.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 
 from . import aplimits, clarke, density, gaussgreen, representative
 from .config import Tolerances

@@ -540,15 +540,22 @@ def compile_field(src: str, dim: int, atan2_range: str = ATAN2_PMPI,
         raise ExprSyntaxError("field expression must be numeric, not boolean", 1)
     partials = []
 
-    def grad(p):
+    def fn(p):
+        return evaluate(node, p, atan2_range)
+
+    def fn_grad(p):
+        """The values and the exact gradient, NaN where the value is not
+        finite, from one evaluation of the expression."""
         if not partials:  # built on first use, so compiling costs no more
             partials.extend(derivative(node, i) for i in range(1, dim + 1))
-        g = np.stack([evaluate(d, p, atan2_range) for d in partials], axis=1)
-        defined = np.isfinite(evaluate(node, p, atan2_range))
-        return np.where(defined[:, None], g, np.nan)
+        values = fn(p)
+        g = np.empty((values.shape[0], dim))
+        for i, d in enumerate(partials):  # a column at a time
+            g[:, i] = evaluate(d, p, atan2_range)
+        g[~np.isfinite(values)] = np.nan
+        return values, g
 
-    return ScalarField(dim, lambda p: evaluate(node, p, atan2_range),
-                       grad=grad, label=label or src)
+    return ScalarField(dim, fn, label=label or src, fn_grad=fn_grad)
 
 
 def compile_region(src: str, dim: int, bbox: Box, label: str = "",

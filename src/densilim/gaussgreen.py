@@ -18,11 +18,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (AmbiguousNormal, NonLipschitzDomain,
+from .errors import (AmbiguousNormal, DimensionMismatch, NonLipschitzDomain,
                      PreconditionError, RegionsNotDisjoint)
 from .fields import ScalarField, VectorField
 from .geometry import (DeltaSchedule, QuadratureConfig, Region, as_point,
-                       intersect, lattice, row_norm)
+                       intersect, lattice, point_distances)
 # scipy's KD tree, loaded on first use; perfbench/tracer.py patches this name
 from .geometry import kd_tree as cKDTree
 from .representative import mean_limit
@@ -67,7 +67,7 @@ def normal_field(Omega: Region, y, cfg: QuadratureConfig) -> np.ndarray:
         raise PreconditionError("normal_field expects an interior point")
     if Omega.boundary_fn is not None:
         pts, _, inward = Omega.boundary_fn(16 * cfg.resolution)
-        dist = row_norm(pts - y)
+        dist = point_distances(pts, y)
         normals = -inward
     else:
         if Omega.dim != 2:
@@ -82,7 +82,7 @@ def normal_field(Omega: Region, y, cfg: QuadratureConfig) -> np.ndarray:
         pts = grid.reshape(res, res, 2)[edge]
         if pts.shape[0] == 0:
             raise NonLipschitzDomain("no boundary transitions found on the lattice")
-        dist = row_norm(pts - y)
+        dist = point_distances(pts, y)
         normals = (pts - y) / dist[:, None]
     cell = float(np.max(Omega.bbox.sides)) / cfg.resolution
     mean = normals[dist <= np.min(dist) + cell].mean(axis=0)
@@ -96,17 +96,35 @@ def _volume_side(f: ScalarField, phi: VectorField, comp: Region,
                  resolution: int) -> float:
     pts, cellvol = lattice(comp.bbox, resolution)
     pts = pts[comp.contains(pts)]
-    div = sum(c.gradient_at(pts)[:, i] for i, c in enumerate(phi.components))
-    integrand = f(pts) * div + np.sum(phi(pts) * f.gradient_at(pts), axis=1)
-    return float(np.nansum(integrand) * cellvol)
+    fv, fg = f.value_and_gradient(pts)
+    # f div(phi) + phi . grad(f), one component of phi at a time; both sums
+    # start from zero, as sum() and a row sum do, so -0.0 terms give +0.0
+    div, dot = 0, 0.0
+    for i, c in enumerate(phi.components):
+        term, g = c.value_and_gradient(pts)  # the values are a fresh array
+        div += g[:, i]
+        del g  # before the next component's arrays are made
+        term *= fg[:, i]
+        term += dot
+        dot = term
+    return float(np.nansum(fv * div + dot) * cellvol)
 
 
 def _boundary_side(f: ScalarField, phi: VectorField, comp: Region,
                    resolution: int, eps: float) -> float:
     pts_b, w, inward = comp.boundary_fn(4 * resolution)
     p = pts_b + eps * inward
-    g = f(p) * np.sum(phi(p) * -inward, axis=1)
-    return float(np.nansum(g * w))
+    flux = 0.0  # phi . -inward, summed as a row sum sums
+    for i, c in enumerate(phi.components):
+        flux += c(p) * -inward[:, i]
+    return float(np.nansum(f(p) * flux * w))
+
+
+def _check_phi(phi: VectorField, Omega: Region) -> None:
+    if phi.codim != Omega.dim:
+        raise DimensionMismatch(f"phi has {phi.codim} components; the "
+                                f"divergence identity on {Omega.label!r} "
+                                f"needs {Omega.dim}")
 
 
 def gg_residual(f: ScalarField, phi: VectorField, Omega: Region,
@@ -125,6 +143,7 @@ def gg_residual(f: ScalarField, phi: VectorField, Omega: Region,
     boundaries) are integrated per component; the report carries the
     per-component breakdown.
     """
+    _check_phi(phi, Omega)
     comps = Omega.components if Omega.components else [Omega]
     for comp in comps:
         if comp.boundary_fn is None:
@@ -150,6 +169,7 @@ def gg_residual(f: ScalarField, phi: VectorField, Omega: Region,
 def gg_sweep(f: ScalarField, phi: VectorField, Omega: Region,
              cfg: QuadratureConfig, levels: int = 3) -> list:
     """Refinement sweep: (grid_h, residual) pairs under h -> h/2."""
+    _check_phi(phi, Omega)
     out = []
     res = cfg.resolution
     for _ in range(levels):

@@ -56,7 +56,8 @@ import numpy as np
 from .errors import NotDensityPoint, NotDensitySet, PreconditionError
 from .fields import ScalarField
 from .geometry import (DeltaSchedule, QuadratureConfig, Region, _primes,
-                       as_point, kd_tree, point_cloud, row_norm, shell_lattice)
+                       as_point, kd_tree, point_cloud, point_distances,
+                       shell_lattice)
 
 Reach = Callable[[np.ndarray], np.ndarray]  # (m, n) -> (m,) distance, inf off Omega
 REFINE_TOP = 3      # lattice samples that seed refinement walks
@@ -242,7 +243,7 @@ def neighborhood_levels(Omega: Region, anchor, sched: DeltaSchedule,
         centre = cloud[0]
 
         def dist(p):
-            return row_norm(np.atleast_2d(p) - centre)
+            return point_distances(p, centre)
     else:
         def dist(p):
             return tree.query(np.atleast_2d(p), k=1)[0]
@@ -405,7 +406,7 @@ def halton_ball(x: np.ndarray, delta: float, n_samples: int,
         count = 2 * need + 8
         raw = x + delta * (2.0 * halton(n, seed, start, count) - 1.0)
         start += count
-        r = row_norm(raw - x)
+        r = point_distances(raw, x)
         keep = (r < delta) & (r > 0)
         raw = raw[keep]
         pts.append(raw[:need])

@@ -9,7 +9,7 @@ from densilim.clarke import (GradientHull, check_calculus, contains,
                              convex_hull_vertices, dir_derivative_gradsup,
                              dir_derivative_quotient, gen_gradient,
                              probe_directions)
-from densilim.errors import NonLipschitz, SupportMismatch
+from densilim.errors import DimensionMismatch, NonLipschitz, SupportMismatch
 from densilim.expr import compile_field
 from densilim.geometry import DeltaSchedule, QuadratureConfig, row_norm
 
@@ -302,3 +302,14 @@ def test_diameter_memory_is_linear_in_vertices():
     pairwise = np.sum((vs[:, None, :] - vs[None, :, :]) ** 2, axis=2)
     assert d == float(np.sqrt(np.max(pairwise)))
     assert peak <= 16 * vs.nbytes
+
+
+@pytest.mark.parametrize("v", [[1.0], [1.0, 0.0, 0.0]])
+def test_direction_of_the_wrong_length_is_refused_before_sampling(monkeypatch, v):
+    def never(*args, **kwargs):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(clarke, "neighborhood_levels", never)
+    for estimator in (dir_derivative_quotient, dir_derivative_gradsup):
+        with pytest.raises(DimensionMismatch, match="direction v of shape"):
+            estimator(MAX2, [0.0, 0.0], v, SCHED, CFG)

@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 import subprocess
 import sys
 import time
@@ -388,3 +389,53 @@ def test_anchor_that_dwarfs_the_finest_cell_is_refused(capsys, argv):
     err = json.loads(captured.err)
     assert captured.out == "" and err["error"] == "PreconditionError"
     assert "dwarfs the finest lattice cell" in err["message"]
+
+
+@pytest.mark.parametrize("sweep", [[], ["--sweep", "2", "--csv"]], ids=["residual", "sweep"])
+@pytest.mark.parametrize("phi", ["x1", "x1,x2,x1"], ids=["one", "three"])
+def test_gauss_green_refuses_phi_of_the_wrong_size(capsys, phi, sweep):
+    # one component used to broadcast into phi1 (d1 f + d2 f), three to raise
+    # an IndexError
+    assert main(["gauss-green", "--f", "x1", "--phi", phi,
+                 "--domain", "unit_square", *sweep]) == 2
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)
+    assert captured.out == "" and err["error"] == "DimensionMismatch"
+    assert err["message"].startswith(f"phi has {phi.count(',') + 1} components")
+
+
+WRONG_V = [["--at", "0,0", "--v", "1"], ["--at", "0", "--v", "1,2"]]
+
+
+@pytest.mark.parametrize("argv", WRONG_V, ids=["short", "long"])
+def test_clarke_refuses_a_direction_of_the_wrong_length(capsys, argv):
+    assert main(["clarke", "--f", "abs(x1)", *argv]) == 2
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)
+    assert captured.out == "" and err["error"] == "DimensionMismatch"
+    assert err["message"].startswith("direction v of shape")
+
+
+BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS")
+_THREADS_AFTER = """
+import json, os, sys
+import densilim
+seen = ["numpy" in sys.modules, os.environ.get("OPENBLAS_NUM_THREADS")]
+import densilim.cli
+print(json.dumps(seen + [os.environ.get(v) for v in sys.argv[1:]]))
+"""
+
+
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_cli_defaults_blas_threads_to_one_unless_set(preset):
+    # the package loads no numpy, so the CLI module can set the variables
+    # before numpy starts its thread pool; a user's own value wins
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    if preset:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run([sys.executable, "-c", _THREADS_AFTER, *BLAS_VARS],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    want = ["1", preset or "1", "1", "1"]
+    assert json.loads(proc.stdout) == [False, preset] + want

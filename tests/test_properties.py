@@ -20,6 +20,7 @@ from densilim.errors import PreconditionError
 from densilim.expr import (BoolLit, BoolOp, Bin, Call, Cmp, Neg, Not, Num, Var,
                            compile_field, compile_region, compile_vector_field,
                            derivative, evaluate, parse, to_source)
+from densilim.fields import ScalarField
 from densilim.gaussgreen import gg_residual
 from densilim.geometry import (Box, DeltaSchedule, QuadratureConfig, Region,
                                ball_region, ball_window, box_region,
@@ -673,6 +674,36 @@ def test_evaluate_is_the_reference_evaluator_bit_for_bit(node, power):
     assert np.array_equal(np.isnan(got), np.isnan(want))
     assert np.array_equal(np.where(np.isnan(got), 0.0, got).view(np.uint64),
                           np.where(np.isnan(want), 0.0, want).view(np.uint64))
+
+
+def _gradient_reference(node, X):
+    """A compiled field's gradient as an array expression: the partials
+    stacked, NaN rows where the value is not finite."""
+    g = np.stack([evaluate(derivative(node, i), X) for i in (1, 2)], axis=1)
+    return np.where(np.isfinite(evaluate(node, X))[:, None], g, np.nan)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(a=trees(), b=trees(), s=st.sampled_from([-2.0, -0.0, 0.5, 3.0]),
+       form=st.sampled_from(["field", "scale", "sum", "product", "hand-made"]))
+def test_value_and_gradient_is_value_and_gradient_bit_for_bit(a, b, s, form):
+    # the shared call against the field's values and its gradient_at, and
+    # the gradient against the broadcast array expressions of the product,
+    # sum and scaling rules, NaN positions and payloads included
+    f, g = compile_field(to_source(a), 2), compile_field(to_source(b), 2)
+    X = np.vstack([EVAL_POINTS, np.random.default_rng(29).uniform(-3.0, 3.0, (40, 2))])
+    with np.errstate(all="ignore"):
+        ga, gb = _gradient_reference(a, X), _gradient_reference(b, X)
+        fa, fb = evaluate(a, X)[:, None], evaluate(b, X)[:, None]
+        hand = ScalarField(2, f.fn, grad=lambda p: _gradient_reference(a, p))
+        h, want = {"field": (f, ga), "scale": (f.scale(s), s * ga),
+                   "sum": (f + g.scale(s), ga + s * gb),
+                   "product": (f * g, fa * gb + fb * ga),
+                   "hand-made": (hand * g, fa * gb + fb * ga)}[form]
+    values, grad = h.value_and_gradient(X)
+    assert np.array_equal(values.view(np.uint64), h(X).view(np.uint64))
+    assert np.array_equal(grad.view(np.uint64), h.gradient_at(X).view(np.uint64))
+    assert np.array_equal(grad.view(np.uint64), want.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------
