@@ -123,11 +123,14 @@ def _tail_sups(f: ScalarField, x: np.ndarray, v: np.ndarray,
 
 
 def _direction(f: ScalarField, v) -> np.ndarray:
-    """v as a float vector; DimensionMismatch unless it has f's dimension."""
+    """v as a float vector; DimensionMismatch unless it has f's dimension,
+    PreconditionError if a component is NaN or infinite."""
     v = np.asarray(v, dtype=float)
     if v.shape != (f.dim,):
         raise DimensionMismatch(
             f"direction v of shape {v.shape} vs field {f.label!r} of dim {f.dim}")
+    if not np.all(np.isfinite(v)):
+        raise PreconditionError(f"direction v {v.tolist()} has a non-finite component")
     return v
 
 

@@ -162,14 +162,31 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _numbers(text: str, option: str, kinds: tuple = ()) -> list:
+    """The comma-separated numbers of an option: floats, or one of each type
+    of ``kinds``; PreconditionError naming the option when one does not
+    parse or, given ``kinds``, their count is not its length."""
+    parts = text.split(",")
+    want = "comma-separated numbers"
+    if kinds:
+        want = (f"{len(kinds)} comma-separated numbers "
+                f"({','.join(k.__name__ for k in kinds)})")
+    try:
+        if kinds and len(parts) != len(kinds):
+            raise ValueError
+        return [k(t) for k, t in zip(kinds or [float] * len(parts), parts)]
+    except ValueError:
+        raise PreconditionError(f"{option} expects {want}, got {text!r}") from None
+
+
 def _parse_point(args) -> np.ndarray:
-    return np.array([float(t) for t in args.at.split(",")], dtype=float)
+    return np.array(_numbers(args.at, "--at"), dtype=float)
 
 
 def _parse_bbox(args, dim: int) -> Box:
     if not args.bbox:
         return Box([-2.0] * dim, [2.0] * dim)
-    vals = [float(t) for t in args.bbox.split(",")]
+    vals = _numbers(args.bbox, "--bbox")
     if len(vals) != 2 * dim:
         raise PreconditionError(f"--bbox expects {2 * dim} numbers")
     return Box(vals[:dim], vals[dim:])
@@ -206,8 +223,9 @@ def resolve_region(spec: str, dim: int, bbox: Box, atan2_range: str) -> Region:
 
 def _schedule(args, domain_bbox: Box) -> DeltaSchedule:
     if args.schedule:
-        d0, ratio, k, w = args.schedule.split(",")
-        return DeltaSchedule(float(d0), float(ratio), int(k), int(w))
+        d0, ratio, k, w = _numbers(args.schedule, "--schedule",
+                                   (float, float, int, int))
+        return DeltaSchedule(d0, ratio, k, w)
     return DeltaSchedule.default_for(domain_bbox)
 
 
@@ -331,10 +349,11 @@ def cmd_clarke(args) -> int:
         rep = clarke.check_calculus(f, g, x, args.rule, sched, quad, **params, **tol)
         _emit("clarke", config, rep.to_json_dict())
         return 0
+    if args.v:  # a bad direction is refused before the gradient is sampled
+        v = clarke._direction(f, _numbers(args.v, "--v"))
     hull = clarke.gen_gradient(f, x, sched, quad, **tol)
     out = hull.to_json_dict()
     if args.v:
-        v = np.array([float(t) for t in args.v.split(",")])
         out["dir_derivative"] = {
             "v": v.tolist(),
             "quotient": clarke.dir_derivative_quotient(f, x, v, sched, quad, **tol),

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ArityError, DimensionMismatch, ExprSyntaxError, UnknownIdentifier
 from .fields import ScalarField, VectorField
-from .geometry import Box, Region
+from .geometry import Box, Region, as_points
 
 ATAN2_PMPI = "pmpi"      # mathematical range (-pi, pi]
 ATAN2_02PI = "0..2pi"    # range [0, 2pi)
@@ -317,33 +317,35 @@ def evaluate(node, points: np.ndarray, atan2_range: str = ATAN2_PMPI) -> np.ndar
     Constants are numpy scalars that broadcast, so a constant exponent
     reaches ``np.power`` as a scalar and numpy's exact paths: x^2 is x*x,
     x^0.5 is sqrt(x) and x^-1 is 1/x.  A constant expression is filled out
-    to the m points.
+    to the m points; a bare variable is a view of its column of points.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
     with np.errstate(all="ignore"):
-        return _full(_eval(node, points, atan2_range), points)
+        return _evaluate(node, as_points(points), atan2_range)
+
+
+def _evaluate(node, X: np.ndarray, mode: str):
+    """``evaluate`` on float (m, n) points, without its ``np.errstate``: for
+    a compiled field's ``fn``, which runs inside the field call's own."""
+    return _full(_eval(node, X, mode), X)
 
 
 def _full(value, X: np.ndarray):
     """An array value, or a constant one filled out to the points of X: pow
     and the transcendentals take constant operands, except pow's exponent,
     as arrays, because numpy's scalar and array loops need not agree."""
-    return np.full(X.shape[0], value) if np.ndim(value) == 0 else value
+    if isinstance(value, np.ndarray) and value.ndim:
+        return value
+    return np.full(X.shape[0], value)
+
+
+_NODES = (Num, BoolLit, Var, Neg, Bin, Cmp, Not, BoolOp, Call)
 
 
 def _eval(node, X: np.ndarray, mode: str):
-    if isinstance(node, Num):
-        return np.float64(node.value)
-    if isinstance(node, BoolLit):
-        return np.bool_(node.value)
-    if isinstance(node, Var):
-        if node.index > X.shape[1]:
-            raise DimensionMismatch(
-                f"x{node.index} undefined for points of dim {X.shape[1]}")
-        return X[:, node.index - 1]
-    if isinstance(node, Neg):
-        return -_eval(node.arg, X, mode)
-    if isinstance(node, Bin):
+    kind = type(node)  # the node's class; of a subclass, the class it extends
+    if kind not in _NODES:
+        kind = next((k for k in _NODES if isinstance(node, k)), None)
+    if kind is Bin:
         a = _eval(node.left, X, mode)
         b = _eval(node.right, X, mode)
         if node.op == "+":
@@ -356,24 +358,14 @@ def _eval(node, X: np.ndarray, mode: str):
             return np.where(b != 0.0, a / np.where(b != 0.0, b, 1.0), np.nan)
         if node.op == "^":
             return np.power(_full(a, X), b)
-    if isinstance(node, Cmp):
-        a = _eval(node.left, X, mode)
-        b = _eval(node.right, X, mode)
-        if node.op == "<":
-            return a < b
-        if node.op == "<=":
-            return a <= b
-        if node.op == ">":
-            return a > b
-        if node.op == ">=":
-            return a >= b
-    if isinstance(node, Not):
-        return ~_eval(node.arg, X, mode)
-    if isinstance(node, BoolOp):
-        a = _eval(node.left, X, mode)
-        b = _eval(node.right, X, mode)
-        return (a & b) if node.op == "and" else (a | b)
-    if isinstance(node, Call):
+    if kind is Var:
+        if node.index > X.shape[1]:
+            raise DimensionMismatch(
+                f"x{node.index} undefined for points of dim {X.shape[1]}")
+        return X[:, node.index - 1]
+    if kind is Num:
+        return np.float64(node.value)
+    if kind is Call:
         if node.name == "if":
             c = _eval(node.args[0], X, mode)
             a = _eval(node.args[1], X, mode)
@@ -404,6 +396,27 @@ def _eval(node, X: np.ndarray, mode: str):
             return np.minimum(args[0], args[1])
         if node.name == "max":
             return np.maximum(args[0], args[1])
+    if kind is Neg:
+        return -_eval(node.arg, X, mode)
+    if kind is Cmp:
+        a = _eval(node.left, X, mode)
+        b = _eval(node.right, X, mode)
+        if node.op == "<":
+            return a < b
+        if node.op == "<=":
+            return a <= b
+        if node.op == ">":
+            return a > b
+        if node.op == ">=":
+            return a >= b
+    if kind is BoolLit:
+        return np.bool_(node.value)
+    if kind is Not:
+        return ~_eval(node.arg, X, mode)
+    if kind is BoolOp:
+        a = _eval(node.left, X, mode)
+        b = _eval(node.right, X, mode)
+        return (a & b) if node.op == "and" else (a | b)
     raise TypeError(f"cannot evaluate {node!r}")
 
 
@@ -540,15 +553,15 @@ def compile_field(src: str, dim: int, atan2_range: str = ATAN2_PMPI,
         raise ExprSyntaxError("field expression must be numeric, not boolean", 1)
     partials = []
 
-    def fn(p):
-        return evaluate(node, p, atan2_range)
+    def fn(p):  # runs inside the field call's np.errstate: enters none
+        return _evaluate(node, as_points(p), atan2_range)
 
     def fn_grad(p):
         """The values and the exact gradient, NaN where the value is not
         finite, from one evaluation of the expression."""
         if not partials:  # built on first use, so compiling costs no more
             partials.extend(derivative(node, i) for i in range(1, dim + 1))
-        values = fn(p)
+        values = evaluate(node, p, atan2_range)
         g = np.empty((values.shape[0], dim))
         for i, d in enumerate(partials):  # a column at a time
             g[:, i] = evaluate(d, p, atan2_range)

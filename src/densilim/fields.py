@@ -13,6 +13,13 @@ grad=...)`` is called twice, once for each.  Gradients are filled a column
 at a time: numpy broadcasts an (m, 1) or (n,) operand over an (m, n) array
 of few columns row by row, several times slower than the same arithmetic
 on its columns, with the same bits.
+
+A field call on a few hundred points, as each refinement step makes, costs
+numpy's fixed overhead more than arithmetic, so the call does no more than
+it must: a float (m, n) array goes to ``fn`` untouched, a float (m,) array
+from ``fn`` is not broadcast, and ``fn`` runs inside the call's one
+``np.errstate``, which compiled fields do not enter again.  The values
+returned are always a fresh array, the caller's to write.
 """
 
 from __future__ import annotations
@@ -23,11 +30,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DimensionMismatch, PreconditionError
+from .geometry import as_points
 
-
-def _sanitize(values: np.ndarray) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
-    return np.where(np.isfinite(values), values, np.nan)
+_FLOAT = np.dtype(float)
 
 
 @dataclass
@@ -36,7 +41,8 @@ class ScalarField:
 
     ``grad(p)`` gives the gradient alone; ``fn_grad(p)`` gives the values
     ``fn(p)`` and the gradient from one evaluation, and is read in its
-    place when both are set.
+    place when both are set.  Each is called on float (m, n) points inside
+    an ``np.errstate`` that ignores floating-point faults.
     """
 
     dim: int
@@ -50,15 +56,19 @@ class ScalarField:
         return self.fn_grad is not None or self.grad is not None
 
     def _points(self, points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
+        points = as_points(points)
         if points.shape[1] != self.dim:
             raise DimensionMismatch(
                 f"points of dim {points.shape[1]} vs field of dim {self.dim}")
         return points
 
     def _values(self, values, points: np.ndarray) -> np.ndarray:
-        return _sanitize(np.broadcast_to(np.asarray(values, dtype=float),
-                                         (points.shape[0],)))
+        """fn's values as a fresh (m,) float array, NaN where not finite."""
+        if not (type(values) is np.ndarray and values.dtype is _FLOAT
+                and values.shape == points.shape[:1]):
+            values = np.broadcast_to(np.asarray(values, dtype=float),
+                                     (points.shape[0],))
+        return np.where(np.isfinite(values), values, np.nan)
 
     def _raw(self, points: np.ndarray) -> tuple:
         """fn's values, unsanitized, and the (m, n) float gradient at (m, n)

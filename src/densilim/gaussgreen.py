@@ -168,7 +168,10 @@ def gg_residual(f: ScalarField, phi: VectorField, Omega: Region,
 
 def gg_sweep(f: ScalarField, phi: VectorField, Omega: Region,
              cfg: QuadratureConfig, levels: int = 3) -> list:
-    """Refinement sweep: (grid_h, residual) pairs under h -> h/2."""
+    """Refinement sweep: (grid_h, residual) pairs under h -> h/2, one per
+    level; PreconditionError unless there is at least one."""
+    if levels < 1:
+        raise PreconditionError(f"a sweep needs at least one level, got {levels}")
     _check_phi(phi, Omega)
     out = []
     res = cfg.resolution

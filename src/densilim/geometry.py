@@ -13,6 +13,11 @@ Arithmetic on (m, n) point arrays runs a column at a time below 8 columns:
 few columns row by row, several times slower than the same operations on
 its columns (``row_norm(p - c)`` about 5x slower than ``point_distances``
 at 65,536 2-d rows), and the column forms give the same bits.
+
+Membership and distances are called once per refinement step on a few
+hundred points, where numpy's fixed cost per call outweighs the
+arithmetic: ``as_points`` passes a float (m, n) array through untouched,
+and ``Region.contains`` hands out the indicator's own bool (m,) array.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ Indicator = Callable[[np.ndarray], np.ndarray]  # (m, n) float -> (m,) bool
 CLOUD_SIZE = 4096  # points asked of a region's declared sample generator
 LATTICE_BUDGET = 2 ** 24  # points one lattice or tube lattice may hold
 TUBE_GROUP = 2 ** 20  # tube points expanded, sorted and decoded at a time
+_FLOAT, _BOOL = np.dtype(float), np.dtype(bool)
 
 
 def as_point(x, dim: int | None = None) -> np.ndarray:
@@ -37,6 +43,14 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
     if dim is not None and p.shape != (dim,):
         raise DimensionMismatch(f"expected point of dim {dim}, got shape {p.shape}")
     return p
+
+
+def as_points(points) -> np.ndarray:
+    """``np.atleast_2d(np.asarray(points, dtype=float))``: the points as a
+    float (m, n) array, the input itself when it is one already."""
+    if type(points) is np.ndarray and points.dtype is _FLOAT and points.ndim == 2:
+        return points
+    return np.atleast_2d(np.asarray(points, dtype=float))
 
 
 def row_norm(d: np.ndarray) -> np.ndarray:
@@ -59,7 +73,7 @@ def point_distances(points: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Distance of each row to the point x: ``row_norm(points - x)``, bit
     for bit.  Below 8 columns the differences are taken a column at a
     time, in one reused vector, without forming ``points - x``."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = as_points(points)
     if points.shape[1] >= 8:
         return row_norm(points - x)
     d = points[:, 0] - x[0]
@@ -145,12 +159,18 @@ class Region:
             raise DimensionMismatch("bbox dimension differs from region dimension")
 
     def contains(self, points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
+        """The (m,) bool mask of the points in the region: the indicator's
+        own array when it returns a bool (m,) array, else a bool copy.
+        Callers read masks and never write into them."""
+        points = as_points(points)
         if points.shape[1] != self.dim:
             raise DimensionMismatch(
                 f"points of dim {points.shape[1]} vs region of dim {self.dim}")
-        out = np.asarray(self.indicator(points))
-        return out.astype(bool).reshape(points.shape[0])
+        out = self.indicator(points)
+        if (type(out) is np.ndarray and out.dtype is _BOOL
+                and out.shape == points.shape[:1]):
+            return out
+        return np.asarray(out).astype(bool).reshape(points.shape[0])
 
 
 def intersect(a: Region, b: Region, label: str = "") -> Region:

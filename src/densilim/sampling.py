@@ -308,21 +308,24 @@ def refine_extremum(f: ScalarField, reach: Reach, levels: list,
     center = np.concatenate([s.points for s in levels])
     current = np.concatenate([s.values for s in levels])
     width = np.repeat([s.cell / 2.0 for s in levels], sizes)
-    delta = np.repeat([s.delta for s in levels], sizes)
     stagnant = np.zeros(walk.size, dtype=np.intp)
     final = current.copy()  # each walk's result once it stops
     offsets = _sub_offsets(center.shape[1])
     k, n = offsets.shape
+    # each candidate's delta, one row per walk, filtered with the walks
+    limit = np.repeat([s.delta for s in levels],
+                      [size * k for size in sizes]).reshape(-1, k)
     for _ in range(REFINE_LEVELS):
         if walk.size == 0:
             break
         cand = center[:, None, :] + width[:, None, None] * offsets
         flat = cand.reshape(-1, n)
-        inside = np.flatnonzero(reach(flat) < np.repeat(delta, k))
+        inside = np.flatnonzero(reach(flat) < limit.reshape(-1))
         vals = np.full((walk.size, k), -np.inf)
         if inside.size:
-            v = f(flat.take(inside, axis=0))
-            np.put(vals, inside, np.where(np.isfinite(v), v, -np.inf))
+            v = f(flat.take(inside, axis=0))  # fresh, non-finite values NaN
+            v[np.isnan(v)] = -np.inf
+            vals.reshape(-1)[inside] = v
         j = np.argmax(vals, axis=1)  # the first best: rows outside are -inf
         best = vals[np.arange(walk.size), j]
         gain = best - current
@@ -336,8 +339,8 @@ def refine_extremum(f: ScalarField, reach: Reach, levels: list,
         stop = (stagnant >= 4) | (width < 1e-300) | (current > cap)
         if stop.any():
             final[walk[stop]] = current[stop]
-            walk, center, current, width, delta, stagnant = (
-                a[~stop] for a in (walk, center, current, width, delta, stagnant))
+            walk, center, current, width, limit, stagnant = (
+                a[~stop] for a in (walk, center, current, width, limit, stagnant))
     final[walk] = current  # walks that took all REFINE_LEVELS steps
     out = np.full(len(levels), np.nan)
     for i, s in enumerate(levels):
@@ -351,10 +354,15 @@ def refine_extremum(f: ScalarField, reach: Reach, levels: list,
     return out
 
 
+@functools.lru_cache(maxsize=None)
 def _sub_offsets(n: int) -> np.ndarray:
+    """The (5^n, n) offsets of a walk's sub-lattice in cell widths; cached,
+    and read-only."""
     axes = [np.linspace(-1.0, 1.0, 5)] * n
     grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+    out = np.stack([g.ravel() for g in grids], axis=1)
+    out.flags.writeable = False
+    return out
 
 
 # halton and halton_ball: read only by perfbench/tracer.py, which wraps them

@@ -9,7 +9,8 @@ from densilim.clarke import (GradientHull, check_calculus, contains,
                              convex_hull_vertices, dir_derivative_gradsup,
                              dir_derivative_quotient, gen_gradient,
                              probe_directions)
-from densilim.errors import DimensionMismatch, NonLipschitz, SupportMismatch
+from densilim.errors import (DimensionMismatch, NonLipschitz, PreconditionError,
+                             SupportMismatch)
 from densilim.expr import compile_field
 from densilim.geometry import DeltaSchedule, QuadratureConfig, row_norm
 
@@ -312,4 +313,15 @@ def test_direction_of_the_wrong_length_is_refused_before_sampling(monkeypatch, v
     monkeypatch.setattr(clarke, "neighborhood_levels", never)
     for estimator in (dir_derivative_quotient, dir_derivative_gradsup):
         with pytest.raises(DimensionMismatch, match="direction v of shape"):
+            estimator(MAX2, [0.0, 0.0], v, SCHED, CFG)
+
+
+@pytest.mark.parametrize("v", [[1.0, math.nan], [math.inf, 0.0], [0.0, -math.inf]])
+def test_non_finite_direction_is_refused_before_sampling(monkeypatch, v):
+    def never(*args, **kwargs):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(clarke, "neighborhood_levels", never)
+    for estimator in (dir_derivative_quotient, dir_derivative_gradsup):
+        with pytest.raises(PreconditionError, match="non-finite component"):
             estimator(MAX2, [0.0, 0.0], v, SCHED, CFG)

@@ -439,3 +439,45 @@ def test_cli_defaults_blas_threads_to_one_unless_set(preset):
     assert proc.returncode == 0, proc.stderr
     want = ["1", preset or "1", "1", "1"]
     assert json.loads(proc.stdout) == [False, preset] + want
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["aplim", "--f", "x1", "--at", "a,0"], "--at"),
+    (["clarke", "--f", "abs(x1)", "--at", "0,0", "--v", "a"], "--v"),
+    (["aplim", "--f", "x1", "--at", "0,0", "--bbox=-1,-1,1,x"], "--bbox"),
+    (["aplim", "--f", "x1", "--at", "0,0", "--schedule", "a,0.5,4,2"], "--schedule"),
+    (["aplim", "--f", "x1", "--at", "0,0", "--schedule", "0.5,0.5"], "--schedule"),
+    (["density", "--set", "x2>0", "--at", "0,0", "--schedule", "0.5,0.5,4.5,2"],
+     "--schedule"),
+])
+def test_malformed_numbers_exit_2_naming_the_option(capsys, argv, option):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)
+    assert captured.out == "" and err["error"] == "PreconditionError"
+    assert err["message"].startswith(f"{option} expects")
+
+
+@pytest.mark.parametrize("f", ["abs(x1)", "if(x1 > 0, 1, 0)"])
+def test_non_finite_direction_exits_2_before_the_gradient(capsys, monkeypatch, f):
+    # a non-Lipschitz f would exit 3 in gen_gradient: the direction is read first
+    from densilim import clarke
+
+    def never(*args, **kwargs):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(clarke, "gen_gradient", never)
+    assert main(["clarke", "--f", f, "--at", "0,0", "--v", "1,nan"]) == 2
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)
+    assert captured.out == "" and err["error"] == "PreconditionError"
+    assert "non-finite" in err["message"]
+
+
+def test_gauss_green_sweep_below_one_exits_2_and_zero_is_no_sweep(capsys):
+    base = ["gauss-green", "--f", "1", "--phi", "x1,0", "--res", "16"]
+    assert main(base + ["--sweep", "-2"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "PreconditionError"
+    assert main(base + ["--sweep", "0"]) == 0
+    assert "residual" in json.loads(capsys.readouterr().out)["result"]

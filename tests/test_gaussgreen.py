@@ -199,3 +199,11 @@ def test_vanishing_requires_disjoint_sets():
     with pytest.raises(RegionsNotDisjoint):
         vanishing_functional_demo(constant_field(2, 1.0), [0, 0], E1, E1,
                                   plane, DEMO_SCHED, DEMO_CFG)
+
+
+@pytest.mark.parametrize("levels", [0, -2])
+def test_sweep_refuses_fewer_than_one_level(levels):
+    phi = compile_vector_field(["x1", "0"], 2)
+    with pytest.raises(PreconditionError, match="at least one level"):
+        gg_sweep(constant_field(2, 1.0), phi, SQUARE, QuadratureConfig(16),
+                 levels=levels)
