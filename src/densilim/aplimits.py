@@ -2,8 +2,8 @@
 
 The interval [ess-inf, ess-sup] near a null set C is exactly the set of
 values that integrals against measures concentrating on shrinking
-neighborhoods of C can attain; its endpoints are estimated from lattice
-extremes with local refinement.  Upper/lower approximate limits are found
+neighborhoods of C can attain; its endpoints are the refined lattice extremes
+of f on the finest neighborhood.  Upper/lower approximate limits are found
 by bisection on the level whose super/sub-level relative density vanishes.
 """
 
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -64,37 +63,26 @@ class ApproxLimitResult:
 # Essential bounds near a set
 
 
-def ess_sup_series(f: ScalarField, Omega: Region, C: Region, sched: DeltaSchedule,
-                   cfg: QuadratureConfig, cap: float = Tolerances.cap) -> np.ndarray:
-    """Per-delta sups over shrinking neighborhoods, non-increasing as sampled.
-
-    Lattice sups are pushed outward by local refinement and clamped so the
-    series respects the nesting of the neighborhoods; every entry is +inf
-    when the refined sup exceeds the cap at every delta.
-    """
-    require_null(C, Omega, cfg)
-    seeds = []
-    for level in neighborhood_levels(Omega, C, sched, cfg, f):
-        seeds.append(level.seeds())  # keeps no more of a level than its seeds
-        if not seeds[-1].values.size:
-            raise NotDensitySet(
-                f"all samples of {f.label!r} near {C.label!r} were discarded "
-                f"at delta={level.delta:g}")
-    refined = refine_extremum(f, level.reach, seeds, cap=cap)
-    if np.all(refined > cap):
-        return np.full(len(seeds), math.inf)
-    return np.asarray(list(accumulate(refined, min)))
-
-
 def ess_sup_near(f: ScalarField, Omega: Region, C: Region, sched: DeltaSchedule,
                  cfg: QuadratureConfig, cap: float = Tolerances.cap) -> float:
     """Limit of the supremum of f over shrinking neighborhoods of C in Omega.
 
-    The limit of the non-increasing per-delta series is its value at the
-    smallest delta; +inf means the refined sup exceeded the cap at every
-    delta (unbounded concentration near C).
+    The neighborhoods are nested, so f is evaluated and its lattice sup
+    refined on the finest level alone; a coarser level could only lower it
+    by missing values its larger region holds.  Every level is still
+    sampled, without f, for its NotDensitySet check.  +inf means the
+    finest refined sup passes the cap (unbounded concentration near C).
     """
-    return float(ess_sup_series(f, Omega, C, sched, cfg, cap=cap)[-1])
+    require_null(C, Omega, cfg)
+    for level in neighborhood_levels(Omega, C, sched, cfg):
+        pass  # the domain check of every level; the last is the finest
+    seeds = replace(level, values=f(level.points)).seeds()
+    if not seeds.values.size:
+        raise NotDensitySet(
+            f"all samples of {f.label!r} near {C.label!r} were discarded "
+            f"at delta={level.delta:g}")
+    sup = float(refine_extremum(f, level.reach, [seeds], cap=cap)[0])
+    return math.inf if sup > cap else sup
 
 
 def ess_inf_near(f: ScalarField, Omega: Region, C: Region, sched: DeltaSchedule,

@@ -317,7 +317,7 @@ def evaluate(node, points: np.ndarray, atan2_range: str = ATAN2_PMPI) -> np.ndar
     Constants are numpy scalars that broadcast, so a constant exponent
     reaches ``np.power`` as a scalar and numpy's exact paths: x^2 is x*x,
     x^0.5 is sqrt(x) and x^-1 is 1/x.  A constant expression is filled out
-    to the m points; a bare variable is a view of its column of points.
+    to the m points; a bare variable is a copy of its column of points.
     """
     with np.errstate(all="ignore"):
         return _evaluate(node, as_points(points), atan2_range)
@@ -325,8 +325,10 @@ def evaluate(node, points: np.ndarray, atan2_range: str = ATAN2_PMPI) -> np.ndar
 
 def _evaluate(node, X: np.ndarray, mode: str):
     """``evaluate`` on float (m, n) points, without its ``np.errstate``: for
-    a compiled field's ``fn``, which runs inside the field call's own."""
-    return _full(_eval(node, X, mode), X)
+    a compiled field's ``fn``, which runs inside the field call's own; a
+    view of X (a bare variable's column) leaves as a copy."""
+    value = _full(_eval(node, X, mode), X)
+    return value if value.base is None else value.copy()
 
 
 def _full(value, X: np.ndarray):

@@ -16,7 +16,7 @@ at 65,536 2-d rows), and the column forms give the same bits.
 
 Membership and distances are called once per refinement step on a few
 hundred points, where numpy's fixed cost per call outweighs the
-arithmetic: ``as_points`` passes a float (m, n) array through untouched,
+arithmetic: ``as_points`` passes a C-ordered float (m, n) array through,
 and ``Region.contains`` hands out the indicator's own bool (m,) array.
 """
 
@@ -46,11 +46,13 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
 
 
 def as_points(points) -> np.ndarray:
-    """``np.atleast_2d(np.asarray(points, dtype=float))``: the points as a
-    float (m, n) array, the input itself when it is one already."""
-    if type(points) is np.ndarray and points.dtype is _FLOAT and points.ndim == 2:
+    """The points as a C-ordered float (m, n) array, the input itself when
+    it is one: a field's bits must not depend on the layout (numpy's
+    ``arctan2`` may round a reversed view apart in the last bit)."""
+    if (type(points) is np.ndarray and points.dtype is _FLOAT and points.ndim == 2
+            and points.flags.c_contiguous):
         return points
-    return np.atleast_2d(np.asarray(points, dtype=float))
+    return np.atleast_2d(np.ascontiguousarray(points, dtype=float))
 
 
 def row_norm(d: np.ndarray) -> np.ndarray:

@@ -40,8 +40,11 @@ This is what lets unbounded concentrations (integrable singularities)
 exceed the cap instead of being clipped at lattice resolution; fields
 whose essential and pointwise extremes differ on a null set are
 consequently misread, a documented limitation of predicate-defined data.
-The walks of all levels run in lockstep, one ``reach`` call and one field
-call per step, with the results of walking them one after another.
+Essential bounds refine the finest level alone (the neighborhoods are
+nested) and read +inf when it passes the cap; approximate limits, only
+when every level does.  Walks of several levels run in lockstep, one
+``reach`` call and one field call per step, with the results of walking
+them one after another.
 """
 
 from __future__ import annotations

@@ -207,16 +207,6 @@ def test_ordering_sandwich():
     assert fu <= hi + slack
 
 
-def test_monotone_ess_series():
-    from densilim.aplimits import ess_sup_series
-    for src in ("x1^2 + x2^2", "sin(3*x1)*cos(2*x2)", "abs(x1) + 0.5*x2"):
-        f = compile_field(src, 2)
-        sups = ess_sup_series(f, PLANE, ORIGIN, SCHED, CFG)
-        assert np.all(np.diff(sups) <= 0.0)
-        infs = -ess_sup_series(-f, PLANE, ORIGIN, SCHED, CFG)
-        assert np.all(np.diff(infs) >= 0.0)
-
-
 def test_ess_sup_near_makes_one_field_call_per_level_and_refinement_step(
         monkeypatch):
     # one call per lattice level, then one per lockstep refinement step for
@@ -232,6 +222,41 @@ def test_ess_sup_near_makes_one_field_call_per_level_and_refinement_step(
                  QuadratureConfig(resolution=64))
     assert SCHED.steps == 12
     assert len(calls) <= 12 + REFINE_LEVELS
+
+
+STRIP = "if(abs(x2) < 1e-3, 1, 0)"  # 2e-3 wide: the lattices of delta >= 0.25 miss it
+
+
+def test_ess_bounds_of_a_strip_the_coarse_lattices_miss():
+    # the finest ball lies in the strip, so both bounds are 1, although the
+    # refined sups of the coarse levels, whose lattices miss it, are 0
+    f = compile_field(STRIP, 2)
+    assert ess_sup_near(f, PLANE, ORIGIN, SCHED, CFG) == 1.0
+    di = dens_interval(f, PLANE, ORIGIN, SCHED, CFG)
+    assert di.lo == di.hi == 1.0
+
+
+def test_ess_sup_near_evaluates_and_refines_the_finest_level_only(monkeypatch):
+    # every level is sampled for the domain check, but f is called on the
+    # lattice once, on the finest level's points, and one level is refined
+    import densilim.aplimits as aplimits
+    from densilim.fields import ScalarField
+    events = []
+    evaluate, refine = ScalarField.__call__, aplimits.refine_extremum
+
+    def counted(f, reach, levels, cap=math.inf):
+        events.append(("refine", [s.delta for s in levels]))
+        return refine(f, reach, levels, cap=cap)
+
+    monkeypatch.setattr(ScalarField, "__call__",
+                        lambda self, p: events.append(("f", len(p))) or evaluate(self, p))
+    monkeypatch.setattr(aplimits, "refine_extremum", counted)
+    cfg = QuadratureConfig(resolution=64)
+    ess_sup_near(registry.get_field("sine_mix"), PLANE, point_region([0.1, 0.2]),
+                 SCHED, cfg)
+    finest = list(sampling.neighborhood_levels(PLANE, [0.1, 0.2], SCHED, cfg))[-1]
+    assert events[:2] == [("f", finest.count), ("refine", [SCHED.deltas[-1]])]
+    assert [e for e in events if e[0] == "refine"] == events[1:2]
 
 
 def test_cap_check_refines_finest_level_first_then_the_rest_together(

@@ -122,6 +122,16 @@ def test_demo_vanishing_reads_its_domain(capsys):
     assert "NotDensityPoint" in capsys.readouterr().err
 
 
+def test_aplim_interval_of_a_strip_the_coarse_lattices_miss(capsys):
+    # the finest ball lies in the strip: both bounds and the limit are 1
+    code, out = run_cli(capsys, "aplim", "--f", "if(abs(x2)<1e-3,1,0)",
+                        "--at", "0,0", "--interval")
+    assert code == 0
+    res = json.loads(out)["result"]
+    assert res["interval"]["lo"] == res["interval"]["hi"] == 1.0
+    assert res["ap_limit"] == 1.0
+
+
 def test_aplim_interval_witnesses(capsys):
     code, out = run_cli(capsys, "aplim", "--f", "if(x2>0, 1, 0)",
                         "--at", "0,0", "--domain", "plane", "--interval")

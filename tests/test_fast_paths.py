@@ -113,10 +113,9 @@ CENTRE = np.array([0.5, -0.25])
 def _forms(ints: np.ndarray) -> list:
     """(input, the C-ordered float (m, n) array it stands for) pairs: a
     list, ints, float32, one point as a 1-d array, and strided and
-    Fortran-ordered views of ints and float32.  A float (m, n) array of
-    any layout is passed through as it is, as before the fast paths, so
-    its bits are those numpy gives that layout: a transcendental ufunc may
-    round a reversed view's values differently in the last bit."""
+    Fortran-ordered views of ints and float32.  Float (m, n) arrays of
+    other layouts are compared in
+    ``test_a_fields_bits_do_not_depend_on_the_points_layout``."""
     ref = ints / 4.0  # exact in float32 too
     small = ref.astype(np.float32)
     wide = np.zeros((ref.shape[0], 4), dtype=np.float32)
@@ -147,6 +146,44 @@ def test_every_input_form_gives_the_bits_of_a_float_array(rows):
             assert _bits(inside(given_points)) == _bits(inside(ref)), name
         assert _bits(point_distances(given_points, CENTRE)) == \
             _bits(point_distances(ref, CENTRE))
+
+
+def test_a_fields_bits_do_not_depend_on_the_points_layout():
+    # numpy's arctan2 rounds the row-reversed view one ulp away from the
+    # C-ordered copy (...888 against ...889); fields see C-ordered points
+    f = registry.get_field("angle_sqrt_inv")
+    pts = np.array([[0.3, 0.1], [-0.25, 0.75]])
+    for view in (pts[::-1], np.asfortranarray(pts), np.hstack([pts, pts])[:, ::2]):
+        copy = np.ascontiguousarray(view)
+        assert _bits(f(view)) == _bits(f(copy))
+        assert _bits(evaluate(NODE, view)) == _bits(evaluate(NODE, copy))
+
+
+def test_sampled_points_reach_fields_without_a_copy(monkeypatch):
+    # lattice levels and refinement candidates are C-ordered float arrays,
+    # which as_points hands through as they are
+    from densilim import fields
+    copied, as_points = [], fields.as_points
+
+    def counted(p):
+        out = as_points(p)
+        copied.append(out is not p)
+        return out
+
+    monkeypatch.setattr(fields, "as_points", counted)
+    f = registry.get_field("sine_mix")
+    plane = registry.get_region("plane")
+    ess_sup_near(f, plane, point_region([0.1, 0.2]), *POINT)
+    ess_sup_near(f, plane, segment_region([-0.3, 0.1], [0.4, 0.1]), *TUBE)
+    ap_limit(f, plane, [0.1, 0.2], *POINT)
+    assert len(copied) > 30 and not any(copied)
+
+
+def test_writing_into_an_evaluated_variable_leaves_the_points():
+    P = np.array([[1.0, 2.0], [3.0, 4.0]])
+    out = evaluate(parse("x1", 2), P)
+    out[...] = 7.0
+    assert P.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
 # -- outputs are the caller's to write --------------------------------------

@@ -452,6 +452,52 @@ def test_sandwich_chain(x0, c0, c, kink, grid):
     assert all(a <= b + tol for a, b in zip(chain, chain[1:])), chain
 
 
+THIN = DeltaSchedule(0.5, 0.5, 12, 2), QuadratureConfig(resolution=32)
+
+
+@st.composite
+def thin_features(draw):
+    """(x0, an indicator source) of an axis-parallel strip or a disk near x0
+    that holds the balls of the last two THIN levels about x0 but is at most
+    0.4 cells of the coarsest lattice wide: that lattice, whose points lie
+    half a cell or more from x0 along each axis, misses it."""
+    sched, cfg = THIN
+    cell = 2.0 * sched.delta0 / cfg.resolution
+    reach = 2.0 * float(sched.deltas[-1])  # radius of the last two balls
+    x0 = draw(points)
+    w = draw(st.floats(0.1, 0.2)) * cell  # half-width or radius
+    kind = draw(st.sampled_from(["disk", 1, 2]))  # a disk, or a strip's axis
+    if kind != "disk":
+        o = float(x0[kind - 1]) + draw(st.floats(-0.9, 0.9)) * (w - reach)
+        return x0, f"abs(x{kind} - ({o!r})) < {w!r}"
+    c1, c2 = (float(v) for v in
+              x0 + draw(st.floats(0.0, 0.9)) * (w - reach) * _unit(draw(angles)))
+    return x0, f"(x1 - ({c1!r}))^2 + (x2 - ({c2!r}))^2 < {w * w!r}"
+
+
+@PROPERTY
+@given(feature=thin_features(), a=st.floats(-1.0, 1.0), gap=st.floats(0.5, 2.0),
+       c=points, below=st.booleans())
+def test_sandwich_chain_about_a_feature_the_coarse_lattices_miss(feature, a, gap,
+                                                                 c, below):
+    # f is affine on a thin strip or disk holding the finest balls and a
+    # constant gap away outside it, where the coarsest lattice reads it
+    sched, cfg = THIN
+    x0, inside = feature
+    outside = a - gap if below else a + gap
+    f = compile_field(f"if({inside}, {_affine(a, c, x0)}, {outside!r})", 2)
+    plane = compile_region("true", 2, BOX)
+    C = point_region(x0)
+    chain = [ess_inf_near(f, plane, C, sched, cfg),
+             ap_liminf(f, plane, x0, sched, cfg),
+             mean_limit(f, plane, x0, sched, cfg).estimate.point_value,
+             ap_limsup(f, plane, x0, sched, cfg),
+             ess_sup_near(f, plane, C, sched, cfg)]
+    tol = 1e-3 * max(1.0, max(abs(v) for v in chain))
+    assert all(p <= q + tol for p, q in zip(chain, chain[1:])), chain
+    assert chain[0] <= chain[-1]  # dens_interval's lo <= hi
+
+
 @PROPERTY
 @given(x0=points, a=points.map(lambda p: 3.0 * p), b=points.map(lambda p: 3.0 * p))
 def test_max_of_affine_hull_is_its_two_gradients(x0, a, b):
