@@ -18,22 +18,20 @@ _EXPORTS = {
                "gen_gradient"),
     "config": ("Tolerances",),
     "density": ("ConcentrationResult", "DensitySetReport", "LimitEstimate",
-                "concentration_direction", "cone_density", "cone_region",
-                "density_at_point", "density_at_set", "is_density_set"),
+                "concentration_direction", "cone_region", "density_at_point",
+                "density_at_set", "is_density_set"),
     "errors": ("DensilimError", "PreconditionError"),
     "expr": ("compile_field", "compile_region", "compile_vector_field", "parse",
              "to_source"),
     "fields": ("ScalarField", "VectorField", "constant_field"),
-    "gaussgreen": ("GGReport", "gg_residual", "gg_sweep", "normal_field",
+    "gaussgreen": ("GGReport", "gg_residual", "gg_sweep",
                    "vanishing_functional_demo"),
     "geometry": ("Box", "DeltaSchedule", "MeasureEstimate", "QuadratureConfig",
                  "Region", "ball_region", "ball_window", "box_region",
-                 "circle_region", "lebesgue", "neighborhood", "point_region",
-                 "segment_region"),
+                 "circle_region", "lebesgue", "point_region", "segment_region"),
     "representative": ("JumpReport", "LebesguePointResult", "MeanLimitResult",
-                       "PreciseRepresentative", "boundary_trace", "detect_jump",
-                       "is_lebesgue_point", "mean_limit",
-                       "precise_representative"),
+                       "PreciseRepresentative", "detect_jump", "is_lebesgue_point",
+                       "mean_limit", "precise_representative"),
 }
 _MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names}
 # submodules that importing the package used to bind as attributes

@@ -212,18 +212,6 @@ def cone_region(x, v, alpha: float, dim: int) -> Region:
     return Region(dim, ind, Box(x - 1e6, x + 1e6), label=f"cone(a={alpha:g})")
 
 
-def cone_density(Omega: Region, x, v, alpha: float, sched: DeltaSchedule,
-                 cfg: QuadratureConfig, tol: float = Tolerances.limit_tol) -> LimitEstimate:
-    """Density of the cone K(x, v, alpha) within Omega at its vertex."""
-    v = np.asarray(v, dtype=float)
-    if abs(np.linalg.norm(v) - 1.0) > 1e-12:
-        raise PreconditionError("cone axis must be a unit vector")
-    if not 0.0 < alpha < math.pi / 2.0:
-        raise PreconditionError("opening half-angle must lie in (0, pi/2)")
-    return density_at_point(cone_region(x, v, alpha, Omega.dim), Omega, x,
-                            sched, cfg, tol)
-
-
 @dataclass(frozen=True)
 class ConcentrationResult:
     """Best concentration direction with its cone density score."""

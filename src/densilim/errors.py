@@ -31,10 +31,6 @@ class NotDensitySet(PreconditionError):
     """The set fails the null-measure or positive-neighborhood condition."""
 
 
-class NotBoundaryPoint(PreconditionError):
-    """No indicator sign change was detected near the queried point."""
-
-
 class RegionsNotDisjoint(PreconditionError):
     """Two regions required to be disjoint overlap on the sample lattice."""
 
@@ -45,11 +41,6 @@ class NonLipschitzDomain(PreconditionError):
 
 class UnboundedNearX(PreconditionError):
     """One-sided limits exceed the configured cap near the queried point."""
-
-
-class AmbiguousNormal(PreconditionError):
-    """The nearest boundary samples' mean normal has norm below 0.5: the point
-    is near the medial axis."""
 
 
 class NonLipschitz(DensilimError):

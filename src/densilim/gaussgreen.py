@@ -18,12 +18,13 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (AmbiguousNormal, DimensionMismatch, NonLipschitzDomain,
-                     PreconditionError, RegionsNotDisjoint)
+from .errors import (DimensionMismatch, NonLipschitzDomain, PreconditionError,
+                     RegionsNotDisjoint)
 from .fields import ScalarField, VectorField
 from .geometry import (DeltaSchedule, QuadratureConfig, Region, as_point,
-                       intersect, lattice, point_distances)
-# scipy's KD tree, loaded on first use; perfbench/tracer.py patches this name
+                       intersect, lattice)
+# scipy's KD tree, loaded on first use: read only by perfbench/tracer.py,
+# which patches this name
 from .geometry import kd_tree as cKDTree
 from .representative import mean_limit
 
@@ -49,47 +50,6 @@ class GGReport:
         if self.components is not None:
             d["components"] = [c.to_json_dict() for c in self.components]
         return d
-
-
-def normal_field(Omega: Region, y, cfg: QuadratureConfig) -> np.ndarray:
-    """Outward unit normal at an interior y from its nearest boundary samples.
-
-    The samples of a region with a ``boundary_fn`` carry the outward normals
-    it declares (the negated inward ones); those of a predicate region are
-    the indicator transitions of its bbox lattice at ``cfg.resolution``
-    (2-d only), each with the unit direction from y to it.  The normal is the
-    mean normal of the samples within one lattice cell (max bbox side over
-    the resolution) of the nearest one.  Raises AmbiguousNormal when the norm
-    of that mean falls below 0.5 (boundary pieces at comparable distance).
-    """
-    y = as_point(y, Omega.dim)
-    if not bool(Omega.contains(y[None, :])[0]):
-        raise PreconditionError("normal_field expects an interior point")
-    if Omega.boundary_fn is not None:
-        pts, _, inward = Omega.boundary_fn(16 * cfg.resolution)
-        dist = point_distances(pts, y)
-        normals = -inward
-    else:
-        if Omega.dim != 2:
-            raise NonLipschitzDomain(
-                "edge detection for predicate regions is only available in 2-d")
-        res = cfg.resolution
-        grid, _ = lattice(Omega.bbox, res)
-        mask = Omega.contains(grid).reshape(res, res)
-        edge = np.zeros_like(mask)
-        edge[:-1, :] |= mask[:-1, :] != mask[1:, :]
-        edge[:, :-1] |= mask[:, :-1] != mask[:, 1:]
-        pts = grid.reshape(res, res, 2)[edge]
-        if pts.shape[0] == 0:
-            raise NonLipschitzDomain("no boundary transitions found on the lattice")
-        dist = point_distances(pts, y)
-        normals = (pts - y) / dist[:, None]
-    cell = float(np.max(Omega.bbox.sides)) / cfg.resolution
-    mean = normals[dist <= np.min(dist) + cell].mean(axis=0)
-    norm = float(np.linalg.norm(mean))
-    if not norm >= 0.5:
-        raise AmbiguousNormal("the nearest boundary normals disagree at the query")
-    return mean / norm
 
 
 def _volume_side(f: ScalarField, phi: VectorField, comp: Region,

@@ -111,9 +111,6 @@ class Box:
     def volume(self) -> float:
         return float(np.prod(self.sides))
 
-    def inflate(self, pad: float) -> "Box":
-        return Box(self.lo - pad, self.hi + pad)
-
     def hull(self, other: "Box") -> "Box":
         return Box(np.minimum(self.lo, other.lo), np.maximum(self.hi, other.hi))
 
@@ -612,6 +609,8 @@ def kd_tree(points: np.ndarray):
     return cKDTree(points)
 
 
+# read only by perfbench/tracer.py, which wraps it, and, as the reference, by
+# test_one_point_norm_matches_kd_tree
 def cloud_distance(cloud: np.ndarray):
     """Distance-to-cloud callable backed by a KD-tree."""
     tree = kd_tree(cloud)
@@ -621,19 +620,3 @@ def cloud_distance(cloud: np.ndarray):
         return np.asarray(d)
 
     return dist
-
-
-def neighborhood(C: Region, delta: float) -> Region:
-    """Open delta-neighborhood {y : dist_C(y) < delta} of the set C.
-
-    dist_C is the distance to C's declared point cloud (``point_cloud``);
-    the bbox is the cloud bbox inflated by delta, so neighborhoods of the
-    same set nest exactly across deltas.
-    """
-    if delta <= 0:
-        raise PreconditionError("delta must be positive")
-    cloud = point_cloud(C)
-    dist = cloud_distance(cloud)
-    bbox = Box(cloud.min(axis=0), cloud.max(axis=0)).inflate(delta)
-    return Region(C.dim, lambda p: dist(p) < delta, bbox,
-                  label=f"nbhd({C.label},{delta:g})")

@@ -1,4 +1,4 @@
-"""Precise representatives, Lebesgue points, jump detection, boundary traces.
+"""Precise representatives, Lebesgue points and jump detection.
 
 A point value of an L^1-class field is recovered either from the
 approximate limit (measure-independent when it exists) or from shrinking
@@ -18,10 +18,9 @@ import numpy as np
 from .aplimits import ApproxLimitResult, ap_limit_from_samples
 from .config import Tolerances
 from .density import LimitEstimate
-from .errors import NotBoundaryPoint, NotDensityPoint, PreconditionError, UnboundedNearX
+from .errors import NotDensityPoint, PreconditionError, UnboundedNearX
 from .fields import ScalarField
-from .geometry import (DeltaSchedule, QuadratureConfig, Region, as_point,
-                       ball_window, lattice)
+from .geometry import DeltaSchedule, QuadratureConfig, Region, as_point
 from .sampling import BallSamples, ball_samples
 
 
@@ -281,21 +280,3 @@ def _one_sided_residuals(samples: BallSamples, nu: np.ndarray,
     res_minus = float(np.mean(np.abs(vals[minus_mask] - f_minus))) \
         if np.any(minus_mask) else math.nan
     return res_plus, res_minus
-
-
-def boundary_trace(f: ScalarField, Omega: Region, x_boundary, sched: DeltaSchedule,
-                   cfg: QuadratureConfig) -> float:
-    """Trace of f at a boundary point via interior ball means.
-
-    x must sit on an indicator sign change (both member and non-member
-    probes in a small ball); the domain must be Lipschitz near x, which the
-    caller asserts.
-    """
-    x = as_point(x_boundary, Omega.dim)
-    probe_r = float(sched.deltas[-1])
-    probe, _ = lattice(ball_window(x, probe_r), min(cfg.resolution, 32))
-    inside = Omega.contains(probe)
-    if bool(np.all(inside)) or not bool(np.any(inside)):
-        raise NotBoundaryPoint(
-            f"no indicator sign change within {probe_r:g} of the queried point")
-    return mean_limit(f, Omega, x, sched, cfg).estimate.point_value

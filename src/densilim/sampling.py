@@ -276,11 +276,6 @@ def tube_lattice(cloud, delta: float, resolution: int) -> np.ndarray:
     return _memo.lattice(key, cloud, _memo.tree(key, cloud), delta, resolution)
 
 
-def ball_lattice(centre: np.ndarray, delta: float, resolution: int) -> np.ndarray:
-    """``tube_lattice`` of the one-point cloud ``centre``."""
-    return tube_lattice(centre, delta, resolution)
-
-
 def ball_samples(f: ScalarField, Omega: Region, x, sched: DeltaSchedule,
                  cfg: QuadratureConfig) -> BallSamples:
     """Sample f over B_delta(x) within Omega for every schedule delta.

@@ -330,12 +330,12 @@ def test_sampling_another_point_drops_the_ball_lattices(lattice_builds):
 
 def test_large_ball_lattices_are_not_kept(lattice_builds):
     x = np.zeros(3)
-    big = sampling.ball_lattice(x, 0.5, 64)
+    big = sampling.tube_lattice(x, 0.5, 64)
     assert big.shape[0] > sampling.MEMO_POINTS and not big.flags.writeable
-    sampling.ball_lattice(x, 0.5, 64)
+    sampling.tube_lattice(x, 0.5, 64)
     assert len(lattice_builds) == 2
-    small = sampling.ball_lattice(x, 0.5, 32)  # about 17k points: kept
-    assert sampling.ball_lattice(x, 0.5, 32) is small
+    small = sampling.tube_lattice(x, 0.5, 32)  # about 17k points: kept
+    assert sampling.tube_lattice(x, 0.5, 32) is small
     assert len(lattice_builds) == 3
 
 
@@ -369,15 +369,15 @@ def test_calls_about_segments_build_each_tube_and_tree_once(lattice_builds,
 def test_the_memo_evicts_the_least_recently_sampled_anchor(lattice_builds,
                                                            monkeypatch):
     a, b, c = [0.0, 0.0], [0.5, 0.0], [0.0, 0.5]
-    size = sampling.ball_lattice(np.array(a), 0.5, 16).shape[0]
+    size = sampling.tube_lattice(np.array(a), 0.5, 16).shape[0]
     monkeypatch.setattr(sampling, "MEMO_POINTS", 2 * size + size // 2)
     for x in (b, a, c, a, b, a, c):  # c evicts b, then b evicts c
-        sampling.ball_lattice(np.array(x), 0.5, 16)
+        sampling.tube_lattice(np.array(x), 0.5, 16)
         assert sampling._memo.points <= sampling.MEMO_POINTS
     assert [start for start, _, _ in lattice_builds] == [a, b, c, b, c]
     # the anchor being sampled stays whole, alone past the budget
     monkeypatch.setattr(sampling, "MEMO_POINTS", size + size // 2)
     for delta in (0.5, 0.25, 0.5, 0.25):
-        sampling.ball_lattice(np.array(c), delta, 16)
+        sampling.tube_lattice(np.array(c), delta, 16)
     assert len(lattice_builds) == 6 and list(sampling._memo) == [
         ((1, 2), np.array([c]).tobytes(), 16)]

@@ -189,6 +189,14 @@ def test_non_lipschitz_fields_are_named(capsys, f):
     assert json.loads(captured.err)["error"] == "NonLipschitz"
 
 
+@pytest.mark.parametrize("f", ["1/abs(x1)", "angle_sqrt_inv"])
+def test_jump_of_an_unbounded_field_is_named(capsys, f):
+    code = main(["jump", "--f", f, "--at", "0,0"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert json.loads(captured.err)["error"] == "UnboundedNearX"
+
+
 def test_high_dimension_clarke_is_refused_at_once(capsys):
     start = time.perf_counter()
     code = main(["clarke", "--f", "x1", "--at", "0,0,0,0,0,0,0,0"])

@@ -5,10 +5,10 @@ import pytest
 
 from densilim import geometry, registry, sampling
 from densilim.aplimits import ess_sup_near
-from densilim.density import (concentration_direction, cone_density,
+from densilim.density import (concentration_direction, cone_region,
                               density_at_point, density_at_set, is_density_set,
                               null_within)
-from densilim.errors import NotDensityPoint, NotDensitySet, PreconditionError
+from densilim.errors import NotDensityPoint, NotDensitySet
 from densilim.expr import compile_field, compile_region
 from densilim.geometry import (Box, DeltaSchedule, QuadratureConfig, Region,
                                ball_region, circle_region, point_region,
@@ -244,28 +244,25 @@ def test_density_at_set_rejects_fat_sets():
 
 def test_cone_density_plane():
     # oracle: cone sector fraction 2*alpha / (2*pi)
-    est = cone_density(PLANE, [0, 0], [1.0, 0.0], math.pi / 4, SCHED, CFG)
+    cone = cone_region([0, 0], [1.0, 0.0], math.pi / 4, 2)
+    est = density_at_point(cone, PLANE, [0, 0], SCHED, CFG)
     assert abs(est.point_value - 0.25) <= 5e-3
 
 
 def test_cone_density_cusp():
     cusp = registry.get_region("cusp_right")
     sched = DeltaSchedule(0.5, 0.5, 5, 3)
-    est = cone_density(cusp, [0, 0], [1.0, 0.0], math.pi / 4, sched, CFG)
-    assert est.point_value == 1.0
-    est = cone_density(cusp, [0, 0], [-1.0, 0.0], math.pi / 4, sched, CFG)
-    assert est.point_value == 0.0
+    cone = cone_region([0, 0], [1.0, 0.0], math.pi / 4, 2)
+    assert density_at_point(cone, cusp, [0, 0], sched, CFG).point_value == 1.0
+    cone = cone_region([0, 0], [-1.0, 0.0], math.pi / 4, 2)
+    assert density_at_point(cone, cusp, [0, 0], sched, CFG).point_value == 0.0
 
 
 def test_cone_monotone_in_angle():
-    est1 = cone_density(PLANE, [0, 0], [1.0, 0.0], math.pi / 8, SCHED, CFG)
-    est2 = cone_density(PLANE, [0, 0], [1.0, 0.0], math.pi / 3, SCHED, CFG)
+    est1, est2 = (density_at_point(cone_region([0, 0], [1.0, 0.0], alpha, 2),
+                                   PLANE, [0, 0], SCHED, CFG)
+                  for alpha in (math.pi / 8, math.pi / 3))
     assert np.all(est1.values <= est2.values)
-
-
-def test_cone_requires_unit_axis():
-    with pytest.raises(PreconditionError):
-        cone_density(PLANE, [0, 0], [2.0, 0.0], math.pi / 4, SCHED, CFG)
 
 
 def test_cone_density_3d():
@@ -274,8 +271,9 @@ def test_cone_density_3d():
                     Box([-1, -1, -1], [1, 1, 1]), label="space")
     sched = DeltaSchedule(0.5, 0.5, 6, 3)
     alpha = math.pi / 3
-    est = cone_density(plane3, [0, 0, 0], [0.0, 0.0, 1.0], alpha, sched,
-                       QuadratureConfig(resolution=48))
+    cone = cone_region([0, 0, 0], [0.0, 0.0, 1.0], alpha, 3)
+    est = density_at_point(cone, plane3, [0, 0, 0], sched,
+                           QuadratureConfig(resolution=48))
     assert abs(est.point_value - (1 - math.cos(alpha)) / 2) <= 1e-2
 
 

@@ -1,91 +1,19 @@
 import math
 
-import numpy as np
 import pytest
 
-from densilim import gaussgreen, geometry, registry
-from densilim.errors import (AmbiguousNormal, NonLipschitzDomain,
-                             PreconditionError, RegionsNotDisjoint)
+from densilim import registry
+from densilim.errors import (NonLipschitzDomain, PreconditionError,
+                             RegionsNotDisjoint)
 from densilim.expr import compile_field, compile_region, compile_vector_field
 from densilim.fields import constant_field
-from densilim.gaussgreen import (gg_residual, gg_sweep, normal_field,
-                                 vanishing_functional_demo)
+from densilim.gaussgreen import gg_residual, gg_sweep, vanishing_functional_demo
 from densilim.geometry import (Box, DeltaSchedule, QuadratureConfig,
                                ball_region, box_region)
 
 CFG256 = QuadratureConfig(resolution=256)
 SQUARE = box_region([0, 0], [1, 1], label="unit_square")
 DISK = ball_region([0, 0], 1.0, label="disk")
-
-
-def test_normal_on_square_side():
-    nu = normal_field(SQUARE, [0.5, 0.1], CFG256)
-    ang = math.degrees(math.acos(np.clip(nu @ np.array([0.0, -1.0]), -1, 1)))
-    assert ang <= 1.0
-
-
-def test_normal_on_disk_radial():
-    for r in (0.5, 0.6, 0.75, 0.9, 0.95):
-        for th in (0.3, 1.2, 2.5, 4.0):
-            y = [r * math.cos(th), r * math.sin(th)]
-            nu = normal_field(DISK, y, CFG256)
-            radial = np.array([math.cos(th), math.sin(th)])
-            ang = math.degrees(math.acos(np.clip(nu @ radial, -1, 1)))
-            assert ang <= 1.0, (r, th, ang)
-
-
-def test_normal_ambiguous_at_center():
-    with pytest.raises(AmbiguousNormal):
-        normal_field(SQUARE, [0.5, 0.5], CFG256)
-
-
-def test_normal_ambiguous_at_disk_center():
-    with pytest.raises(AmbiguousNormal):
-        normal_field(DISK, [0.0, 0.0], CFG256)
-
-
-def test_normal_on_square_diagonal_is_the_mean_of_two_sides():
-    nu = normal_field(SQUARE, [0.1, 0.1], CFG256)
-    assert np.allclose(nu, [-math.sqrt(0.5), -math.sqrt(0.5)], atol=1e-12)
-
-
-def test_normal_of_predicate_region_reads_the_working_resolution():
-    sizes = []
-    disk = compile_region("x1^2 + x2^2 < 1", 2, Box([-1, -1], [1, 1]))
-    indicator = disk.indicator
-
-    def counted(p):
-        sizes.append(p.shape[0])
-        return indicator(p)
-
-    disk.indicator = counted
-    nu = normal_field(disk, [0.8, 0.0], QuadratureConfig(resolution=64))
-    assert sizes == [1, 64 ** 2]
-    assert nu @ np.array([1.0, 0.0]) >= math.cos(math.radians(10.0))
-
-
-def test_normal_builds_no_kd_tree(monkeypatch):
-    def no_tree(points):
-        raise AssertionError("normal_field built a KD tree")
-
-    monkeypatch.setattr(gaussgreen, "cKDTree", no_tree)
-    monkeypatch.setattr(geometry, "kd_tree", no_tree)
-    disk = compile_region("x1^2 + x2^2 < 1", 2, Box([-1, -1], [1, 1]))
-    for region, y in ((SQUARE, [0.5, 0.1]), (DISK, [0.6, 0.0]), (disk, [0.8, 0.0])):
-        normal_field(region, y, CFG256)
-
-
-def test_normal_on_predicate_region_via_edge_detection():
-    # no analytic boundary: the cloud comes from indicator transitions
-    disk = compile_region("x1^2 + x2^2 < 1", 2, Box([-1, -1], [1, 1]))
-    nu = normal_field(disk, [0.8, 0.0], CFG256)
-    ang = math.degrees(math.acos(np.clip(nu @ np.array([1.0, 0.0]), -1, 1)))
-    assert ang <= 10.0
-
-
-def test_normal_requires_interior_point():
-    with pytest.raises(PreconditionError):
-        normal_field(SQUARE, [2.0, 2.0], CFG256)
 
 
 def test_gg_shear_on_square():

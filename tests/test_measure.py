@@ -9,9 +9,8 @@ from densilim.errors import (DimensionMismatch, EmptyRegion, EmptyWindow,
                              PreconditionError)
 from densilim.geometry import (CLOUD_SIZE, Box, DeltaSchedule, QuadratureConfig,
                                Region, ball_region, ball_window, box_region,
-                               circle_region, lattice, lebesgue, neighborhood,
-                               point_cloud, point_region, segment_region,
-                               shell_lattice, union, intersect)
+                               circle_region, lebesgue, point_cloud, point_region,
+                               segment_region, shell_lattice, union, intersect)
 
 GRID64 = QuadratureConfig(resolution=64)
 
@@ -100,47 +99,6 @@ def test_ball_window_examples():
         ball_window([0, 0], 0.0)
 
 
-def test_neighborhood_of_point_is_ball():
-    x = np.array([0.25, -0.5])
-    assert np.array_equal(point_cloud(point_region(x)), x[None, :])
-    nb = neighborhood(point_region([0.0, 0.0]), 0.3)
-    probes = np.array([[0.0, 0.0], [0.29, 0.0], [0.0, -0.29], [0.31, 0.0],
-                       [0.25, 0.25]])
-    inside = nb.contains(probes)
-    assert list(inside) == [True, True, True, False, False]
-
-
-def test_neighborhood_of_circle_is_annulus():
-    nb = neighborhood(circle_region([0, 0], 1.0), 0.1)
-    probes = np.array([[0.95, 0.0], [0.0, 1.05], [0.0, 0.0], [0.85, 0.0],
-                       [1.2, 0.0]])
-    assert list(nb.contains(probes)) == [True, True, False, False, False]
-
-
-def test_stadium_area():
-    # oracle: rectangle 2*delta*len plus two half-disk caps, pi*delta^2
-    nb = neighborhood(segment_region([0, 0], [1, 0]), 0.2)
-    est = lebesgue(nb, nb.bbox, QuadratureConfig(resolution=512))
-    assert abs(est.value - (0.4 + math.pi * 0.04)) <= 2e-3
-
-
-def test_neighborhood_nesting():
-    C = segment_region([0, 0], [1, 0])
-    n1 = neighborhood(C, 0.1)
-    n2 = neighborhood(C, 0.2)
-    pts, _ = lattice(n2.bbox, 64)
-    m1 = n1.contains(pts)
-    m2 = n2.contains(pts)
-    assert not np.any(m1 & ~m2)
-
-
-def test_empty_region_detection():
-    never = Region(2, lambda p: np.zeros(p.shape[0], dtype=bool),
-                   Box([0, 0], [1, 1]), label="never")
-    with pytest.raises(EmptyRegion):
-        neighborhood(never, 0.1)
-
-
 def test_region_without_generator_lays_no_lattice(monkeypatch):
     # a null set's only cloud is the one it declares
     def refuse(*args):
@@ -158,6 +116,8 @@ def test_point_cloud_is_the_declared_points_in_order():
     C = Region(2, lambda p: np.zeros(p.shape[0], dtype=bool),
                Box([-1, -3], [0.5, 2]), cloud_fn=lambda n: declared)
     assert np.array_equal(point_cloud(C), declared)
+    x = np.array([0.25, -0.5])
+    assert np.array_equal(point_cloud(point_region(x)), x[None, :])
     circle = circle_region([0, 0], 1.0)
     assert np.array_equal(point_cloud(circle), circle.cloud_fn(CLOUD_SIZE))
 

@@ -28,8 +28,8 @@ from densilim.geometry import (Box, DeltaSchedule, QuadratureConfig, Region,
                                lattice, point_region, row_norm, segment_region,
                                shell_lattice)
 from densilim.representative import mean_limit
-from densilim.sampling import (REFINE_LEVELS, ball_lattice, halton,
-                               neighborhood_levels, refine_extremum, tube_lattice)
+from densilim.sampling import (REFINE_LEVELS, halton, neighborhood_levels,
+                               refine_extremum, tube_lattice)
 
 BOX = Box([-2.0, -2.0], [2.0, 2.0])
 PROPERTY = settings(max_examples=15, deadline=None, derandomize=True,
@@ -165,7 +165,7 @@ def test_memoized_ball_lattices_are_fresh_shell_lattices(a, b, res):
     for cloud, refs in zip(anchors, fresh):
         check(cloud, res, refs)
     for d, ref in zip(deltas, fresh[0]):
-        assert np.array_equal(ball_lattice(x, d, res).view(np.int64),
+        assert np.array_equal(tube_lattice(x, d, res).view(np.int64),
                               ref.view(np.int64))
 
 

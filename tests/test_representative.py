@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from densilim import registry
-from densilim.errors import NotBoundaryPoint, PreconditionError
+from densilim.errors import NotDensityPoint, UnboundedNearX
 from densilim.expr import ATAN2_02PI, compile_field, compile_region
+from densilim.fields import constant_field
 from densilim.geometry import (Box, DeltaSchedule, QuadratureConfig,
                                ball_region, box_region)
-from densilim.representative import (boundary_trace, detect_jump,
-                                     is_lebesgue_point, mean_limit,
+from densilim.representative import (detect_jump, is_lebesgue_point, mean_limit,
                                      precise_representative)
 
 CFG = QuadratureConfig(resolution=128)
@@ -162,40 +162,41 @@ def test_jump_3d_step():
     assert abs(rep.f_minus + 1.0) <= 2e-2 and abs(rep.f_plus - 2.0) <= 2e-2
 
 
+# the trace of f at a boundary point of the domain: the limit of the means
+# of f over the domain's part of the shrinking balls
+
+
 def test_boundary_trace_constant():
     sq = box_region([0, 0], [1, 1])
     sched = DeltaSchedule.default_for(sq.bbox)
-    from densilim.fields import constant_field
-    assert abs(boundary_trace(constant_field(2, 3.25), sq, [0.0, 0.5], sched,
-                              CFG) - 3.25) <= 1e-12
+    m = mean_limit(constant_field(2, 3.25), sq, [0.0, 0.5], sched, CFG)
+    assert abs(m.estimate.point_value - 3.25) <= 1e-12
 
 
 def test_boundary_trace_coordinate():
     sq = box_region([0, 0], [1, 1])
     sched = DeltaSchedule.default_for(sq.bbox)
-    tr = boundary_trace(compile_field("x1", 2), sq, [0.0, 0.5], sched, CFG)
-    assert abs(tr) <= 2 * sched.deltas[-1]
+    m = mean_limit(compile_field("x1", 2), sq, [0.0, 0.5], sched, CFG)
+    assert abs(m.estimate.point_value) <= 2 * sched.deltas[-1]
 
 
 def test_boundary_trace_product():
     # oracle: continuous extension of x1*x2 to the boundary point (1, 0.5)
     sq = box_region([0, 0], [1, 1])
     sched = DeltaSchedule.default_for(sq.bbox)
-    tr = boundary_trace(compile_field("x1*x2", 2), sq, [1.0, 0.5], sched, CFG)
-    assert abs(tr - 0.5) <= 1e-2
-
-
-def test_boundary_trace_requires_boundary():
-    sq = box_region([0, 0], [1, 1])
-    sched = DeltaSchedule.default_for(sq.bbox)
-    with pytest.raises(NotBoundaryPoint):
-        boundary_trace(compile_field("x1", 2), sq, [0.5, 0.5], sched, CFG)
+    m = mean_limit(compile_field("x1*x2", 2), sq, [1.0, 0.5], sched, CFG)
+    assert abs(m.estimate.point_value - 0.5) <= 1e-2
 
 
 def test_boundary_trace_exterior_cusp():
     # interior measure of the cusp vanishes at the lattice near the tip
     cusp = compile_region("0 < x1 and x1 < 1 and abs(x2) < x1^2", 2,
                           Box([0, -1], [1, 1]))
-    with pytest.raises(PreconditionError):
-        boundary_trace(compile_field("x1", 2), cusp, [0.0, 0.0],
-                       DeltaSchedule(0.5, 0.5, 12, 4), CFG)
+    with pytest.raises(NotDensityPoint):
+        mean_limit(compile_field("x1", 2), cusp, [0.0, 0.0],
+                   DeltaSchedule(0.5, 0.5, 12, 4), CFG)
+
+
+def test_jump_of_an_unbounded_field_is_refused():
+    with pytest.raises(UnboundedNearX):
+        detect_jump(compile_field("1/abs(x1)", 2), PLANE, [0, 0], SCHED, CFG)
