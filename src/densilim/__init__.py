@@ -13,7 +13,7 @@ _EXPORTS = {
     "aplimits": ("ApproxLimitResult", "DensityInterval", "ap_liminf", "ap_limit",
                  "ap_limsup", "dens_interval", "ess_inf_near", "ess_sup_near",
                  "support_function"),
-    "clarke": ("CalculusReport", "GradientHull", "check_calculus", "contains",
+    "clarke": ("CalculusReport", "GradientHull", "check_calculus",
                "dir_derivative_gradsup", "dir_derivative_quotient",
                "gen_gradient"),
     "config": ("Tolerances",),

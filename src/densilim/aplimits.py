@@ -122,6 +122,9 @@ def support_function(F: VectorField, Omega: Region, C: Region, v,
     v = np.asarray(v, dtype=float)
     if np.linalg.norm(v) == 0.0:
         raise PreconditionError("support direction must be nonzero")
+    if not np.all(np.isfinite(v)):
+        raise PreconditionError(f"support direction {v.tolist()} has a "
+                                "non-finite component")
     return ess_sup_near(F.dot(v), Omega, C, sched, cfg, cap=cap)
 
 

@@ -186,12 +186,6 @@ class GradientHull:
         v = np.asarray(v, dtype=float)
         return float(np.max(self.points @ v))
 
-    def diameter(self) -> float:
-        vs = self.hull_vertices  # one vertex: 0
-        # row by row: the pairwise squared distances without their (V, V, n) array
-        d2 = max(float(np.max(np.sum((v - vs) ** 2, axis=1))) for v in vs)
-        return float(np.sqrt(d2))
-
     def to_json_dict(self) -> dict:
         return {"vertices": self.hull_vertices.tolist(),
                 "delta_used": self.delta_used,
@@ -254,12 +248,6 @@ def gen_gradient(f: ScalarField, x, sched: DeltaSchedule, cfg: QuadratureConfig,
                 f"support({v}) = {hull.support(v):.6g} vs directional "
                 f"derivative {ref:.6g}")
     return hull
-
-
-def contains(hull: GradientHull, xi, tol: float = Tolerances.support_tol) -> bool:
-    """Membership test: xi . v <= support(v) + tol on the probe set."""
-    xi = np.asarray(xi, dtype=float)
-    return all(float(xi @ v) <= hull.support(v) + tol for v in hull.probe_dirs)
 
 
 @dataclass(frozen=True)

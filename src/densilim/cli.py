@@ -75,7 +75,6 @@ def _add_ball(p: argparse.ArgumentParser):
     """Flags of the commands that sample lattices in a working box."""
     p.add_argument("--domain", default="plane")
     p.add_argument("--schedule", help="delta schedule as d0,ratio,K,w")
-    p.add_argument("--dim", type=int, help="ambient dimension (inferred from --at)")
     p.add_argument("--res", type=int, default=QuadratureConfig.resolution,
                    help="grid points per delta-diameter")
     p.add_argument("--bbox", help="working bbox as lo1,..,lon,hi1,..,hin")
@@ -105,6 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     anchor.add_argument("--at-set", help="registry name of a null set C")
     p.add_argument("--csv", action="store_true",
                    help="print the delta,value series instead of the report")
+    p.add_argument("--dim", type=int, help="ambient dimension (inferred from --at)")
     _add_ball(p)
 
     p = command("aplim", "upper/lower approximate limits at a point")
@@ -283,8 +283,8 @@ def cmd_density(args) -> int:
 
 
 def cmd_aplim(args) -> int:
-    dim = _dim_of(args)
     x = _parse_point(args)
+    dim = x.size
     bbox = _parse_bbox(args, dim)
     Omega = resolve_region(args.domain, dim, bbox, args.atan2_range)
     f = resolve_field(args.f, dim, args.atan2_range)
@@ -301,8 +301,8 @@ def cmd_aplim(args) -> int:
 
 
 def cmd_representative(args) -> int:
-    dim = _dim_of(args)
     x = _parse_point(args)
+    dim = x.size
     Omega = resolve_region(args.domain, dim, _parse_bbox(args, dim),
                            args.atan2_range)
     f = resolve_field(args.f, dim, args.atan2_range)
@@ -317,8 +317,8 @@ def cmd_representative(args) -> int:
 
 
 def cmd_jump(args) -> int:
-    dim = _dim_of(args)
     x = _parse_point(args)
+    dim = x.size
     Omega = resolve_region(args.domain, dim, _parse_bbox(args, dim),
                            args.atan2_range)
     f = resolve_field(args.f, dim, args.atan2_range)
@@ -386,8 +386,8 @@ def cmd_gauss_green(args) -> int:
 
 
 def cmd_demo_vanishing(args) -> int:
-    dim = _dim_of(args)
     x = _parse_point(args)
+    dim = x.size
     Omega = resolve_region(args.domain, dim, _parse_bbox(args, dim),
                            args.atan2_range)
     E1 = resolve_region(args.e1, dim, Omega.bbox, args.atan2_range)

@@ -98,12 +98,6 @@ class DensitySetReport:
     neighborhood_hits: np.ndarray
     failed: Optional[str] = None
 
-    def to_json_dict(self) -> dict:
-        return {"is_density_set": self.is_density_set,
-                "null_measure_hits": self.null_measure_hits,
-                "neighborhood_hits": [int(h) for h in self.neighborhood_hits],
-                "failed": self.failed}
-
 
 # ---------------------------------------------------------------------------
 # Densities at points
@@ -219,12 +213,6 @@ class ConcentrationResult:
     direction: np.ndarray
     score: float
     unique: bool
-    aggregate_scores: np.ndarray
-    directions: np.ndarray
-
-    def to_json_dict(self) -> dict:
-        return {"direction": self.direction.tolist(), "score": self.score,
-                "unique": self.unique}
 
 
 def unit_directions(n_dirs: int, dim: int) -> np.ndarray:
@@ -282,7 +270,7 @@ def concentration_direction(Omega: Region, x, sched: DeltaSchedule,
     top = np.flatnonzero(agg >= np.max(agg) - tol)
     unique = _is_contiguous_cap(dirs[top], n_dirs) and len(top) < len(dirs)
     score = float(tail[0, best, -1])
-    return ConcentrationResult(dirs[best], score, unique, agg, dirs)
+    return ConcentrationResult(dirs[best], score, unique)
 
 
 def _is_contiguous_cap(top_dirs: np.ndarray, n_dirs: int) -> bool:

@@ -8,8 +8,7 @@ Values and gradients come from one evaluation: ``value_and_gradient`` hands
 both out, and ``gradient_at`` is its second half.  Compiled fields and the
 composites ``scale``, ``+`` and ``*`` declare one joint callable ``fn_grad``
 that evaluates the expression once for the values, the NaN mask of the
-gradient and the product rule's factors; a hand-made ``ScalarField(fn,
-grad=...)`` is called twice, once for each.  Gradients are filled a column
+gradient and the product rule's factors.  Gradients are filled a column
 at a time: numpy broadcasts an (m, 1) or (n,) operand over an (m, n) array
 of few columns row by row, several times slower than the same arithmetic
 on its columns, with the same bits.
@@ -39,21 +38,19 @@ _FLOAT = np.dtype(float)
 class ScalarField:
     """Map R^n -> R with an optional analytic gradient.
 
-    ``grad(p)`` gives the gradient alone; ``fn_grad(p)`` gives the values
-    ``fn(p)`` and the gradient from one evaluation, and is read in its
-    place when both are set.  Each is called on float (m, n) points inside
-    an ``np.errstate`` that ignores floating-point faults.
+    ``fn_grad(p)`` gives the values ``fn(p)`` and the gradient from one
+    evaluation.  Both are called on float (m, n) points inside an
+    ``np.errstate`` that ignores floating-point faults.
     """
 
     dim: int
     fn: Callable[[np.ndarray], np.ndarray]
-    grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
     label: str = ""
     fn_grad: Optional[Callable[[np.ndarray], tuple]] = None
 
     @property
     def has_gradient(self) -> bool:
-        return self.fn_grad is not None or self.grad is not None
+        return self.fn_grad is not None
 
     def _points(self, points: np.ndarray) -> np.ndarray:
         points = as_points(points)
@@ -73,13 +70,10 @@ class ScalarField:
     def _raw(self, points: np.ndarray) -> tuple:
         """fn's values, unsanitized, and the (m, n) float gradient at (m, n)
         points."""
-        if self.fn_grad is not None:
-            values, g = self.fn_grad(points)
-        elif self.grad is None:
+        if self.fn_grad is None:
             raise PreconditionError(f"field {self.label!r} has no gradient; "
                                     "compile it from an expression")
-        else:
-            values, g = self.fn(points), self.grad(points)
+        values, g = self.fn_grad(points)
         return values, np.asarray(g, dtype=float).reshape(points.shape)
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
@@ -100,12 +94,9 @@ class ScalarField:
         return self._values(values, points), g
 
     def gradient_at(self, points: np.ndarray) -> np.ndarray:
-        """The gradient ``value_and_gradient`` gives; of a hand-made field,
-        from ``grad`` alone."""
+        """The gradient ``value_and_gradient`` gives."""
         points = self._points(points)
         with np.errstate(all="ignore"):
-            if self.fn_grad is None and self.grad is not None:
-                return np.asarray(self.grad(points), dtype=float).reshape(points.shape)
             return self._raw(points)[1]
 
     def __neg__(self) -> "ScalarField":

@@ -33,22 +33,12 @@ class MeanLimitResult:
     max_abs_mean: float
     discarded: int
 
-    def to_json_dict(self) -> dict:
-        d = self.estimate.to_json_dict()
-        d.update({"abs_bounded": self.abs_bounded,
-                  "max_abs_mean": self.max_abs_mean})
-        return d
-
 
 @dataclass(frozen=True)
 class LebesguePointResult:
     is_lebesgue_point: bool
     value: float
     residuals: LimitEstimate
-
-    def to_json_dict(self) -> dict:
-        return {"is_lebesgue_point": self.is_lebesgue_point, "value": self.value,
-                "residuals": self.residuals.to_json_dict()}
 
 
 @dataclass(frozen=True)

@@ -90,22 +90,14 @@ class LevelSamples:
     def finite_values(self) -> np.ndarray:
         return self.values[np.isfinite(self.values)]
 
-    def seeds(self) -> "Seeds":
-        """The ``REFINE_TOP`` largest finite samples, best first."""
+    def seeds(self) -> "LevelSamples":
+        """The level's ``REFINE_TOP`` largest finite samples, best first: the
+        starts of its refinement walks (none when all are NaN)."""
         scores = np.where(np.isfinite(self.values), self.values, -np.inf)
         top = np.argsort(scores)[::-1][:REFINE_TOP]
         top = top[np.isfinite(scores[top])]
-        return Seeds(self.delta, self.cell, self.points[top], scores[top])
-
-
-@dataclass
-class Seeds:
-    """The starts of a level's refinement walks (none when all are NaN)."""
-
-    delta: float
-    cell: float
-    points: np.ndarray  # (k, n), k <= REFINE_TOP
-    values: np.ndarray  # (k,)
+        return LevelSamples(self.delta, self.points[top], scores[top], self.cell,
+                            self.reach)
 
 
 @dataclass
@@ -290,7 +282,7 @@ def ball_samples(f: ScalarField, Omega: Region, x, sched: DeltaSchedule,
 def refine_extremum(f: ScalarField, reach: Reach, levels: list,
                     cap: float = math.inf) -> np.ndarray:
     """Push the lattice sup of each level toward the pointwise sup (refine
-    -f for an inf); one value per level of ``Seeds`` sharing ``reach``.
+    -f for an inf); one value per ``LevelSamples.seeds()`` sharing ``reach``.
 
     Each seed starts a walk over 5^n sub-lattices around its running best,
     within its level (``reach(p) < delta``), halving its cell when nothing

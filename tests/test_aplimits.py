@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from densilim import registry, sampling
+from densilim import aplimits, registry, sampling
 from densilim.aplimits import (ap_liminf, ap_limit, ap_limsup, dens_interval,
                                ess_inf_near, ess_sup_near, support_function)
 from densilim.density import density_at_set, is_density_set
@@ -126,6 +126,19 @@ def test_support_function_rejects_zero_direction():
     F = compile_vector_field(["1", "0"], 2)
     with pytest.raises(PreconditionError):
         support_function(F, PLANE, ORIGIN, [0.0, 0.0], SCHED, CFG)
+
+
+@pytest.mark.parametrize("v", [[math.nan, 1.0], [math.inf, 0.0], [0.0, -math.inf]])
+def test_support_function_refuses_a_non_finite_direction_before_sampling(
+        monkeypatch, v):
+    # the direction is at fault, not the set: no level is sampled
+    def never(*args, **kwargs):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(aplimits, "neighborhood_levels", never)
+    F = compile_vector_field(["1", "0"], 2)
+    with pytest.raises(PreconditionError, match="non-finite component"):
+        support_function(F, PLANE, ORIGIN, v, SCHED, CFG)
 
 
 def test_ap_step_field():

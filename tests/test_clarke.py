@@ -1,18 +1,19 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from densilim import clarke, registry
-from densilim.clarke import (GradientHull, check_calculus, contains,
-                             convex_hull_vertices, dir_derivative_gradsup,
-                             dir_derivative_quotient, gen_gradient,
-                             probe_directions)
+from densilim.aplimits import support_function
+from densilim.clarke import (check_calculus, convex_hull_vertices,
+                             dir_derivative_gradsup, dir_derivative_quotient,
+                             gen_gradient, probe_directions)
 from densilim.errors import (DimensionMismatch, NonLipschitz, PreconditionError,
                              SupportMismatch)
 from densilim.expr import compile_field
-from densilim.geometry import DeltaSchedule, QuadratureConfig, row_norm
+from densilim.fields import ScalarField, VectorField
+from densilim.geometry import (DeltaSchedule, QuadratureConfig, Region,
+                               ball_window, irrational_fractions, point_region)
 
 CFG = QuadratureConfig(resolution=128)
 SCHED = DeltaSchedule(0.5, 0.5, 12, 4)
@@ -103,17 +104,15 @@ def test_hull_of_a_disk_has_few_vertices():
 def test_hull_smooth_collapses():
     f = compile_field("x1^2 + x2", 2)
     h = gen_gradient(f, [0.3, 0.1], SCHED, CFG)
-    assert h.diameter() <= 1e-3
+    assert np.all(np.ptp(h.hull_vertices, axis=0) <= 1e-3)
     assert np.linalg.norm(h.points.mean(axis=0) - np.array([0.6, 1.0])) <= 1e-3
 
 
 def test_hull_diameter_shrinks_with_schedule():
     f = compile_field("x1^2 + x2", 2)
-    d_coarse = gen_gradient(f, [0.3, 0.1], DeltaSchedule(0.5, 0.5, 6, 3),
-                            CFG).diameter()
-    d_fine = gen_gradient(f, [0.3, 0.1], DeltaSchedule(0.5, 0.5, 14, 3),
-                          CFG).diameter()
-    assert d_fine < d_coarse
+    d_coarse, d_fine = (np.ptp(gen_gradient(f, [0.3, 0.1], DeltaSchedule(
+        0.5, 0.5, k, 3), CFG).hull_vertices, axis=0) for k in (6, 14))
+    assert np.all(d_fine <= d_coarse) and np.any(d_fine < d_coarse)
 
 
 def test_hull_support_duality_exact():
@@ -134,13 +133,34 @@ def test_support_matches_norm_for_abs():
         assert abs(h.support([t]) - abs(t)) <= 1e-3 * max(1.0, abs(t))
 
 
-def test_contains_examples():
-    h = gen_gradient(ABS1, [0.0], SCHED, CFG)
-    assert contains(h, [0.0])
-    assert not contains(h, [1.5])
-    f = compile_field("x1^2 + x2", 2)
-    h2 = gen_gradient(f, [0.3, 0.1], SCHED, CFG)
-    assert contains(h2, [0.6, 1.0])
+def _gradient_field(f: ScalarField) -> VectorField:
+    """Df as a vector field of ``gradient_at``'s columns."""
+    return VectorField(f.dim, tuple(
+        ScalarField(f.dim, lambda p, i=i: f.gradient_at(p)[:, i],
+                    label=f"D{i + 1}{f.label}") for i in range(f.dim)))
+
+
+@pytest.mark.parametrize("name", registry.clarke_fields())
+def test_gradsup_is_the_support_function_of_the_gradient(name):
+    # f°(x; v) is the essential limsup of Df . v at x: the support function
+    # of Df near x, sampled around the anchor of the Clarke estimators
+    f = registry.get_field(name)
+    dF = _gradient_field(f)
+    for x in (np.zeros(f.dim), np.full(f.dim, 0.3)):
+        anchor = x + irrational_fractions(f.dim) * (
+            2.0 * float(SCHED.deltas[-1]) / CFG.resolution)
+        space = Region(f.dim, lambda p: np.ones(p.shape[0], dtype=bool),
+                       ball_window(anchor, SCHED.delta0))
+        probes = probe_directions(f.dim)
+        for k, v in enumerate(probes):
+            if k >= 2 * f.dim and k % 4:
+                continue  # every fourth of the non-axis probes
+            want = support_function(dF, space, point_region(anchor), v, SCHED, CFG)
+            got = dir_derivative_gradsup(f, x, v, SCHED, CFG)
+            if k < 2 * f.dim:
+                assert got == want, (x, v)
+            else:
+                assert abs(got - want) <= 1e-5, (x, v)
 
 
 def test_sublinearity_and_homogeneity():
@@ -200,9 +220,8 @@ def test_flat_quotients_of_linear_fields_are_finite():
 
 def test_support_mismatch_on_inconsistent_gradient():
     # a lying analytic gradient makes the hull contradict the quotients
-    from densilim.fields import ScalarField
-    bad = ScalarField(1, lambda p: np.abs(p[:, 0]),
-                      grad=lambda p: np.zeros_like(p), label="bad")
+    bad = ScalarField(1, lambda p: np.abs(p[:, 0]), label="bad",
+                      fn_grad=lambda p: (np.abs(p[:, 0]), np.zeros_like(p)))
     with pytest.raises(SupportMismatch):
         gen_gradient(bad, [0.0], SCHED, CFG)
 
@@ -262,8 +281,8 @@ def test_calculus_registry_pairs():
 
 
 def test_only_vertex_readers_build_the_hull(monkeypatch):
-    # rules, supports and membership read all the samples; the hull's
-    # vertices are computed once, when first read
+    # rules and supports read all the samples; the hull's vertices are
+    # computed once, when first read
     calls = []
 
     def counting(pts, tol=0.0):
@@ -277,32 +296,11 @@ def test_only_vertex_readers_build_the_hull(monkeypatch):
                              rule, SCHED, CFG)
         assert rep.holds
     h = gen_gradient(f, [0.0, 0.0], SCHED, CFG)
-    assert h.support([1.0, 0.0]) > 0.99 and contains(h, [0.5, 0.5])
+    assert h.support([1.0, 0.0]) > 0.99
     assert calls == []
     out = h.to_json_dict()
-    assert len(calls) == 1 and h.to_json_dict() == out
-    h.diameter()
+    assert h.to_json_dict() == out
     assert calls == [h.tol]
-
-
-def test_diameter_memory_is_linear_in_vertices():
-    # about 2,000 points on a sphere, every one a vertex: the pairwise
-    # differences alone would take V^2 * n * 8 = 96 MB
-    rng = np.random.default_rng(20211)
-    pts = rng.standard_normal((2000, 3))
-    pts /= row_norm(pts)[:, None]
-    h = GradientHull(pts, 0.1, 0.0, probe_directions(3))
-    vs = h.hull_vertices
-    assert vs.shape[0] >= 1900
-    tracemalloc.start()
-    try:
-        d = h.diameter()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    pairwise = np.sum((vs[:, None, :] - vs[None, :, :]) ** 2, axis=2)
-    assert d == float(np.sqrt(np.max(pairwise)))
-    assert peak <= 16 * vs.nbytes
 
 
 @pytest.mark.parametrize("v", [[1.0], [1.0, 0.0, 0.0]])

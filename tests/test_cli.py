@@ -233,13 +233,19 @@ def test_high_dimension_clarke_is_refused_at_once(capsys):
     ["clarke", "--f", "abs(x1)", "--at", "0", "--s", "2"],
     ["clarke", "--f", "abs(x1)", "--g", "x1", "--at", "0", "--rule", "product",
      "--alpha", "2"],
+    ["aplim", "--f", "x1", "--at", "0,0", "--dim", "2"],
+    ["representative", "--f", "x1", "--at", "0,0", "--dim", "2"],
+    ["jump", "--f", "x1", "--at", "0,0", "--dim", "2"],
+    ["demo-vanishing", "--f", "x1", "--e1", "demo_cusp_right",
+     "--e2", "demo_cusp_left", "--at", "0,0", "--dim", "2"],
 ], ids=["threads", "aplim-csv", "gauss-green-csv-without-sweep",
         "dim-disagrees-with-at", "clarke-dim-disagrees-with-at",
         "gauss-green-schedule", "gauss-green-at",
         "density-seed", "density-cap", "aplim-tol-jump", "clarke-seed",
         "clarke-n-samples", "clarke-bbox", "gauss-green-seed", "gauss-green-dim",
         "demo-vanishing-tol-limit", "density-at-and-at-set", "clarke-rule-and-v",
-        "clarke-s-without-rule", "clarke-product-alpha"])
+        "clarke-s-without-rule", "clarke-product-alpha", "aplim-dim",
+        "representative-dim", "jump-dim", "demo-vanishing-dim"])
 def test_refused_flags_exit_2(capsys, argv):
     # flags a command would not read, or read against another flag
     try:

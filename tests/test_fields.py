@@ -56,16 +56,17 @@ def test_shared_call_of_a_hand_made_field_calls_fn_and_grad_once():
         calls.append("fn")
         return p[:, 0] * p[:, 1]
 
-    def grad(p):
-        calls.append("grad")
-        return p[:, ::-1]
+    def fn_grad(p):
+        calls.append("fn_grad")
+        return p[:, 0] * p[:, 1], p[:, ::-1]
 
-    values, g = ScalarField(2, fn, grad=grad).value_and_gradient(X)
-    assert calls == ["fn", "grad"]
+    f = ScalarField(2, fn, fn_grad=fn_grad)
+    values, g = f.value_and_gradient(X)
+    assert calls == ["fn_grad"]
     assert np.array_equal(values, X[:, 0] * X[:, 1]) and np.array_equal(g, X[:, ::-1])
     calls.clear()
-    assert np.array_equal(ScalarField(2, fn, grad=grad).gradient_at(X), X[:, ::-1])
-    assert calls == ["grad"]
+    assert np.array_equal(f.gradient_at(X), X[:, ::-1])
+    assert calls == ["fn_grad"]
 
 
 # zeros, subnormals, squares that overflow or underflow, infinities and NaN
