@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 # The CLI's arrays are vectors, so BLAS threads only cost start-up time:
@@ -80,8 +81,22 @@ def _add_ball(p: argparse.ArgumentParser):
     p.add_argument("--bbox", help="working bbox as lo1,..,lon,hi1,..,hin")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser that reads a token beginning with one minus sign as an option
+    only when it names one of its options, so ``--at -0.5,0``, ``--bbox
+    -2,-2,2,2`` and ``--f -x1`` parse as their ``--at=-0.5,0`` forms do,
+    while ``--at --f`` still lacks its value.  argparse itself reads such a
+    token as a value only when it is a plain negative number; its subparsers
+    are of the parser's class, so every command reads them alike."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # set after -h is declared, which would otherwise disable the rule
+        self._negative_number_matcher = re.compile(r"-[^-]")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="densilim",
         description="densities, approximate limits, precise representatives, "
                     "generalized gradients, and divergence residuals")

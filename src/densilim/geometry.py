@@ -427,6 +427,19 @@ def _cube(size: int, n: int) -> np.ndarray:
     return out
 
 
+def check_tube(cloud: np.ndarray, delta: float) -> None:
+    """Refuse, with PreconditionError, a cloud or a delta that no tube
+    lattice is laid around: an empty cloud, one with a non-finite
+    coordinate, and a delta that is not positive and finite."""
+    if cloud.size == 0:
+        raise PreconditionError("the tube's cloud is empty")
+    if not np.all(np.isfinite(cloud)):
+        raise PreconditionError("the tube's cloud has a non-finite coordinate")
+    if not 0.0 < delta < math.inf:  # NaN too
+        raise PreconditionError(
+            f"the tube's delta must be positive and finite, got {delta:g}")
+
+
 def shell_lattice(cloud: np.ndarray, delta: float, resolution: int,
                   tree=None) -> np.ndarray:
     """The lattice points of the delta-tube around a cloud.
@@ -451,10 +464,11 @@ def shell_lattice(cloud: np.ndarray, delta: float, resolution: int,
     would have kept the child whole too: the kept, split and dropped cells
     are those of querying every cell.
     ``tree``, a ``kd_tree`` of the cloud, saves building one per call when
-    the same cloud is queried at several deltas.  Raises PreconditionError,
-    before allocating them, when the tube points found plus the points of
-    the cells left to split, counted as at most base**n per cell, exceed
-    LATTICE_BUDGET, and when the bbox lattice outgrows int64 indices.
+    the same cloud is queried at several deltas.  Raises PreconditionError
+    as ``check_tube`` does, and, before allocating them, when the tube
+    points found plus the points of the cells left to split, counted as at
+    most base**n per cell, exceed LATTICE_BUDGET, and when the bbox lattice
+    outgrows int64 indices.
     The search records each whole cell as its corner key and size.  The
     output is allocated once, and the cells' points are expanded, sorted
     and decoded in groups of whole top-level slabs along axis 0, of at most
@@ -470,6 +484,7 @@ def shell_lattice(cloud: np.ndarray, delta: float, resolution: int,
     same points, order and bits, without building the window or its norms.
     """
     cloud = np.atleast_2d(cloud)
+    check_tube(cloud, delta)
     n = cloud.shape[1]
     base_lo, base_hi = cloud.min(axis=0), cloud.max(axis=0)
     if np.all(base_hi - base_lo == 0.0):  # one point: its ball
@@ -603,10 +618,25 @@ def point_cloud(region: Region) -> np.ndarray:
 
 
 def kd_tree(points: np.ndarray):
-    """scipy's ``cKDTree`` of the points; scipy.spatial loads on first use."""
+    """scipy's ``cKDTree`` of the points, with leaves of 32 points;
+    scipy.spatial loads on first use.
+
+    The library's trees serve the tube search's bounded nearest-point
+    queries of cell centres near a tube's edge.  Around a curved or
+    oblique cloud, such a query visits many axis-aligned leaf boxes at
+    almost the same distance; scipy's default 16-point leaves make twice
+    as many boxes.  Replayed on the same recorded queries of
+    ``null_set_tube`` benchmark passes, 32-point leaves took 0.82x the KD
+    time per pass (2 shared vCPUs, scipy 1.17): 0.72-0.85x around circles
+    and oblique segments, and 1.05-1.08x, under half a millisecond per
+    tube set, around axis-parallel segments, whose queries visit few
+    leaves either way (``BENCH_29.json``).  A nearest-point distance is
+    the minimum over the cloud whatever the layout, so no result depends
+    on the leaf size.
+    """
     from scipy.spatial import cKDTree
 
-    return cKDTree(points)
+    return cKDTree(points, leafsize=32)
 
 
 # read only by perfbench/tracer.py, which wraps it, and, as the reference, by

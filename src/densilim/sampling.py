@@ -59,8 +59,8 @@ import numpy as np
 from .errors import NotDensityPoint, NotDensitySet, PreconditionError
 from .fields import ScalarField
 from .geometry import (DeltaSchedule, QuadratureConfig, Region, _primes,
-                       as_point, kd_tree, point_cloud, point_distances,
-                       shell_lattice)
+                       as_point, check_tube, kd_tree, point_cloud,
+                       point_distances, shell_lattice)
 
 Reach = Callable[[np.ndarray], np.ndarray]  # (m, n) -> (m,) distance, inf off Omega
 REFINE_TOP = 3      # lattice samples that seed refinement walks
@@ -264,6 +264,7 @@ def tube_lattice(cloud, delta: float, resolution: int) -> np.ndarray:
     ``neighborhood_levels`` samples: built once per cloud, delta and
     resolution while the memo keeps it."""
     cloud = np.atleast_2d(np.asarray(cloud, dtype=float))
+    check_tube(cloud, delta)  # before a tree is built of the cloud
     key = (cloud.shape, cloud.tobytes(), resolution)
     return _memo.lattice(key, cloud, _memo.tree(key, cloud), delta, resolution)
 

@@ -505,3 +505,36 @@ def test_gauss_green_sweep_below_one_exits_2_and_zero_is_no_sweep(capsys):
     assert err["error"] == "PreconditionError"
     assert main(base + ["--sweep", "0"]) == 0
     assert "residual" in json.loads(capsys.readouterr().out)["result"]
+
+
+# (argv with the value after the option, index of that value); each value
+# begins with a minus sign
+MINUS_VALUES = [
+    (["aplim", "--f", "x1", "--res", "16", "--at", "-0.5,0"], 6),
+    (["clarke", "--f", "abs(x1)", "--at", "0,0", "--res", "16", "--v", "-1,2"], 8),
+    (["density", "--set", "x1>0", "--domain", "true", "--at", "0,0", "--res", "16",
+      "--bbox", "-2,-2,2,2"], 10),
+    (["aplim", "--f", "-x1", "--at", "0.5,0", "--res", "16"], 2),
+]
+
+
+@pytest.mark.parametrize("argv, i", MINUS_VALUES, ids=["at", "v", "bbox", "f"])
+def test_value_with_a_leading_minus_parses_as_the_equals_form(capsys, argv, i):
+    joined = argv[:i - 1] + [f"{argv[i - 1]}={argv[i]}"] + argv[i + 1:]
+    assert main(joined) == 0
+    want = capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr() == want
+
+
+@pytest.mark.parametrize("argv", [
+    ["aplim", "--f", "x1", "--at", "--res", "16"],
+    ["aplim", "--f", "--at", "0,0"],
+    ["clarke", "--f", "abs(x1)", "--at", "0,0", "--v", "--res", "16"],
+    ["aplim", "--f", "x1", "--at", "-h"],
+], ids=["at", "f", "v", "help"])
+def test_option_string_after_a_value_taking_option_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from densilim import geometry
+from densilim import geometry, sampling
 from densilim.errors import (DimensionMismatch, EmptyRegion, EmptyWindow,
                              PreconditionError)
 from densilim.geometry import (CLOUD_SIZE, Box, DeltaSchedule, QuadratureConfig,
@@ -157,6 +157,7 @@ def _refused_peak_mb(cloud, delta, res, match="budget of 2\\^24") -> float:
 def test_tube_lattice_peak_is_bounded_by_its_output():
     # the whole cells are expanded slab group by slab group into the output
     cloud = point_cloud(circle_region([0, 0], 1.0))
+    import scipy.spatial  # noqa: F401  loaded untraced, as in a full test run
     tracemalloc.start()
     try:
         out = shell_lattice(cloud, 4e-3, 64)
@@ -199,8 +200,42 @@ def test_tube_budget_refuses_3d_unit_segment_at_res_128():
     assert _refused_peak_mb(cloud, 1 / 64, 128) < 64
 
 
-@pytest.mark.parametrize("delta", [2.0 ** -60, float("nan")])
+@pytest.mark.parametrize("delta", [2.0 ** -60])
 def test_tube_lattice_refuses_delta_past_int64_indices(delta):
     # 1e20 steps per axis would wrap int64 lattice indices
     cloud = np.array([[0.0, 0.0, 0.0], [1.0, 0.5, 0.25]])
     assert _refused_peak_mb(cloud, delta, 128, match="int64") < 1
+
+
+def _no_tree(monkeypatch):
+    def refuse(points):
+        raise AssertionError("a KD tree was built")
+
+    monkeypatch.setattr(geometry, "kd_tree", refuse)
+    monkeypatch.setattr(sampling, "kd_tree", refuse)
+
+
+TUBE_LAYERS = [shell_lattice, sampling.tube_lattice]
+
+
+@pytest.mark.parametrize("lay", TUBE_LAYERS, ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("cloud, match", [
+    ([[0.0, 0.0], [1.0, float("nan")]], "non-finite"),
+    ([[0.0, 0.0], [float("-inf"), 1.0]], "non-finite"),
+    (np.zeros((0, 2)), "empty"),
+], ids=["nan", "inf", "empty"])
+def test_tube_refuses_a_bad_cloud_before_building_a_tree(monkeypatch, lay,
+                                                          cloud, match):
+    _no_tree(monkeypatch)
+    with pytest.raises(PreconditionError, match=f"the tube's cloud .*{match}"):
+        lay(np.array(cloud), 0.1, 16)
+
+
+@pytest.mark.parametrize("lay", TUBE_LAYERS, ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("delta", [-0.1, 0.0, float("nan"), float("inf")],
+                         ids=["negative", "zero", "nan", "inf"])
+def test_tube_refuses_a_delta_not_positive_and_finite(monkeypatch, lay, delta):
+    _no_tree(monkeypatch)
+    cloud = np.array([[0.0, 0.0, 0.0], [1.0, 0.5, 0.25]])
+    with pytest.raises(PreconditionError, match="the tube's delta must be positive"):
+        lay(cloud, delta, 128)

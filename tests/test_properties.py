@@ -243,6 +243,63 @@ def test_shell_lattice_is_the_kd_tube(drawn, res):
                           _tube_reference(cloud, delta, res))
 
 
+@pytest.mark.parametrize("region, delta, res", [
+    (circle_region([0.1, -0.2], 0.15), 0.2, 32),
+    (circle_region([0.1, -0.2], 0.15), 0.025, 32),
+    (segment_region([0.1, -0.2], [0.9, 0.5]), 0.1, 32),
+    (segment_region([0.1, -0.2, 0.3], [-0.8, 0.7, 1.2]), 0.25, 8),
+], ids=["circle", "circle-fine", "oblique-2d", "oblique-3d"])
+def test_full_size_tube_is_the_default_layout_kd_tube(region, delta, res):
+    # 4096-point clouds fill many leaves; the reference tree has scipy's
+    # default layout
+    cloud = geometry.point_cloud(region)
+    assert np.array_equal(shell_lattice(cloud, delta, res),
+                          _tube_reference(cloud, delta, res))
+
+
+@st.composite
+def kd_clouds(draw):
+    """A cloud of 2 to 3000 points in 1-7 dimensions at a scale of 1e-3 to
+    1e3, and points to query: the cloud's own points moved a little, and
+    points drawn over its bbox inflated by its extent."""
+    n = draw(st.integers(1, 7))
+    m = draw(st.integers(2, 3000))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    kind = draw(st.sampled_from(["scatter", "segment", "curve", "grid"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "scatter":
+        cloud = rng.normal(size=(m, n))
+    elif kind == "segment":
+        cloud = np.linspace(0.0, 1.0, m)[:, None] * rng.normal(size=n)
+    elif kind == "curve":  # a helix-like curve; a circle in 2-d
+        t = np.linspace(0.0, 2 * np.pi, m, endpoint=False)
+        cloud = np.stack([np.cos((i + 1) * t) if i % 2 == 0 else np.sin(i * t)
+                          for i in range(n)], axis=1)
+    else:  # ties: many points equally near a query
+        cloud = rng.integers(-3, 4, size=(m, n)).astype(float)
+    cloud = scale * cloud + scale * rng.uniform(-5.0, 5.0, n)
+    lo, hi = cloud.min(axis=0), cloud.max(axis=0)
+    span = np.maximum(hi - lo, scale)
+    near = cloud[rng.integers(0, m, 300)] + 0.05 * span * rng.normal(size=(300, n))
+    far = rng.uniform(lo - span, hi + span, size=(300, n))
+    return cloud, np.concatenate([near, far]), float(0.1 * np.max(span))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(drawn=kd_clouds())
+def test_kd_distance_is_the_row_norm_of_its_nearest_point(drawn):
+    # the witness rule of shell_lattice rests on this, for every layout
+    cloud, pts, bound = drawn
+    d, i = geometry.kd_tree(cloud).query(pts)
+    assert np.array_equal(d, row_norm(pts - cloud[i]))
+    assert np.array_equal(d, cKDTree(cloud).query(pts)[0])
+    # bounded, as the tube search asks: the same distances below the bound
+    db, ib = geometry.kd_tree(cloud).query(pts, distance_upper_bound=bound)
+    assert np.array_equal(db, np.where(d < bound, d, np.inf))
+    found = ib < cloud.shape[0]
+    assert np.array_equal(db[found], row_norm(pts[found] - cloud[ib[found]]))
+
+
 @st.composite
 def witness_clouds(draw):
     """A cloud, a delta and a resolution where a witness is least obvious.
