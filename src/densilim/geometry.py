@@ -3,9 +3,11 @@
 A region is a measurable subset of R^n given by a vectorized boolean
 predicate plus a bounding box.  Null sets (points, curves) additionally
 declare an explicit sample generator, their only point cloud, since a
-lattice almost never meets them.  Every measure estimate counts region
-membership on a midpoint grid lattice, so it is deterministic given the
-quadrature configuration.
+lattice almost never meets them, and may declare their exact distance:
+points, circles and segments give it in closed form, and a set declared
+only by its points is measured by the KD distance to them.  Every measure
+estimate counts region membership on a midpoint grid lattice, so it is
+deterministic given the quadrature configuration.
 
 Arithmetic on (m, n) point arrays runs a column at a time below 8 columns:
 ``row_norm``, ``point_distances`` (the distances to one point) and
@@ -137,7 +139,11 @@ class Region:
     """Predicate-defined subset of R^n with a bounding box.
 
     ``cloud_fn(n)`` returns >= 1 points on the region and must be supplied
-    for null sets: it is their only point cloud.  ``boundary_fn(m)``
+    for null sets: it is their only point cloud.  ``distance_fn(points)``
+    returns each row's Euclidean distance to the set, the same bits for a
+    row whatever the other rows.  The tubes of a null set that declares it
+    are the lattice points it puts below delta, those of one without it the
+    lattice points within delta of its cloud.  ``boundary_fn(m)``
     returns (points, arc weights, inward unit normals) and enables boundary
     quadrature on Lipschitz primitives: the Gauss-Green boundary side
     integrates against the negated inward normals.
@@ -152,6 +158,7 @@ class Region:
     cloud_fn: Optional[Callable[[int], np.ndarray]] = None
     boundary_fn: Optional[Callable[[int], tuple]] = None
     components: Optional[list] = None
+    distance_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.bbox.dim != self.dim:
@@ -206,10 +213,15 @@ def box_region(lo, hi, label: str = "box") -> Region:
     return Region(b.dim, b.contains, b, label=label, boundary_fn=boundary)
 
 
+def _check_radius(radius: float, what: str) -> None:
+    if not 0.0 < radius < math.inf:  # NaN too
+        raise PreconditionError(
+            f"{what} radius must be positive and finite, got {radius:g}")
+
+
 def ball_region(center, radius: float, label: str = "ball") -> Region:
     c = as_point(center)
-    if radius <= 0:
-        raise PreconditionError("ball radius must be positive")
+    _check_radius(radius, "ball")
 
     def ind(p):
         return point_distances(p, c) < radius
@@ -235,42 +247,66 @@ def point_region(x, label: str = "point") -> Region:
         return np.all(np.atleast_2d(p) == x, axis=1)
 
     return Region(x.size, ind, Box(x, x), label=label,
-                  cloud_fn=lambda n: x[None, :])
+                  cloud_fn=lambda n: x[None, :],
+                  distance_fn=lambda p: point_distances(p, x))
 
 
 def circle_region(center, radius: float, label: str = "circle") -> Region:
-    """Circle |y - c| = r in R^2 as a null set with a parametrized cloud."""
+    """Circle |y - c| = r in R^2 as a null set with a parametrized cloud and
+    its distance | |y - c| - r |."""
     c = as_point(center, 2)
+    _check_radius(radius, "circle")
 
     def ind(p):
         return point_distances(p, c) == radius
+
+    def dist(p):
+        d = point_distances(p, c)
+        d -= radius
+        return np.abs(d, out=d)
 
     def cloud(n):
         t = np.linspace(0.0, 2.0 * math.pi, max(n, 8), endpoint=False)
         return c + radius * np.stack([np.cos(t), np.sin(t)], axis=1)
 
-    return Region(2, ind, Box(c - radius, c + radius), label=label, cloud_fn=cloud)
+    return Region(2, ind, Box(c - radius, c + radius), label=label, cloud_fn=cloud,
+                  distance_fn=dist)
 
 
 def segment_region(a, b, label: str = "segment") -> Region:
-    """Straight segment [a, b] as a null set with a parametrized cloud."""
+    """Straight segment [a, b] as a null set with a parametrized cloud and
+    its distance, to the projection clamped to the segment.  A segment of
+    zero length (one whose squared length underflows too) is the point a."""
     a = as_point(a)
     b = as_point(b, a.size)
     d = b - a
     L2 = float(d @ d)
+    if L2 == 0.0:
+        return point_region(a, label=label)
+
+    def dist(p):
+        p = as_points(p)  # a column at a time, as point_distances
+        t = (p[:, 0] - a[0]) * d[0]
+        for i in range(1, a.size):
+            t += (p[:, i] - a[i]) * d[i]
+        t /= L2
+        np.clip(t, 0.0, 1.0, out=t)
+        e = p[:, 0] - (a[0] + t * d[0])
+        s = e * e
+        for i in range(1, a.size):
+            np.subtract(p[:, i], a[i] + t * d[i], out=e)
+            s += np.multiply(e, e, out=e)
+        return np.sqrt(s, out=s)
 
     def ind(p):
-        p = np.atleast_2d(p)
-        t = np.clip((p - a) @ d / L2, 0.0, 1.0)
-        proj = a + t[:, None] * d
-        return row_norm(p - proj) == 0.0
+        return dist(p) == 0.0
 
     def cloud(n):
         t = np.linspace(0.0, 1.0, max(n, 2))
         return a + t[:, None] * d
 
     return Region(a.size, ind, Box(np.minimum(a, b), np.maximum(a, b)),
-                  label=label, cloud_fn=cloud)
+                  label=label, cloud_fn=cloud, distance_fn=dist)
 
 
 def _box_boundary(b: Box, m: int):
@@ -441,33 +477,30 @@ def check_tube(cloud: np.ndarray, delta: float) -> None:
 
 
 def shell_lattice(cloud: np.ndarray, delta: float, resolution: int,
-                  tree=None) -> np.ndarray:
-    """The lattice points of the delta-tube around a cloud.
+                  distance=None) -> np.ndarray:
+    """The lattice points of the delta-tube around a set with samples cloud.
 
     The lattice has spacing h = 2*delta/resolution per axis (constant points
     per delta) and is anchored at the cloud bbox inflated by delta: point k
-    is lo + (k + 0.5)*h.  Returned are exactly the points whose KD distance
-    to the cloud is below delta, lexicographic in k.  The search starts from
-    aligned cells of 2^j steps per axis: the fewest steps that are at least
-    base, the least power of two >= max(2, resolution // 4) (cells about
-    delta/2 wide), and that give at most 4096 cells.  It halves the cells it
-    cannot decide down to single points, whose query decides.  A cell whose
-    centre lies at least delta plus its half-diagonal from the cloud is
-    dropped and one within delta minus its half-diagonal is inside whole,
-    so a thin tube around a long structure costs its own size, not its
-    bbox's, and only points near the tube's boundary are queried.
-    Witnesses spare most of those queries: a split cell hands the cloud
-    point nearest its centre to its children, and below 8 dimensions a
-    child that the ``row_norm`` distance to that point already puts inside
-    whole is kept without a query.  There KD distances are ``row_norm``'s
-    bits, so the KD minimum is at most the witnessed distance and the query
-    would have kept the child whole too: the kept, split and dropped cells
-    are those of querying every cell.
-    ``tree``, a ``kd_tree`` of the cloud, saves building one per call when
-    the same cloud is queried at several deltas.  Raises PreconditionError
-    as ``check_tube`` does, and, before allocating them, when the tube
-    points found plus the points of the cells left to split, counted as at
-    most base**n per cell, exceed LATTICE_BUDGET, and when the bbox lattice
+    is lo + (k + 0.5)*h.  Returned are exactly the points p with
+    ``distance(p) < delta``, lexicographic in k.  ``distance`` is the exact
+    Euclidean distance of a set that lies in the cloud's bbox, as a set
+    sampled out to its extremes does, so the lattice covers its tube;
+    without it the set is the cloud, measured by ``cloud_distance``, a KD
+    tree's distance.  The search starts
+    from aligned cells of 2^j steps per axis: the fewest steps that are at
+    least base, the least power of two >= max(2, resolution // 4) (cells
+    about delta/2 wide), and that give at most 4096 cells.  It halves the
+    cells it cannot decide down to single points, whose distance decides.
+    A distance is 1-Lipschitz, so a cell whose centre lies at least delta
+    plus its half-diagonal from the set is dropped and one within delta
+    minus its half-diagonal is inside whole; cells this close to a cut, by
+    a slack for rounding, are split further.  So a thin tube around a long
+    structure costs its own size, not its bbox's, and only points near the
+    tube's boundary are measured one by one.  Raises PreconditionError as
+    ``check_tube`` does, and, before allocating them, when the tube points
+    found plus the points of the cells left to split, counted as at most
+    base**n per cell, exceed LATTICE_BUDGET, and when the bbox lattice
     outgrows int64 indices.
     The search records each whole cell as its corner key and size.  The
     output is allocated once, and the cells' points are expanded, sorted
@@ -477,11 +510,12 @@ def shell_lattice(cloud: np.ndarray, delta: float, resolution: int,
 
     A degenerate (single-point) cloud x gives the ball's points of its
     window lattice, those with ``row_norm(pts - x) < delta``, refused like
-    ``lattice`` past the budget.  The window is a product of axes, so below
-    8 dimensions the squared distances to x are an outer sum of per-axis
-    squares, added in ``row_norm``'s column order, and the points are
-    gathered from the axes where the root of that sum is below delta: the
-    same points, order and bits, without building the window or its norms.
+    ``lattice`` past the budget; ``distance`` is not read.  The window is a
+    product of axes, so below 8 dimensions the squared distances to x are
+    an outer sum of per-axis squares, added in ``row_norm``'s column order,
+    and the points are gathered from the axes where the root of that sum is
+    below delta: the same points, order and bits, without building the
+    window or its norms.
     """
     cloud = np.atleast_2d(cloud)
     check_tube(cloud, delta)
@@ -520,27 +554,20 @@ def shell_lattice(cloud: np.ndarray, delta: float, resolution: int,
         size *= 2
     top = size
     # rounding of coordinates and distances: cells this close to a cut are
-    # split further, so the result equals a query of every point
+    # split further, so the result equals measuring every point
     scale = float(np.max(np.abs(np.concatenate([lo, base_hi + delta]))))
     slack = 1e-9 * delta + 8.0 * math.sqrt(n) * np.finfo(float).eps * scale
-    if tree is None:
-        tree = kd_tree(cloud)
-    corner, near = _index_grid(-(-steps // size)) * size, None
+    if distance is None:
+        distance = cloud_distance(cloud)
+    corner = _index_grid(-(-steps // size)) * size
     found, cells = 0, []  # cells: (sorted corner keys, size) of whole cells
     while corner.shape[0]:
         half = 0.5 * (size - 1) * h * math.sqrt(n)  # centre to the farthest point
         reach = delta + half + slack
-        # a single point (half 0) is inside when its KD distance is below delta
+        # a single point (half 0) is inside when its distance is below delta
         cut = delta if size == 1 else delta - slack
         centre = lo + (corner + 0.5 * size) * h
-        if near is None:
-            dc, near = tree.query(centre, distance_upper_bound=reach)
-        else:  # the witness's distance is at least the KD distance
-            dc = row_norm(centre - cloud[near])
-            ask = dc + half >= cut
-            if np.any(ask):
-                dc[ask], near[ask] = tree.query(centre[ask],
-                                                distance_upper_bound=reach)
+        dc = distance(centre)
         whole = dc + half < cut
         split = (dc < reach) & ~whole & (size > 1)
         # Python ints: a top-level cell may hold 2^63 points or more
@@ -555,7 +582,6 @@ def shell_lattice(cloud: np.ndarray, delta: float, resolution: int,
             cells.append((np.sort(corner[whole] @ stride), size))
         size //= 2
         corner = (corner[split][:, None, :] + _cube(2, n) * size).reshape(-1, n)
-        near = np.repeat(near[split], 2 ** n) if n < 8 else None
     out = np.empty((found, n))
     slab = [keys // stride[0] // top for keys, _ in cells]  # top-level, axis 0
     slabs = np.zeros(-(-steps[0] // top), dtype=np.int64)  # points per slab
@@ -621,28 +647,26 @@ def kd_tree(points: np.ndarray):
     """scipy's ``cKDTree`` of the points, with leaves of 32 points;
     scipy.spatial loads on first use.
 
-    The library's trees serve the tube search's bounded nearest-point
-    queries of cell centres near a tube's edge.  Around a curved or
-    oblique cloud, such a query visits many axis-aligned leaf boxes at
-    almost the same distance; scipy's default 16-point leaves make twice
-    as many boxes.  Replayed on the same recorded queries of
-    ``null_set_tube`` benchmark passes, 32-point leaves took 0.82x the KD
-    time per pass (2 shared vCPUs, scipy 1.17): 0.72-0.85x around circles
-    and oblique segments, and 1.05-1.08x, under half a millisecond per
-    tube set, around axis-parallel segments, whose queries visit few
-    leaves either way (``BENCH_29.json``).  A nearest-point distance is
-    the minimum over the cloud whatever the layout, so no result depends
-    on the leaf size.
+    Points, circles and segments declare their distance in closed form, so
+    the library's trees serve only sets declared by their points alone: the
+    tube search's nearest-point queries of cell centres near a tube's edge
+    and the refinement walks' reach.  Around a curved or oblique cloud, such
+    a query visits many axis-aligned leaf boxes at almost the same distance;
+    scipy's default 16-point leaves make twice as many boxes, and replayed
+    on recorded tube queries around 4096-point circles and oblique segments
+    32-point leaves took 0.72-0.85x the KD time (2 shared vCPUs, scipy 1.17;
+    ``BENCH_29.json``).  A nearest-point distance is the minimum over the
+    cloud whatever the layout, so no result depends on the leaf size.
     """
     from scipy.spatial import cKDTree
 
     return cKDTree(points, leafsize=32)
 
 
-# read only by perfbench/tracer.py, which wraps it, and, as the reference, by
-# test_one_point_norm_matches_kd_tree
 def cloud_distance(cloud: np.ndarray):
-    """Distance-to-cloud callable backed by a KD-tree."""
+    """The KD distance to the cloud, the distance of a set declared only by
+    its points: a callable from (m, n) points to their (m,) distances to
+    the nearest cloud point, backed by one ``kd_tree``."""
     tree = kd_tree(cloud)
 
     def dist(points: np.ndarray) -> np.ndarray:

@@ -5,34 +5,39 @@ extremum refinement.
 schedule delta it yields the lattice points of the delta-neighborhood of
 an anchor within the domain, the field values there and the levels'
 shared ``reach``.  The anchor is a point, whose neighborhoods are
-balls, or a region, whose neighborhoods are tubes around its point cloud.
-``shell_lattice`` returns the lattice points of the tube, so a level only
-drops those outside the domain.  It queries the KD tree only for cells that
-the cloud point nearest their parent's centre (its witness) does not
-already put inside the tube whole, and it expands whole cells slab group
-by slab group into an output allocated once, so a tube holds little more
-than its own points.  A point is the degenerate one-point cloud:
-its tube is the ball of the window lattice, found axis by axis from an
-outer sum of per-axis squared offsets with the bits of ``row_norm``, the
-distance refinement measures, so densities at points and at null sets,
-essential bounds, approximate limits and ball means all read the same
-samples.
+balls, or a region, whose neighborhoods are tubes: the lattice points
+within delta of the set.  Every null set has one distance: points,
+circles and segments declare theirs in closed form (``distance_fn``), and
+a set declared only by its points is measured by the KD distance to them.
+``shell_lattice`` classifies cells of the tube's lattice with that
+distance and returns the tube's points, so a level only drops those
+outside the domain; it expands whole cells slab group by slab group into
+an output allocated once, so a tube holds little more than its own
+points.  A point is the degenerate one-point cloud: its tube is the ball
+of the window lattice, found axis by axis from an outer sum of per-axis
+squared offsets with the bits of ``row_norm``, the distance refinement
+measures, so densities at points and at null sets, essential bounds,
+approximate limits and ball means all read the same samples.
 
-Estimator calls about one anchor share its KD tree and lattices.  A
-process-wide memo keeps, per anchor cloud and resolution (keyed by the
-cloud's shape and bytes), the cloud's KD tree (none for one point) and one
-read-only lattice per delta sampled.  Its charge, counted in points, is
-each kept tree's cloud rows plus each kept lattice's points; once it
-exceeds ``MEMO_POINTS`` the least recently sampled anchors are evicted,
-never the one being sampled, so the memo holds at most ``MEMO_POINTS``
-points unless that anchor alone holds more.  A lattice of more than
-``MEMO_POINTS`` points is returned but not kept.  So a density set's
-verdict, the essential bounds near it and densities at it build each of
-its tubes and its tree once, as estimators at one point build its balls
-once.  A tree and a lattice are pure functions of the cloud, delta and
-resolution, and a miss builds them with ``kd_tree`` and ``shell_lattice``,
-so every report is bit for bit what sampling afresh gives; a miss that
-raises keeps nothing.  Field values and domain membership are never kept.
+Estimator calls about one anchor share its distance and lattices.  A
+process-wide memo keeps, per anchor and resolution, the anchor's distance
+and one read-only lattice per delta sampled.  It keys an anchor by its
+cloud's shape and bytes, and a set that declares its distance also by
+that callable, so a set and the cloud of its samples never share a tube;
+a point, however declared, is keyed by its one row.  A point-only set's
+distance is a KD tree of its cloud, the only tree the memo builds.  The
+memo's charge, counted in points, is each kept tree's cloud rows plus
+each kept lattice's points; once it exceeds ``MEMO_POINTS`` the least
+recently sampled anchors are evicted, never the one being sampled, so the
+memo holds at most ``MEMO_POINTS`` points unless that anchor alone holds
+more.  A lattice of more than ``MEMO_POINTS`` points is returned but not
+kept.  So a density set's verdict, the essential bounds near it and
+densities at it build each of its tubes (and a point-only set its tree)
+once, as estimators at one point build its balls once.  A lattice is a
+pure function of the anchor's distance, cloud, delta and resolution, and
+a miss builds it with ``shell_lattice``, so every report is bit for bit
+what sampling afresh gives; a miss that raises keeps nothing.  Field
+values and domain membership are never kept.
 
 The refinement pass zooms a small sub-lattice around the current best
 sample, which moves the lattice sup/inf toward the pointwise sup/inf.
@@ -59,9 +64,10 @@ import numpy as np
 from .errors import NotDensityPoint, NotDensitySet, PreconditionError
 from .fields import ScalarField
 from .geometry import (DeltaSchedule, QuadratureConfig, Region, _primes,
-                       as_point, check_tube, kd_tree, point_cloud,
+                       as_point, check_tube, cloud_distance, point_cloud,
                        point_distances, shell_lattice)
 
+Distance = Callable[[np.ndarray], np.ndarray]  # (m, n) -> (m,) distance to a set
 Reach = Callable[[np.ndarray], np.ndarray]  # (m, n) -> (m,) distance, inf off Omega
 REFINE_TOP = 3      # lattice samples that seed refinement walks
 REFINE_LEVELS = 80  # steps per refinement walk
@@ -122,16 +128,17 @@ class BallSamples:
 
 @dataclass
 class _Anchor:
-    """What the memo keeps of one cloud at one resolution."""
+    """What the memo keeps of one anchor at one resolution."""
 
-    tree: object    # KD tree of the cloud, None for one point
-    lattices: dict  # delta -> read-only shell_lattice
-    points: int     # its charge: the tree's cloud rows and the lattices' points
+    distance: Distance  # declared, a KD tree's, or the norm to one point
+    rows: int           # cloud rows of its KD tree, 0 without one
+    lattices: dict      # delta -> read-only shell_lattice
+    points: int         # its charge: the tree's cloud rows and the lattices' points
 
 
 class _Memo(dict):
-    """(cloud shape, cloud bytes, resolution) -> ``_Anchor``, least recently
-    sampled first; ``points`` is the sum of their charges."""
+    """``_key`` -> ``_Anchor``, least recently sampled first; ``points`` is
+    the sum of their charges."""
 
     points = 0
 
@@ -139,34 +146,39 @@ class _Memo(dict):
         super().clear()
         self.points = 0
 
-    def tree(self, key, cloud: np.ndarray):
-        """The kept KD tree of the cloud, else a new one (None for one point)."""
-        if cloud.shape[0] == 1:
-            return None
+    def anchor(self, key, cloud: np.ndarray, declared) -> _Anchor:
+        """The kept anchor, else a new one whose distance is the norm to a
+        one-point cloud, the ``declared`` distance, or a new KD tree's,
+        kept at once."""
         anchor = self.get(key)
         if anchor is not None:
-            return anchor.tree
-        tree = kd_tree(cloud)
-        self._charge(key, _Anchor(tree, {}, 0), cloud.shape[0])
-        return tree
+            return anchor
+        if cloud.shape[0] == 1:
+            centre = cloud[0]
+            return _Anchor(lambda p: point_distances(p, centre), 0, {}, 0)
+        if declared is not None:
+            return _Anchor(declared, 0, {}, 0)
+        anchor = _Anchor(cloud_distance(cloud), cloud.shape[0], {}, 0)
+        self._charge(key, anchor, anchor.rows)
+        return anchor
 
-    def lattice(self, key, cloud: np.ndarray, tree, delta: float,
+    def lattice(self, key, anchor: _Anchor, cloud: np.ndarray, delta: float,
                 resolution: int) -> np.ndarray:
-        """The kept lattice of the cloud at delta, else a new read-only one."""
-        anchor = self.pop(key, None)
-        if anchor is not None:
-            self[key] = anchor  # the most recently sampled
-            pts = anchor.lattices.get(delta)
+        """The kept lattice of the anchor at delta, else a new read-only one."""
+        kept = self.pop(key, None)
+        if kept is not None:
+            self[key] = kept  # the most recently sampled
+            pts = kept.lattices.get(delta)
             if pts is not None:
                 return pts
-        pts = shell_lattice(cloud, delta, resolution, tree=tree)
+        pts = shell_lattice(cloud, delta, resolution, distance=anchor.distance)
         pts.flags.writeable = False
         points = pts.shape[0]
-        if anchor is None:  # one point, or evicted since its tree was built
-            anchor = _Anchor(tree, {}, 0)
-            points += 0 if tree is None else cloud.shape[0]
-        if self._charge(key, anchor, points):
-            anchor.lattices[delta] = pts
+        if kept is None:  # not kept yet, or evicted since its tree was built
+            kept = _Anchor(anchor.distance, anchor.rows, {}, 0)
+            points += anchor.rows
+        if self._charge(key, kept, points):
+            kept.lattices[delta] = pts
         return pts
 
     def _charge(self, key, anchor: _Anchor, points: int) -> bool:
@@ -185,6 +197,13 @@ class _Memo(dict):
         return True
 
 
+def _key(cloud: np.ndarray, resolution: int, declared) -> tuple:
+    """The memo's key of an anchor: its cloud and the resolution, and the
+    declared distance of a set of more than one point."""
+    key = (cloud.shape, cloud.tobytes(), resolution)
+    return key if declared is None else key + (declared,)
+
+
 _memo = _Memo()
 
 
@@ -194,15 +213,16 @@ def neighborhood_levels(Omega: Region, anchor, sched: DeltaSchedule,
     """Lattice samples of the shrinking neighborhoods of ``anchor`` in Omega,
     from level ``first`` of the schedule on.
 
-    ``anchor`` is a point (balls B_delta(x)) or a Region (tubes around its
-    point cloud).  Each level holds the lattice points of the tube (distance
-    below delta) that lie in Omega, in lattice order, f at those points when
+    ``anchor`` is a point (balls B_delta(x)) or a Region (tubes, the
+    lattice points within delta of it by its ``distance_fn``, else of its
+    point cloud).  Each level holds the lattice points of the tube that lie
+    in Omega, in lattice order, f at those points when
     f is given, and the ``reach`` that refinement must stay below delta of.
     Raises PreconditionError, before building any lattice or tree, when the
     anchor has a non-finite coordinate or one so large that the finest
     lattice cell is at most four float spacings wide there, and
     NotDensityPoint (point) or NotDensitySet (region) at the first level
-    that carries no lattice point of the domain.  The tree and the
+    that carries no lattice point of the domain.  The distance and the
     read-only lattices come from the memo.
     """
     if isinstance(anchor, Region):
@@ -229,26 +249,20 @@ def neighborhood_levels(Omega: Region, anchor, sched: DeltaSchedule,
             f"the anchor {name} dwarfs the finest lattice cell: {cell:g} wide, "
             f"where floats are {spacing:g} apart; move the anchor nearer the "
             "origin, raise delta or lower the resolution")
-    # one point, however often declared: a KD tree of it gives the same distances
+    declared = anchor.distance_fn if isinstance(anchor, Region) else None
+    # one point, however often or however declared: its ball
     if np.all(cloud.min(axis=0) == cloud.max(axis=0)):
-        cloud = cloud[:1]
-    key = (cloud.shape, cloud.tobytes(), cfg.resolution)
-    tree = _memo.tree(key, cloud)  # one tree for the tube lattices and refinement
-    if tree is None:
-        centre = cloud[0]
-
-        def dist(p):
-            return point_distances(p, centre)
-    else:
-        def dist(p):
-            return tree.query(np.atleast_2d(p), k=1)[0]
+        cloud, declared = cloud[:1], None
+    key = _key(cloud, cfg.resolution, declared)
+    kept = _memo.anchor(key, cloud, declared)
+    dist = kept.distance  # one distance for the tube lattices and refinement
 
     def reach(p):
         return np.where(Omega.contains(p), dist(p), np.inf)
 
     for d in deltas[first:]:
         d = float(d)
-        pts = _memo.lattice(key, cloud, tree, d, cfg.resolution)
+        pts = _memo.lattice(key, kept, cloud, d, cfg.resolution)
         if pts.shape[0]:
             inside = Omega.contains(pts)
             if not inside.all():  # no copy when the domain holds the whole tube
@@ -265,8 +279,9 @@ def tube_lattice(cloud, delta: float, resolution: int) -> np.ndarray:
     resolution while the memo keeps it."""
     cloud = np.atleast_2d(np.asarray(cloud, dtype=float))
     check_tube(cloud, delta)  # before a tree is built of the cloud
-    key = (cloud.shape, cloud.tobytes(), resolution)
-    return _memo.lattice(key, cloud, _memo.tree(key, cloud), delta, resolution)
+    key = _key(cloud, resolution, None)
+    return _memo.lattice(key, _memo.anchor(key, cloud, None), cloud, delta,
+                         resolution)
 
 
 def ball_samples(f: ScalarField, Omega: Region, x, sched: DeltaSchedule,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from densilim import aplimits, registry, sampling
+from densilim import aplimits, geometry, registry, sampling
 from densilim.aplimits import (ap_liminf, ap_limit, ap_limsup, dens_interval,
                                ess_inf_near, ess_sup_near, support_function)
 from densilim.density import density_at_set, is_density_set
@@ -303,9 +303,9 @@ def lattice_builds(monkeypatch):
     builds = []
     build = sampling.shell_lattice
 
-    def counted(cloud, delta, resolution, tree=None):
+    def counted(cloud, delta, resolution, distance=None):
         builds.append((np.atleast_2d(cloud)[0].tolist(), delta, resolution))
-        return build(cloud, delta, resolution, tree=tree)
+        return build(cloud, delta, resolution, distance=distance)
 
     monkeypatch.setattr(sampling, "shell_lattice", counted)
     sampling._memo.clear()
@@ -355,14 +355,15 @@ def test_large_ball_lattices_are_not_kept(lattice_builds):
 def test_calls_about_segments_build_each_tube_and_tree_once(lattice_builds,
                                                             monkeypatch):
     # three verdicts, then the bounds near two of the segments and a density
-    # at one: every (segment, delta) is built once, one tree per segment
-    trees, build = [], sampling.kd_tree
+    # at one: every (segment, delta) is built once, and no tree, since a
+    # segment declares its distance
+    trees, build = [], geometry.kd_tree
 
     def counted(cloud):
         trees.append(cloud[0].tolist())
         return build(cloud)
 
-    monkeypatch.setattr(sampling, "kd_tree", counted)
+    monkeypatch.setattr(geometry, "kd_tree", counted)
     sched, cfg = DeltaSchedule(0.2, 0.5, 4, 2), QuadratureConfig(resolution=32)
     segments = [segment_region([-0.5, 0.1], [-0.4, 0.1]),
                 segment_region([0.1, -0.5], [0.1, 0.5]),
@@ -376,7 +377,7 @@ def test_calls_about_segments_build_each_tube_and_tree_once(lattice_builds,
                    sched, cfg)
     builds = [(tuple(start), delta) for start, delta, _ in lattice_builds]
     assert len(builds) == len(set(builds)) == 12  # 24 without the memo
-    assert trees == [[-0.5, 0.1], [0.1, -0.5], [-0.5, 0.3]]  # 6 without
+    assert trees == []  # 6 with KD distances and no memo
 
 
 def test_the_memo_evicts_the_least_recently_sampled_anchor(lattice_builds,

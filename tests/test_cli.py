@@ -335,14 +335,14 @@ def _scipy_after(*commands):
 
 
 def test_cold_cli_loads_scipy_only_for_trees_and_hulls():
+    # a circle declares its distance, so its tubes build no KD tree
     tube = ["density", "--set", "unit_disk", "--domain", "plane",
             "--at-set", "unit_circle", "--schedule", "0.4,0.5,3,2", "--res", "16"]
     hull_2d = ["clarke", "--f", "abs(x1) + abs(x2)", "--at", "0,0"]  # Qhull
-    assert _scipy_after(*BATTERY) == [[]] * 8
-    for command in (tube, hull_2d):
-        before, after = _scipy_after(command)
-        assert before == [] and "scipy.spatial" in after
-        assert not any(m.startswith("scipy.stats") for m in after)
+    assert _scipy_after(*BATTERY, tube) == [[]] * 9
+    before, after = _scipy_after(hull_2d)
+    assert before == [] and "scipy.spatial" in after
+    assert not any(m.startswith("scipy.stats") for m in after)
 
 
 def test_cold_clarke_rules_load_no_scipy():

@@ -93,11 +93,18 @@ def test_density_at_circle():
     assert abs(est.point_value - 0.5) <= 1e-2
 
 
+def _samples_only(C: Region) -> Region:
+    """The null set declared by C's samples alone, measured by KD distance."""
+    cloud = geometry.point_cloud(C)
+    return Region(C.dim, C.indicator, C.bbox, cloud_fn=lambda n: cloud)
+
+
 def _counting_trees(monkeypatch):
-    """Patch kd_tree to list the trees built, each with the sizes of its
-    queries made without a distance bound: shell_lattice bounds its cell
-    queries, a refinement walk does not."""
-    trees, original = [], geometry.kd_tree
+    """Patch kd_tree to list the trees built, each with the sizes of the
+    queries made outside shell_lattice: those of the sampler and of the
+    refinement walks, not of the tube search."""
+    trees, original, searching = [], geometry.kd_tree, []
+    shell = sampling.shell_lattice
 
     class Tree:
         def __init__(self, cloud):
@@ -105,69 +112,78 @@ def _counting_trees(monkeypatch):
             trees.append(self)
 
         def query(self, x, **kwargs):
-            if "distance_upper_bound" not in kwargs:
+            if not searching:
                 self.queried.append(len(x))
             return self.tree.query(x, **kwargs)
 
+    def searched(*args, **kwargs):
+        searching.append(True)
+        try:
+            return shell(*args, **kwargs)
+        finally:
+            searching.pop()
+
     monkeypatch.setattr(geometry, "kd_tree", Tree)
-    monkeypatch.setattr(sampling, "kd_tree", Tree)
+    monkeypatch.setattr(sampling, "shell_lattice", searched)
     return trees
 
 
 def test_density_at_set_queries_no_lattice_point(monkeypatch):
-    # shell_lattice returns the tube's points; the sampler only tests the domain
+    # shell_lattice returns the tube's points; the sampler only tests the
+    # domain.  A circle declares its distance, so no tree is built; the
+    # cloud of its samples is measured by one tree, queried by the search
     trees = _counting_trees(monkeypatch)
-    est = density_at_set(ball_region([0, 0], 1.0), PLANE, circle_region([0, 0], 1.0),
-                         DeltaSchedule(0.4, 0.5, 4, 3), QuadratureConfig(resolution=32))
+    A, circle = ball_region([0, 0], 1.0), circle_region([0, 0], 1.0)
+    sched, cfg = DeltaSchedule(0.4, 0.5, 4, 3), QuadratureConfig(resolution=32)
+    est = density_at_set(A, PLANE, circle, sched, cfg)
+    assert est.denominator_counts.min() > 0 and not trees
+    est = density_at_set(A, PLANE, _samples_only(circle), sched, cfg)
     assert est.denominator_counts.min() > 0
     assert len(trees) == 1 and sum(trees[0].queried) == 0
 
 
 def test_tube_levels_share_one_kd_tree(monkeypatch):
-    # one tree serves every level's tube lattice and the refinement walks
-    built, original = [], geometry.kd_tree
-
-    def counting(points):
-        built.append(len(points))
-        return original(points)
-
-    monkeypatch.setattr(geometry, "kd_tree", counting)
-    monkeypatch.setattr(sampling, "kd_tree", counting)
+    # circle and segment tubes build no tree; a set declared by its points
+    # builds one, for every level's tube lattice and the refinement walks
+    trees = _counting_trees(monkeypatch)
     sched, cfg = DeltaSchedule(0.4, 0.5, 4, 3), QuadratureConfig(resolution=32)
     circle = circle_region([0, 0], 1.0)
-    density_at_set(ball_region([0, 0], 1.0), PLANE, circle, sched, cfg)
-    assert len(built) == 1
     segment = segment_region([0, 0], [0.6, 0.0])
-    ess_sup_near(compile_field("x1 + x2", 2), PLANE, segment, sched, cfg)
-    assert len(built) == 2
+    f = compile_field("x1 + x2", 2)
+    density_at_set(ball_region([0, 0], 1.0), PLANE, circle, sched, cfg)
+    ess_sup_near(f, PLANE, segment, sched, cfg)
+    assert not trees
+    density_at_set(ball_region([0, 0], 1.0), PLANE, _samples_only(circle), sched, cfg)
+    assert len(trees) == 1
+    ess_sup_near(f, PLANE, _samples_only(segment), sched, cfg)
+    assert len(trees) == 2 and sum(trees[1].queried) > 0
 
 
 def test_ess_sup_near_a_segment_builds_one_kd_tree(monkeypatch):
-    # the refinement walks measure their distances with the tree that the
-    # shell lattices were cut from, not with a second tree of the cloud
+    # the refinement walks measure their distances with the segment's own
+    # distance, and those about the segment's samples alone with the tree
+    # that the shell lattices were cut from, not with a second tree
     trees = _counting_trees(monkeypatch)
-    ess_sup_near(compile_field("x1 + x2", 2), PLANE, segment_region([0, 0], [0.6, 0.0]),
-                 DeltaSchedule(0.4, 0.5, 4, 3), QuadratureConfig(resolution=32))
+    f, segment = compile_field("x1 + x2", 2), segment_region([0, 0], [0.6, 0.0])
+    sched, cfg = DeltaSchedule(0.4, 0.5, 4, 3), QuadratureConfig(resolution=32)
+    ess_sup_near(f, PLANE, segment, sched, cfg)
+    assert not trees
+    ess_sup_near(f, PLANE, _samples_only(segment), sched, cfg)
     assert len(trees) == 1 and sum(trees[0].queried) > 0
 
 
-def test_tube_witnesses_spare_kd_queries(monkeypatch):
-    # a split cell's nearest cloud point keeps most children whole unqueried
-    rows, original = [], geometry.kd_tree
-
-    class Tree:
-        def __init__(self, cloud):
-            self.tree = original(cloud)
-
-        def query(self, x, **kwargs):
-            if "distance_upper_bound" in kwargs:
-                rows.append(len(x))
-            return self.tree.query(x, **kwargs)
-
-    monkeypatch.setattr(geometry, "kd_tree", Tree)
-    cloud = geometry.point_cloud(circle_region([0, 0], 1.0))
-    assert geometry.shell_lattice(cloud, 0.05, 64).shape == (257372, 2)
-    assert sum(rows) <= 22000  # 31,209 when every undecided cell is queried
+def test_a_circle_and_the_cloud_of_its_samples_get_their_own_tubes():
+    # the memo keys a set that declares its distance apart from the cloud
+    # of its samples: each, sampled after the other, reads its own tubes
+    sched, cfg = DeltaSchedule(0.025, 0.5, 2, 2), QuadratureConfig(resolution=16)
+    circle = circle_region([0, 0], 1.0)
+    cloud = geometry.point_cloud(circle)
+    exact = [geometry.shell_lattice(cloud, d, 16, distance=circle.distance_fn).shape[0]
+             for d in sched.deltas]
+    kd = [geometry.shell_lattice(cloud, d, 16).shape[0] for d in sched.deltas]
+    assert exact[1] > kd[1]  # 64,396 and 64,372 points at delta 0.0125
+    for C, want in ((circle, exact), (_samples_only(circle), kd), (circle, exact)):
+        assert is_density_set(C, PLANE, sched, cfg).neighborhood_hits.tolist() == want
 
 
 def test_density_at_unit_circle_on_the_default_schedule():

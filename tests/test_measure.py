@@ -122,6 +122,45 @@ def test_point_cloud_is_the_declared_points_in_order():
     assert np.array_equal(point_cloud(circle), circle.cloud_fn(CLOUD_SIZE))
 
 
+@pytest.mark.parametrize("make", [ball_region, circle_region],
+                         ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("radius", [float("nan"), -1.0, 0.0, float("inf")],
+                         ids=["nan", "negative", "zero", "inf"])
+def test_radius_not_positive_and_finite_is_refused(make, radius):
+    # a NaN radius made NaN bboxes, a negative one an inverted bbox
+    with pytest.raises(PreconditionError, match="radius must be positive and finite"):
+        make([0.0, 0.0], radius)
+
+
+@pytest.mark.parametrize("a", [[0.3, 0.2], [0.0, -1.5, 2.0]], ids=["2d", "3d"])
+def test_zero_length_segment_is_its_point_without_0_by_0(a):
+    # no 0/0: the segment [a, a] contains a and measures the distance to a
+    a = np.array(a)
+    with np.errstate(all="raise"):
+        C = segment_region(a, a)
+        pts = np.array([a, a + 0.5, a - 0.25])
+        assert C.contains(pts).tolist() == [True, False, False]
+        assert np.array_equal(C.distance_fn(pts), np.linalg.norm(pts - a, axis=1))
+    assert np.array_equal(point_cloud(C), a[None, :])
+
+
+def test_declared_distances_are_exact():
+    # the point's norm, the circle's | |p - c| - r | and the segment's
+    # distance to its clamped projection, checked on hand-picked points
+    p = np.array([[0.0, 0.0], [3.0, 4.0], [-1.0, 2.0], [2.5, -1.0]])
+    x = np.array([1.0, 2.0])
+    assert np.array_equal(point_region(x).distance_fn(p),
+                          np.linalg.norm(p - x, axis=1))
+    assert np.allclose(circle_region([0.0, 0.0], 2.0).distance_fn(p),
+                       [2.0, 3.0, math.sqrt(5.0) - 2.0, math.sqrt(7.25) - 2.0],
+                       rtol=0.0, atol=1e-15)
+    seg = segment_region([0.0, 1.0], [2.0, 1.0])  # projections clamp at both ends
+    assert np.allclose(seg.distance_fn(p), [1.0, math.hypot(1.0, 3.0),
+                                            math.sqrt(2.0), math.hypot(0.5, 2.0)],
+                       rtol=0.0, atol=1e-15)
+    assert seg.contains(np.array([[0.5, 1.0], [0.5, 1.5]])).tolist() == [True, False]
+
+
 def test_delta_schedule_validation():
     s = DeltaSchedule(1.0, 0.5, 12, 4)
     d = s.deltas
@@ -211,8 +250,7 @@ def _no_tree(monkeypatch):
     def refuse(points):
         raise AssertionError("a KD tree was built")
 
-    monkeypatch.setattr(geometry, "kd_tree", refuse)
-    monkeypatch.setattr(sampling, "kd_tree", refuse)
+    monkeypatch.setattr(geometry, "kd_tree", refuse)  # the only tree builder
 
 
 TUBE_LAYERS = [shell_lattice, sampling.tube_lattice]

@@ -219,9 +219,10 @@ def tube_clouds(draw):
     return anchor + a + t[:, None] * (b - a), delta
 
 
-def _tube_reference(cloud, delta, res):
+def _tube_reference(cloud, delta, res, distance=None):
     """Every point of the tube's lattice over the inflated bbox (plus a margin
-    of two steps), kept where the KD distance is below delta."""
+    of two steps), kept where the distance is below delta: the given one,
+    else the KD distance to the cloud."""
     lo, hi = cloud.min(axis=0) - delta, cloud.max(axis=0) + delta
     if np.all(cloud.min(axis=0) == cloud.max(axis=0)):  # one point: its window
         pts, _ = lattice(Box(lo, hi), res)
@@ -230,7 +231,7 @@ def _tube_reference(cloud, delta, res):
         axes = [np.arange(-2, t) for t in np.ceil((hi - lo) / h).astype(int) + 2]
         k = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
         pts = lo + (k + 0.5) * h
-    d, _ = cKDTree(cloud).query(pts)
+    d = cKDTree(cloud).query(pts)[0] if distance is None else distance(pts)
     return pts[d < delta]
 
 
@@ -241,6 +242,49 @@ def test_shell_lattice_is_the_kd_tube(drawn, res):
     cloud, delta = drawn
     assert np.array_equal(shell_lattice(cloud, delta, res),
                           _tube_reference(cloud, delta, res))
+
+
+@st.composite
+def declared_sets(draw):
+    """A set that declares its distance and a delta of a fifth of its size
+    or more: a circle of radius 0.05-0.8, an oblique or axis-parallel
+    segment in 2-d or 3-d, or a segment of zero length, a point."""
+    kind = draw(st.sampled_from(["circle", "segment", "axis", "point"]))
+    n = 2 if kind == "circle" else draw(st.integers(2, 3))
+    anchor = np.array(draw(st.lists(coord, min_size=n, max_size=n)))
+    if kind == "circle":
+        r = draw(st.floats(0.05, 0.8))
+        return circle_region(anchor, r), r * draw(st.floats(0.2, 1.5))
+    if kind == "point":
+        return segment_region(anchor, anchor), draw(st.floats(0.01, 0.5))
+    length = draw(st.floats(0.05, 1.0))
+    if kind == "axis":
+        step = length * np.eye(n)[draw(st.integers(0, n - 1))]
+    else:
+        t = draw(st.floats(0.1, 0.9)) * (math.pi / 2)  # off every axis
+        s = draw(st.floats(0.1, 0.9)) * (math.pi / 2)
+        step = length * np.array([math.cos(t), math.sin(t)] if n == 2 else
+                                 [math.cos(t) * math.sin(s), math.sin(t) * math.sin(s),
+                                  math.cos(s)])
+        step *= np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n,
+                                       max_size=n)))
+    return segment_region(anchor, anchor + step), length * draw(st.floats(0.3, 1.5))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(drawn=declared_sets(), res=st.sampled_from([3, 5, 8, 16, 17, 33]))
+def test_declared_tube_is_the_exact_tube(drawn, res):
+    # points, circles and segments: the lattice points their distance puts
+    # within delta, bit for bit and in lattice order, a superset of the KD
+    # tube of their samples since the set is at most as far as its samples
+    C, delta = drawn
+    cloud = geometry.point_cloud(C)
+    tube = shell_lattice(cloud, delta, res, distance=C.distance_fn)
+    assert np.array_equal(tube.view(np.int64),
+                          _tube_reference(cloud, delta, res, C.distance_fn)
+                          .view(np.int64))
+    kd = shell_lattice(cloud, delta, res)
+    assert set(map(tuple, kd.tolist())) <= set(map(tuple, tube.tolist()))
 
 
 @pytest.mark.parametrize("region, delta, res", [
@@ -288,7 +332,8 @@ def kd_clouds(draw):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(drawn=kd_clouds())
 def test_kd_distance_is_the_row_norm_of_its_nearest_point(drawn):
-    # the witness rule of shell_lattice rests on this, for every layout
+    # a row's KD distance, the one shell_lattice cuts point-only tubes with,
+    # is its nearest point's row_norm, for every layout
     cloud, pts, bound = drawn
     d, i = geometry.kd_tree(cloud).query(pts)
     assert np.array_equal(d, row_norm(pts - cloud[i]))
@@ -302,7 +347,8 @@ def test_kd_distance_is_the_row_norm_of_its_nearest_point(drawn):
 
 @st.composite
 def witness_clouds(draw):
-    """A cloud, a delta and a resolution where a witness is least obvious.
+    """A cloud, a delta and a resolution where a cell's bounds are least
+    obvious.
 
     4-d clouds at coarse resolutions, clouds whose rows repeat, and circles
     of radius below delta, whose centre is equidistant from every point.
@@ -330,7 +376,7 @@ def witness_clouds(draw):
 @settings(max_examples=45, deadline=None, derandomize=True, database=None)
 @given(drawn=witness_clouds())
 def test_witnessed_tube_is_the_kd_tube(drawn):
-    # cells kept on a witness's distance are cells a query would keep
+    # cells kept whole on their centre's distance hold only tube points
     cloud, delta, res = drawn
     assert np.array_equal(shell_lattice(cloud, delta, res),
                           _tube_reference(cloud, delta, res))
