@@ -30,7 +30,8 @@ from .errors import DensilimError, ExprError, PreconditionError
 from .expr import (ATAN2_02PI, ATAN2_PMPI, compile_field, compile_region,
                    compile_vector_field, split_components)
 from .fields import ScalarField, VectorField
-from .geometry import Box, DeltaSchedule, QuadratureConfig, Region, point_region
+from .geometry import (Box, DeltaSchedule, QuadratureConfig, Region, _check_box,
+                       point_region)
 from . import registry
 
 
@@ -198,13 +199,21 @@ def _parse_point(args) -> np.ndarray:
     return np.array(_numbers(args.at, "--at"), dtype=float)
 
 
-def _parse_bbox(args, dim: int) -> Box:
-    if not args.bbox:
-        return Box([-2.0] * dim, [2.0] * dim)
-    vals = _numbers(args.bbox, "--bbox")
-    if len(vals) != 2 * dim:
-        raise PreconditionError(f"--bbox expects {2 * dim} numbers")
-    return Box(vals[:dim], vals[dim:])
+def _domain(args, dim: int) -> Region:
+    """The --domain region: a registry region, or an expression bounded by
+    --bbox ([-2, 2]^dim by default), which only an expression reads."""
+    box = Box([-2.0] * dim, [2.0] * dim)
+    if args.bbox:
+        vals = _numbers(args.bbox, "--bbox")
+        if len(vals) != 2 * dim:
+            raise PreconditionError(f"--bbox expects {2 * dim} numbers")
+        box = Box(vals[:dim], vals[dim:])
+        _check_box(box, "--bbox")
+        if args.domain in registry.names("region"):
+            raise PreconditionError(
+                "--bbox bounds an expression --domain, not the registry region "
+                f"{args.domain!r}")
+    return resolve_region(args.domain, dim, box, args.atan2_range)
 
 
 def _resolve(spec: str, kind: str, dim: int, compile_spec):
@@ -262,20 +271,22 @@ def _emit(command: str, config: dict, result: dict) -> None:
     print(json.dumps(report, indent=2, sort_keys=True))
 
 
-def _dim_of(args) -> int:
+def _dim_of(args, default: int) -> int:
+    """The length of --at, which --dim must match, else --dim, else default."""
+    if args.dim is not None and args.dim < 1:
+        raise PreconditionError(f"--dim must be positive, got {args.dim}")
     if args.at:
         dim = len(args.at.split(","))
         if args.dim is not None and args.dim != dim:
             raise PreconditionError(
                 f"--dim {args.dim} disagrees with the {dim} coordinates of --at")
         return dim
-    return args.dim or 2
+    return args.dim or default
 
 
 def cmd_density(args) -> int:
-    dim = _dim_of(args)
-    bbox = _parse_bbox(args, dim)
-    Omega = resolve_region(args.domain, dim, bbox, args.atan2_range)
+    dim = _dim_of(args, 2)
+    Omega = _domain(args, dim)
     A = resolve_region(args.set_, dim, Omega.bbox, args.atan2_range)
     sched = _schedule(args, Omega.bbox)
     quad, config = _settings(args, sched)
@@ -300,8 +311,7 @@ def cmd_density(args) -> int:
 def cmd_aplim(args) -> int:
     x = _parse_point(args)
     dim = x.size
-    bbox = _parse_bbox(args, dim)
-    Omega = resolve_region(args.domain, dim, bbox, args.atan2_range)
+    Omega = _domain(args, dim)
     f = resolve_field(args.f, dim, args.atan2_range)
     sched = _schedule(args, Omega.bbox)
     quad, config = _settings(args, sched)
@@ -318,8 +328,7 @@ def cmd_aplim(args) -> int:
 def cmd_representative(args) -> int:
     x = _parse_point(args)
     dim = x.size
-    Omega = resolve_region(args.domain, dim, _parse_bbox(args, dim),
-                           args.atan2_range)
+    Omega = _domain(args, dim)
     f = resolve_field(args.f, dim, args.atan2_range)
     sched = _schedule(args, Omega.bbox)
     quad, config = _settings(args, sched)
@@ -334,8 +343,7 @@ def cmd_representative(args) -> int:
 def cmd_jump(args) -> int:
     x = _parse_point(args)
     dim = x.size
-    Omega = resolve_region(args.domain, dim, _parse_bbox(args, dim),
-                           args.atan2_range)
+    Omega = _domain(args, dim)
     f = resolve_field(args.f, dim, args.atan2_range)
     sched = _schedule(args, Omega.bbox)
     quad, config = _settings(args, sched)
@@ -352,7 +360,7 @@ def cmd_clarke(args) -> int:
     if unread:
         raise PreconditionError(
             f"--{min(unread)} is not read by --rule {args.rule or '(none)'}")
-    dim = _dim_of(args) if args.at else args.dim or 1
+    dim = _dim_of(args, 1)
     x = _parse_point(args) if args.at else np.zeros(dim)
     f = resolve_field(args.f, dim, args.atan2_range)
     sched = _schedule(args, Box([0.0] * dim, [1.0] * dim))  # delta0 = 0.5
@@ -403,8 +411,7 @@ def cmd_gauss_green(args) -> int:
 def cmd_demo_vanishing(args) -> int:
     x = _parse_point(args)
     dim = x.size
-    Omega = resolve_region(args.domain, dim, _parse_bbox(args, dim),
-                           args.atan2_range)
+    Omega = _domain(args, dim)
     E1 = resolve_region(args.e1, dim, Omega.bbox, args.atan2_range)
     E2 = resolve_region(args.e2, dim, Omega.bbox, args.atan2_range)
     f = resolve_field(args.f, dim, args.atan2_range)

@@ -3,9 +3,9 @@
 A region is a measurable subset of R^n given by a vectorized boolean
 predicate plus a bounding box.  Null sets (points, curves) additionally
 declare an explicit sample generator, their only point cloud, since a
-lattice almost never meets them, and may declare their exact distance:
-points, circles and segments give it in closed form, and a set declared
-only by its points is measured by the KD distance to them.  Every measure
+lattice almost never meets them, and, unless they are one point, their
+exact distance: points, circles and segments give it in closed form, and
+a set declared by its points gives ``cloud_distance(points)``.  Every measure
 estimate counts region membership on a midpoint grid lattice, so it is
 deterministic given the quadrature configuration.
 
@@ -141,9 +141,10 @@ class Region:
     ``cloud_fn(n)`` returns >= 1 points on the region and must be supplied
     for null sets: it is their only point cloud.  ``distance_fn(points)``
     returns each row's Euclidean distance to the set, the same bits for a
-    row whatever the other rows.  The tubes of a null set that declares it
-    are the lattice points it puts below delta, those of one without it the
-    lattice points within delta of its cloud.  ``boundary_fn(m)``
+    row whatever the other rows, and must be supplied for a null set of
+    more than one point, whose tubes are the lattice points it puts below
+    delta: a set declared by its points declares ``cloud_distance`` of
+    them.  ``boundary_fn(m)``
     returns (points, arc weights, inward unit normals) and enables boundary
     quadrature on Lipschitz primitives: the Gauss-Green boundary side
     integrates against the negated inward normals.
@@ -204,8 +205,16 @@ def complement(a: Region, within: Box, label: str = "") -> Region:
 # Primitive regions
 
 
+def _check_box(b: Box, what: str) -> None:
+    if not np.all((-math.inf < b.lo) & (b.lo < b.hi) & (b.hi < math.inf)):
+        raise PreconditionError(
+            f"{what} corners must be finite with lo < hi on every axis, got "
+            f"{b.lo.tolist()} and {b.hi.tolist()}")
+
+
 def box_region(lo, hi, label: str = "box") -> Region:
     b = Box(lo, hi)
+    _check_box(b, "box")
 
     def boundary(m: int):
         return _box_boundary(b, m)
@@ -221,6 +230,8 @@ def _check_radius(radius: float, what: str) -> None:
 
 def ball_region(center, radius: float, label: str = "ball") -> Region:
     c = as_point(center)
+    if not np.all(np.isfinite(c)):
+        raise PreconditionError(f"ball centre must be finite, got {c.tolist()}")
     _check_radius(radius, "ball")
 
     def ind(p):
@@ -463,19 +474,6 @@ def _cube(size: int, n: int) -> np.ndarray:
     return out
 
 
-def check_tube(cloud: np.ndarray, delta: float) -> None:
-    """Refuse, with PreconditionError, a cloud or a delta that no tube
-    lattice is laid around: an empty cloud, one with a non-finite
-    coordinate, and a delta that is not positive and finite."""
-    if cloud.size == 0:
-        raise PreconditionError("the tube's cloud is empty")
-    if not np.all(np.isfinite(cloud)):
-        raise PreconditionError("the tube's cloud has a non-finite coordinate")
-    if not 0.0 < delta < math.inf:  # NaN too
-        raise PreconditionError(
-            f"the tube's delta must be positive and finite, got {delta:g}")
-
-
 def shell_lattice(cloud: np.ndarray, delta: float, resolution: int,
                   distance=None) -> np.ndarray:
     """The lattice points of the delta-tube around a set with samples cloud.
@@ -485,9 +483,8 @@ def shell_lattice(cloud: np.ndarray, delta: float, resolution: int,
     is lo + (k + 0.5)*h.  Returned are exactly the points p with
     ``distance(p) < delta``, lexicographic in k.  ``distance`` is the exact
     Euclidean distance of a set that lies in the cloud's bbox, as a set
-    sampled out to its extremes does, so the lattice covers its tube;
-    without it the set is the cloud, measured by ``cloud_distance``, a KD
-    tree's distance.  The search starts
+    sampled out to its extremes does, so the lattice covers its tube; the
+    cloud itself is measured by ``cloud_distance(cloud)``.  The search starts
     from aligned cells of 2^j steps per axis: the fewest steps that are at
     least base, the least power of two >= max(2, resolution // 4) (cells
     about delta/2 wide), and that give at most 4096 cells.  It halves the
@@ -497,11 +494,13 @@ def shell_lattice(cloud: np.ndarray, delta: float, resolution: int,
     minus its half-diagonal is inside whole; cells this close to a cut, by
     a slack for rounding, are split further.  So a thin tube around a long
     structure costs its own size, not its bbox's, and only points near the
-    tube's boundary are measured one by one.  Raises PreconditionError as
-    ``check_tube`` does, and, before allocating them, when the tube points
-    found plus the points of the cells left to split, counted as at most
-    base**n per cell, exceed LATTICE_BUDGET, and when the bbox lattice
-    outgrows int64 indices.
+    tube's boundary are measured one by one.  Raises PreconditionError,
+    before allocating anything, for an empty cloud, one with a non-finite
+    coordinate, a delta that is not positive and finite, a cloud of more
+    than one distinct point without a distance, and a bbox lattice that
+    outgrows int64 indices; and, before allocating them, when the tube
+    points found plus the points of the cells left to split, counted as at
+    most base**n per cell, exceed LATTICE_BUDGET.
     The search records each whole cell as its corner key and size.  The
     output is allocated once, and the cells' points are expanded, sorted
     and decoded in groups of whole top-level slabs along axis 0, of at most
@@ -518,7 +517,13 @@ def shell_lattice(cloud: np.ndarray, delta: float, resolution: int,
     window or its norms.
     """
     cloud = np.atleast_2d(cloud)
-    check_tube(cloud, delta)
+    if cloud.size == 0:
+        raise PreconditionError("the tube's cloud is empty")
+    if not np.all(np.isfinite(cloud)):
+        raise PreconditionError("the tube's cloud has a non-finite coordinate")
+    if not 0.0 < delta < math.inf:  # NaN too
+        raise PreconditionError(
+            f"the tube's delta must be positive and finite, got {delta:g}")
     n = cloud.shape[1]
     base_lo, base_hi = cloud.min(axis=0), cloud.max(axis=0)
     if np.all(base_hi - base_lo == 0.0):  # one point: its ball
@@ -537,6 +542,10 @@ def shell_lattice(cloud: np.ndarray, delta: float, resolution: int,
         for i, (a, k) in enumerate(zip(axes, keep)):
             out[:, i] = a[k]
         return out
+    if distance is None:
+        raise PreconditionError(
+            "a tube about more than one point needs the set's distance; a set "
+            "declared by its points passes distance=cloud_distance(points)")
     lo = base_lo - delta
     h = 2.0 * delta / resolution
     steps = np.ceil((base_hi + delta - lo) / h) + 1  # lattice points per axis
@@ -557,8 +566,6 @@ def shell_lattice(cloud: np.ndarray, delta: float, resolution: int,
     # split further, so the result equals measuring every point
     scale = float(np.max(np.abs(np.concatenate([lo, base_hi + delta]))))
     slack = 1e-9 * delta + 8.0 * math.sqrt(n) * np.finfo(float).eps * scale
-    if distance is None:
-        distance = cloud_distance(cloud)
     corner = _index_grid(-(-steps // size)) * size
     found, cells = 0, []  # cells: (sorted corner keys, size) of whole cells
     while corner.shape[0]:
@@ -648,9 +655,10 @@ def kd_tree(points: np.ndarray):
     scipy.spatial loads on first use.
 
     Points, circles and segments declare their distance in closed form, so
-    the library's trees serve only sets declared by their points alone: the
-    tube search's nearest-point queries of cell centres near a tube's edge
-    and the refinement walks' reach.  Around a curved or oblique cloud, such
+    the library builds a tree only in ``cloud_distance``, the distance a set
+    declared by its points declares: the tree answers the tube search's
+    nearest-point queries of cell centres near a tube's edge and the
+    refinement walks' reach.  Around a curved or oblique cloud, such
     a query visits many axis-aligned leaf boxes at almost the same distance;
     scipy's default 16-point leaves make twice as many boxes, and replayed
     on recorded tube queries around 4096-point circles and oblique segments
@@ -664,9 +672,10 @@ def kd_tree(points: np.ndarray):
 
 
 def cloud_distance(cloud: np.ndarray):
-    """The KD distance to the cloud, the distance of a set declared only by
-    its points: a callable from (m, n) points to their (m,) distances to
-    the nearest cloud point, backed by one ``kd_tree``."""
+    """The KD distance to the cloud: a callable from (m, n) points to their
+    (m,) distances to the nearest cloud point, backed by one ``kd_tree``
+    built here.  A set declared by its points declares it as its
+    ``distance_fn``, so its tree is built once, when the set is declared."""
     tree = kd_tree(cloud)
 
     def dist(points: np.ndarray) -> np.ndarray:

@@ -6,9 +6,11 @@ schedule delta it yields the lattice points of the delta-neighborhood of
 an anchor within the domain, the field values there and the levels'
 shared ``reach``.  The anchor is a point, whose neighborhoods are
 balls, or a region, whose neighborhoods are tubes: the lattice points
-within delta of the set.  Every null set has one distance: points,
-circles and segments declare theirs in closed form (``distance_fn``), and
-a set declared only by its points is measured by the KD distance to them.
+within delta of the set.  A tube needs only the set's distance: a point
+is measured by the norm to it, and a set of more than one point by the
+``distance_fn`` it declares (points, circles and segments in closed form,
+a set declared by its points as ``cloud_distance(points)``); a set of
+several points that declares none is refused with ``EmptyRegion``.
 ``shell_lattice`` classifies cells of the tube's lattice with that
 distance and returns the tube's points, so a level only drops those
 outside the domain; it expands whole cells slab group by slab group into
@@ -19,25 +21,18 @@ squared offsets with the bits of ``row_norm``, the distance refinement
 measures, so densities at points and at null sets, essential bounds,
 approximate limits and ball means all read the same samples.
 
-Estimator calls about one anchor share its distance and lattices.  A
-process-wide memo keeps, per anchor and resolution, the anchor's distance
-and one read-only lattice per delta sampled.  It keys an anchor by its
-cloud's shape and bytes, and a set that declares its distance also by
-that callable, so a set and the cloud of its samples never share a tube;
-a point, however declared, is keyed by its one row.  A point-only set's
-distance is a KD tree of its cloud, the only tree the memo builds.  The
-memo's charge, counted in points, is each kept tree's cloud rows plus
-each kept lattice's points; once it exceeds ``MEMO_POINTS`` the least
-recently sampled anchors are evicted, never the one being sampled, so the
-memo holds at most ``MEMO_POINTS`` points unless that anchor alone holds
-more.  A lattice of more than ``MEMO_POINTS`` points is returned but not
-kept.  So a density set's verdict, the essential bounds near it and
-densities at it build each of its tubes (and a point-only set its tree)
-once, as estimators at one point build its balls once.  A lattice is a
-pure function of the anchor's distance, cloud, delta and resolution, and
-a miss builds it with ``shell_lattice``, so every report is bit for bit
-what sampling afresh gives; a miss that raises keeps nothing.  Field
-values and domain membership are never kept.
+Estimator calls about one anchor share its lattices: a process-wide memo
+keeps, per anchor and resolution, one read-only lattice per delta sampled
+and nothing else.  It keys a point, however declared, by its one row, and
+a set by its cloud's shape and bytes and its distance callable, so a
+circle and a set declared by the circle's samples never share a tube.  It
+holds at most ``MEMO_POINTS`` lattice points unless the anchor being
+sampled alone holds more: past them the least recently sampled anchors
+are evicted, and a lattice of more points is returned but not kept.  A
+lattice is a pure function of the anchor's distance, cloud, delta and
+resolution, built on a miss by ``shell_lattice``, so every report is bit
+for bit what sampling afresh gives; a miss that raises keeps nothing.
+Field values and domain membership are never kept.
 
 The refinement pass zooms a small sub-lattice around the current best
 sample, which moves the lattice sup/inf toward the pointwise sup/inf.
@@ -61,17 +56,16 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .errors import NotDensityPoint, NotDensitySet, PreconditionError
+from .errors import EmptyRegion, NotDensityPoint, NotDensitySet, PreconditionError
 from .fields import ScalarField
 from .geometry import (DeltaSchedule, QuadratureConfig, Region, _primes,
-                       as_point, check_tube, cloud_distance, point_cloud,
-                       point_distances, shell_lattice)
+                       as_point, point_cloud, point_distances, shell_lattice)
 
 Distance = Callable[[np.ndarray], np.ndarray]  # (m, n) -> (m,) distance to a set
 Reach = Callable[[np.ndarray], np.ndarray]  # (m, n) -> (m,) distance, inf off Omega
 REFINE_TOP = 3      # lattice samples that seed refinement walks
 REFINE_LEVELS = 80  # steps per refinement walk
-MEMO_POINTS = 2 ** 17  # points of trees' clouds and lattices the memo keeps
+MEMO_POINTS = 2 ** 17  # lattice points the memo keeps
 
 
 @dataclass
@@ -126,19 +120,9 @@ class BallSamples:
                 max(float(np.max(v)) for v in finite))
 
 
-@dataclass
-class _Anchor:
-    """What the memo keeps of one anchor at one resolution."""
-
-    distance: Distance  # declared, a KD tree's, or the norm to one point
-    rows: int           # cloud rows of its KD tree, 0 without one
-    lattices: dict      # delta -> read-only shell_lattice
-    points: int         # its charge: the tree's cloud rows and the lattices' points
-
-
 class _Memo(dict):
-    """``_key`` -> ``_Anchor``, least recently sampled first; ``points`` is
-    the sum of their charges."""
+    """Anchor key -> {delta: read-only lattice}, least recently sampled
+    first; ``points`` counts the points of all their lattices."""
 
     points = 0
 
@@ -146,62 +130,26 @@ class _Memo(dict):
         super().clear()
         self.points = 0
 
-    def anchor(self, key, cloud: np.ndarray, declared) -> _Anchor:
-        """The kept anchor, else a new one whose distance is the norm to a
-        one-point cloud, the ``declared`` distance, or a new KD tree's,
-        kept at once."""
-        anchor = self.get(key)
-        if anchor is not None:
-            return anchor
-        if cloud.shape[0] == 1:
-            centre = cloud[0]
-            return _Anchor(lambda p: point_distances(p, centre), 0, {}, 0)
-        if declared is not None:
-            return _Anchor(declared, 0, {}, 0)
-        anchor = _Anchor(cloud_distance(cloud), cloud.shape[0], {}, 0)
-        self._charge(key, anchor, anchor.rows)
-        return anchor
-
-    def lattice(self, key, anchor: _Anchor, cloud: np.ndarray, delta: float,
+    def lattice(self, key, cloud: np.ndarray, distance: Distance, delta: float,
                 resolution: int) -> np.ndarray:
-        """The kept lattice of the anchor at delta, else a new read-only one."""
+        """The kept lattice of key's anchor at delta, else a new read-only
+        ``shell_lattice``, kept unless it alone exceeds ``MEMO_POINTS``."""
         kept = self.pop(key, None)
         if kept is not None:
             self[key] = kept  # the most recently sampled
-            pts = kept.lattices.get(delta)
-            if pts is not None:
-                return pts
-        pts = shell_lattice(cloud, delta, resolution, distance=anchor.distance)
+            if delta in kept:
+                return kept[delta]
+        pts = shell_lattice(cloud, delta, resolution, distance=distance)
         pts.flags.writeable = False
-        points = pts.shape[0]
-        if kept is None:  # not kept yet, or evicted since its tree was built
-            kept = _Anchor(anchor.distance, anchor.rows, {}, 0)
-            points += anchor.rows
-        if self._charge(key, kept, points):
-            kept.lattices[delta] = pts
+        if pts.shape[0] <= MEMO_POINTS:
+            if kept is None:
+                kept = self[key] = {}
+            kept[delta] = pts
+            self.points += pts.shape[0]
+            while self.points > MEMO_POINTS and len(self) > 1:
+                evicted = self.pop(next(iter(self)))
+                self.points -= sum(p.shape[0] for p in evicted.values())
         return pts
-
-    def _charge(self, key, anchor: _Anchor, points: int) -> bool:
-        """Charge ``points`` more to key's anchor (kept, or new) and keep it
-        as the most recently sampled, evicting the least recently sampled
-        others while the charges exceed ``MEMO_POINTS``; False, keeping
-        nothing more, when ``points`` alone exceed it."""
-        if points > MEMO_POINTS:
-            return False
-        anchor.points += points
-        self.points += points
-        self.pop(key, None)
-        self[key] = anchor
-        while self.points > MEMO_POINTS and len(self) > 1:
-            self.points -= self.pop(next(iter(self))).points
-        return True
-
-
-def _key(cloud: np.ndarray, resolution: int, declared) -> tuple:
-    """The memo's key of an anchor: its cloud and the resolution, and the
-    declared distance of a set of more than one point."""
-    key = (cloud.shape, cloud.tobytes(), resolution)
-    return key if declared is None else key + (declared,)
 
 
 _memo = _Memo()
@@ -214,16 +162,17 @@ def neighborhood_levels(Omega: Region, anchor, sched: DeltaSchedule,
     from level ``first`` of the schedule on.
 
     ``anchor`` is a point (balls B_delta(x)) or a Region (tubes, the
-    lattice points within delta of it by its ``distance_fn``, else of its
-    point cloud).  Each level holds the lattice points of the tube that lie
-    in Omega, in lattice order, f at those points when
-    f is given, and the ``reach`` that refinement must stay below delta of.
-    Raises PreconditionError, before building any lattice or tree, when the
-    anchor has a non-finite coordinate or one so large that the finest
-    lattice cell is at most four float spacings wide there, and
-    NotDensityPoint (point) or NotDensitySet (region) at the first level
-    that carries no lattice point of the domain.  The distance and the
-    read-only lattices come from the memo.
+    lattice points within delta of it by its ``distance_fn``; a set of one
+    point, however often declared, by the norm to that point).  Each level
+    holds the lattice points of the tube that lie in Omega, in lattice
+    order, f at those points when f is given, and the ``reach`` that
+    refinement must stay below delta of.  Raises, before building any
+    lattice, PreconditionError when the anchor has a non-finite coordinate
+    or one so large that the finest lattice cell is at most four float
+    spacings wide there, and EmptyRegion for a set of more than one point
+    that declares no distance; NotDensityPoint (point) or NotDensitySet
+    (region) at the first level that carries no lattice point of the
+    domain.  The read-only lattices come from the memo.
     """
     if isinstance(anchor, Region):
         cloud = point_cloud(anchor)
@@ -249,20 +198,26 @@ def neighborhood_levels(Omega: Region, anchor, sched: DeltaSchedule,
             f"the anchor {name} dwarfs the finest lattice cell: {cell:g} wide, "
             f"where floats are {spacing:g} apart; move the anchor nearer the "
             "origin, raise delta or lower the resolution")
-    declared = anchor.distance_fn if isinstance(anchor, Region) else None
-    # one point, however often or however declared: its ball
-    if np.all(cloud.min(axis=0) == cloud.max(axis=0)):
+    if np.all(cloud.min(axis=0) == cloud.max(axis=0)):  # one point: its ball
         cloud, declared = cloud[:1], None
-    key = _key(cloud, cfg.resolution, declared)
-    kept = _memo.anchor(key, cloud, declared)
-    dist = kept.distance  # one distance for the tube lattices and refinement
+        centre = cloud[0]
+
+        def dist(p):
+            return point_distances(p, centre)
+    else:
+        dist = declared = anchor.distance_fn
+        if dist is None:
+            raise EmptyRegion(f"region {anchor.label!r} of more than one point "
+                              "declares no distance; such a null set must "
+                              "declare its distance_fn")
+    key = (cloud.shape, cloud.tobytes(), cfg.resolution, declared)
 
     def reach(p):
         return np.where(Omega.contains(p), dist(p), np.inf)
 
     for d in deltas[first:]:
         d = float(d)
-        pts = _memo.lattice(key, kept, cloud, d, cfg.resolution)
+        pts = _memo.lattice(key, cloud, dist, d, cfg.resolution)
         if pts.shape[0]:
             inside = Omega.contains(pts)
             if not inside.all():  # no copy when the domain holds the whole tube
@@ -271,17 +226,6 @@ def neighborhood_levels(Omega: Region, anchor, sched: DeltaSchedule,
             raise vanished(d)
         yield LevelSamples(d, pts, None if f is None else f(pts),
                            2.0 * d / cfg.resolution, reach)
-
-
-def tube_lattice(cloud, delta: float, resolution: int) -> np.ndarray:
-    """``shell_lattice`` of the cloud, read-only, through the memo that
-    ``neighborhood_levels`` samples: built once per cloud, delta and
-    resolution while the memo keeps it."""
-    cloud = np.atleast_2d(np.asarray(cloud, dtype=float))
-    check_tube(cloud, delta)  # before a tree is built of the cloud
-    key = _key(cloud, resolution, None)
-    return _memo.lattice(key, _memo.anchor(key, cloud, None), cloud, delta,
-                         resolution)
 
 
 def ball_samples(f: ScalarField, Omega: Region, x, sched: DeltaSchedule,

@@ -341,15 +341,27 @@ def test_sampling_another_point_drops_the_ball_lattices(lattice_builds):
     assert [b[0] for b in lattice_builds[::12]] == [[0.0, 0.0], [0.5, 0.0]]
 
 
+def _ball(x, delta, res):
+    """The memo's lattice of B_delta(x), sampled by ``neighborhood_levels``
+    in a domain that holds it whole."""
+    x = np.asarray(x, dtype=float)
+    space = Region(x.size, lambda p: np.ones(p.shape[0], dtype=bool),
+                   Box(x - 1.0, x + 1.0))
+    sched = DeltaSchedule(2.0 * delta, 0.5, 2, 2)  # its last delta is delta
+    level, = sampling.neighborhood_levels(space, x, sched,
+                                          QuadratureConfig(resolution=res), first=1)
+    return level.points
+
+
 def test_large_ball_lattices_are_not_kept(lattice_builds):
     x = np.zeros(3)
-    big = sampling.tube_lattice(x, 0.5, 64)
+    big = _ball(x, 0.5, 64)
     assert big.shape[0] > sampling.MEMO_POINTS and not big.flags.writeable
-    sampling.tube_lattice(x, 0.5, 64)
-    assert len(lattice_builds) == 2
-    small = sampling.tube_lattice(x, 0.5, 32)  # about 17k points: kept
-    assert sampling.tube_lattice(x, 0.5, 32) is small
-    assert len(lattice_builds) == 3
+    _ball(x, 0.5, 64)
+    assert len(lattice_builds) == 2 and sampling._memo.points == 0
+    small = _ball(x, 0.5, 32)  # about 17k points: kept
+    assert _ball(x, 0.5, 32) is small
+    assert len(lattice_builds) == 3 and sampling._memo.points == small.shape[0]
 
 
 def test_calls_about_segments_build_each_tube_and_tree_once(lattice_builds,
@@ -383,15 +395,16 @@ def test_calls_about_segments_build_each_tube_and_tree_once(lattice_builds,
 def test_the_memo_evicts_the_least_recently_sampled_anchor(lattice_builds,
                                                            monkeypatch):
     a, b, c = [0.0, 0.0], [0.5, 0.0], [0.0, 0.5]
-    size = sampling.tube_lattice(np.array(a), 0.5, 16).shape[0]
+    size = _ball(a, 0.5, 16).shape[0]
     monkeypatch.setattr(sampling, "MEMO_POINTS", 2 * size + size // 2)
     for x in (b, a, c, a, b, a, c):  # c evicts b, then b evicts c
-        sampling.tube_lattice(np.array(x), 0.5, 16)
+        _ball(x, 0.5, 16)
         assert sampling._memo.points <= sampling.MEMO_POINTS
     assert [start for start, _, _ in lattice_builds] == [a, b, c, b, c]
     # the anchor being sampled stays whole, alone past the budget
     monkeypatch.setattr(sampling, "MEMO_POINTS", size + size // 2)
     for delta in (0.5, 0.25, 0.5, 0.25):
-        sampling.tube_lattice(np.array(c), delta, 16)
+        _ball(c, delta, 16)
     assert len(lattice_builds) == 6 and list(sampling._memo) == [
-        ((1, 2), np.array([c]).tobytes(), 16)]
+        ((1, 2), np.array([c]).tobytes(), 16, None)]
+    assert sampling._memo.points == 2 * size

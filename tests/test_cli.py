@@ -538,3 +538,53 @@ def test_option_string_after_a_value_taking_option_exits_2(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "expected one argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["clarke", "--f", "abs(x1)", "--dim", "-1"],
+    ["clarke", "--f", "abs(x1)", "--dim", "0"],
+    ["density", "--set", "x1>0", "--at-set", "unit_circle", "--dim", "0"],
+    ["density", "--set", "x1>0", "--at", "0,0", "--dim", "0"],
+], ids=["clarke-negative", "clarke-zero", "density-at-set-zero", "density-at-zero"])
+def test_dim_not_positive_exits_2(capsys, argv):
+    # -1 made a ValueError traceback (exit 1); 0 became 1 for clarke and 2
+    # for density --at-set
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)
+    assert captured.out == "" and err["error"] == "PreconditionError"
+    assert err["message"].startswith("--dim must be positive")
+
+
+@pytest.mark.parametrize("argv", [
+    ["density", "--set", "x1>0", "--at", "0,0", "--bbox", "-1,-1,1,1"],
+    ["aplim", "--f", "x1", "--at", "0,0", "--domain", "unit_disk",
+     "--bbox", "-1,-1,1,1"],
+    ["representative", "--f", "x1", "--at", "0,0", "--bbox", "-1,-1,1,1"],
+    ["jump", "--f", "x1", "--at", "0,0", "--domain", "halfplane",
+     "--bbox", "-1,-1,1,1"],
+    ["demo-vanishing", "--f", "x1", "--e1", "demo_cusp_right",
+     "--e2", "demo_cusp_left", "--at", "0,0", "--bbox", "-1,-1,1,1"],
+], ids=["density-plane", "aplim", "representative", "jump", "demo-vanishing"])
+def test_bbox_with_a_registry_domain_exits_2(capsys, argv):
+    # a registry region has its own bbox: --bbox was read by nothing
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)
+    assert captured.out == "" and err["error"] == "PreconditionError"
+    assert err["message"].startswith("--bbox bounds an expression --domain")
+
+
+@pytest.mark.parametrize("bbox", ["1,-1,1,1", "1,1,-1,-1", "-1,nan,1,1"],
+                         ids=["equal", "inverted", "nan"])
+@pytest.mark.parametrize("schedule", [[], ["--schedule", "0.2,0.5,3,2"]],
+                         ids=["default-schedule", "schedule"])
+def test_bbox_without_finite_lo_below_hi_exits_2(capsys, bbox, schedule):
+    # it read "delta0 must be positive and finite", or passed with --schedule
+    argv = ["density", "--set", "x1>0", "--domain", "true", "--at", "0,0",
+            "--res", "16", f"--bbox={bbox}", *schedule]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)
+    assert captured.out == "" and err["error"] == "PreconditionError"
+    assert err["message"].startswith("--bbox corners must be finite with lo < hi")

@@ -8,7 +8,7 @@ from densilim.aplimits import ess_sup_near
 from densilim.density import (concentration_direction, cone_region,
                               density_at_point, density_at_set, is_density_set,
                               null_within)
-from densilim.errors import NotDensityPoint, NotDensitySet
+from densilim.errors import EmptyRegion, NotDensityPoint, NotDensitySet
 from densilim.expr import compile_field, compile_region
 from densilim.geometry import (Box, DeltaSchedule, QuadratureConfig, Region,
                                ball_region, circle_region, point_region,
@@ -94,9 +94,11 @@ def test_density_at_circle():
 
 
 def _samples_only(C: Region) -> Region:
-    """The null set declared by C's samples alone, measured by KD distance."""
+    """The null set declared by C's samples alone: their points and the KD
+    distance to them, whose one tree is built here."""
     cloud = geometry.point_cloud(C)
-    return Region(C.dim, C.indicator, C.bbox, cloud_fn=lambda n: cloud)
+    return Region(C.dim, C.indicator, C.bbox, cloud_fn=lambda n: cloud,
+                  distance_fn=geometry.cloud_distance(cloud))
 
 
 def _counting_trees(monkeypatch):
@@ -130,21 +132,24 @@ def _counting_trees(monkeypatch):
 
 def test_density_at_set_queries_no_lattice_point(monkeypatch):
     # shell_lattice returns the tube's points; the sampler only tests the
-    # domain.  A circle declares its distance, so no tree is built; the
-    # cloud of its samples is measured by one tree, queried by the search
+    # domain.  A circle declares its distance, so no tree is built; the set
+    # of its samples declares one tree, queried only by the search
     trees = _counting_trees(monkeypatch)
     A, circle = ball_region([0, 0], 1.0), circle_region([0, 0], 1.0)
     sched, cfg = DeltaSchedule(0.4, 0.5, 4, 3), QuadratureConfig(resolution=32)
     est = density_at_set(A, PLANE, circle, sched, cfg)
     assert est.denominator_counts.min() > 0 and not trees
-    est = density_at_set(A, PLANE, _samples_only(circle), sched, cfg)
+    samples = _samples_only(circle)
+    assert len(trees) == 1
+    est = density_at_set(A, PLANE, samples, sched, cfg)
     assert est.denominator_counts.min() > 0
     assert len(trees) == 1 and sum(trees[0].queried) == 0
 
 
 def test_tube_levels_share_one_kd_tree(monkeypatch):
     # circle and segment tubes build no tree; a set declared by its points
-    # builds one, for every level's tube lattice and the refinement walks
+    # builds one when it is declared, for every level's tube lattice and the
+    # refinement walks, and sampling it builds none
     trees = _counting_trees(monkeypatch)
     sched, cfg = DeltaSchedule(0.4, 0.5, 4, 3), QuadratureConfig(resolution=32)
     circle = circle_region([0, 0], 1.0)
@@ -153,9 +158,10 @@ def test_tube_levels_share_one_kd_tree(monkeypatch):
     density_at_set(ball_region([0, 0], 1.0), PLANE, circle, sched, cfg)
     ess_sup_near(f, PLANE, segment, sched, cfg)
     assert not trees
-    density_at_set(ball_region([0, 0], 1.0), PLANE, _samples_only(circle), sched, cfg)
-    assert len(trees) == 1
-    ess_sup_near(f, PLANE, _samples_only(segment), sched, cfg)
+    circle_samples, segment_samples = _samples_only(circle), _samples_only(segment)
+    assert len(trees) == 2
+    density_at_set(ball_region([0, 0], 1.0), PLANE, circle_samples, sched, cfg)
+    ess_sup_near(f, PLANE, segment_samples, sched, cfg)
     assert len(trees) == 2 and sum(trees[1].queried) > 0
 
 
@@ -168,7 +174,9 @@ def test_ess_sup_near_a_segment_builds_one_kd_tree(monkeypatch):
     sched, cfg = DeltaSchedule(0.4, 0.5, 4, 3), QuadratureConfig(resolution=32)
     ess_sup_near(f, PLANE, segment, sched, cfg)
     assert not trees
-    ess_sup_near(f, PLANE, _samples_only(segment), sched, cfg)
+    samples = _samples_only(segment)
+    assert len(trees) == 1
+    ess_sup_near(f, PLANE, samples, sched, cfg)
     assert len(trees) == 1 and sum(trees[0].queried) > 0
 
 
@@ -180,10 +188,29 @@ def test_a_circle_and_the_cloud_of_its_samples_get_their_own_tubes():
     cloud = geometry.point_cloud(circle)
     exact = [geometry.shell_lattice(cloud, d, 16, distance=circle.distance_fn).shape[0]
              for d in sched.deltas]
-    kd = [geometry.shell_lattice(cloud, d, 16).shape[0] for d in sched.deltas]
+    kd = [geometry.shell_lattice(cloud, d, 16, distance=geometry.cloud_distance(cloud))
+          .shape[0] for d in sched.deltas]
     assert exact[1] > kd[1]  # 64,396 and 64,372 points at delta 0.0125
     for C, want in ((circle, exact), (_samples_only(circle), kd), (circle, exact)):
         assert is_density_set(C, PLANE, sched, cfg).neighborhood_hits.tolist() == want
+
+
+def test_a_set_of_several_points_without_a_distance_is_refused(monkeypatch):
+    # a tube is cut by the set's distance: density_at_set refuses a set of
+    # several points that declares none before it builds a lattice, and
+    # is_density_set reports the refusal as its verdict
+    def refuse(*args, **kwargs):
+        raise AssertionError("a lattice was built")
+
+    monkeypatch.setattr(sampling, "shell_lattice", refuse)
+    cloud = geometry.point_cloud(circle_region([0, 0], 1.0))
+    C = Region(2, lambda p: np.zeros(p.shape[0], dtype=bool), Box([-1, -1], [1, 1]),
+               label="samples", cloud_fn=lambda n: cloud)
+    sched, cfg = DeltaSchedule(0.4, 0.5, 3, 2), QuadratureConfig(resolution=16)
+    with pytest.raises(EmptyRegion, match="'samples' of more than one point"):
+        density_at_set(region("x1 > 0"), PLANE, C, sched, cfg)
+    rep = is_density_set(C, PLANE, sched, cfg)
+    assert not rep.is_density_set and "declares no distance" in rep.failed
 
 
 def test_density_at_unit_circle_on_the_default_schedule():

@@ -224,6 +224,7 @@ def _read_only(region: Region) -> Region:
 
     return Region(region.dim, indicator, region.bbox, label=region.label,
                   cloud_fn=region.cloud_fn, boundary_fn=region.boundary_fn,
+                  distance_fn=region.distance_fn,
                   components=None if region.components is None
                   else [_read_only(c) for c in region.components])
 

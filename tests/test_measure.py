@@ -9,8 +9,9 @@ from densilim.errors import (DimensionMismatch, EmptyRegion, EmptyWindow,
                              PreconditionError)
 from densilim.geometry import (CLOUD_SIZE, Box, DeltaSchedule, QuadratureConfig,
                                Region, ball_region, ball_window, box_region,
-                               circle_region, lebesgue, point_cloud, point_region,
-                               segment_region, shell_lattice, union, intersect)
+                               circle_region, cloud_distance, lebesgue, point_cloud,
+                               point_region, segment_region, shell_lattice, union,
+                               intersect)
 
 GRID64 = QuadratureConfig(resolution=64)
 
@@ -132,6 +133,21 @@ def test_radius_not_positive_and_finite_is_refused(make, radius):
         make([0.0, 0.0], radius)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: box_region([1.0, 1.0], [0.0, 0.0]),
+    lambda: box_region([0.0, 0.0], [1.0, 0.0]),
+    lambda: box_region([0.0, math.nan], [1.0, 1.0]),
+    lambda: box_region([0.0, 0.0], [math.inf, 1.0]),
+    lambda: ball_region([math.nan, 0.0], 1.0),
+    lambda: ball_region([0.0, -math.inf], 1.0),
+], ids=["box-inverted", "box-flat", "box-nan", "box-inf", "ball-nan", "ball-inf"])
+def test_solid_primitives_refuse_bad_corners_and_centres(make):
+    # gg_residual read residual 1.99 with a negative grid_h on the inverted
+    # box, and a NaN residual for a NaN corner or centre
+    with pytest.raises(PreconditionError, match="must be finite"):
+        make()
+
+
 @pytest.mark.parametrize("a", [[0.3, 0.2], [0.0, -1.5, 2.0]], ids=["2d", "3d"])
 def test_zero_length_segment_is_its_point_without_0_by_0(a):
     # no 0/0: the segment [a, a] contains a and measures the distance to a
@@ -183,11 +199,13 @@ def test_quadrature_config_has_no_parallel_flag(knob):
 
 
 def _refused_peak_mb(cloud, delta, res, match="budget of 2\\^24") -> float:
-    """Peak traced allocation of a tube lattice that must be refused."""
+    """Peak traced allocation of a tube lattice about the cloud, measured by
+    its KD distance, that must be refused."""
+    distance = cloud_distance(cloud)
     tracemalloc.start()
     try:
         with pytest.raises(PreconditionError, match=match):
-            shell_lattice(cloud, delta, res)
+            shell_lattice(cloud, delta, res, distance=distance)
         return tracemalloc.get_traced_memory()[1] / 2 ** 20
     finally:
         tracemalloc.stop()
@@ -196,10 +214,10 @@ def _refused_peak_mb(cloud, delta, res, match="budget of 2\\^24") -> float:
 def test_tube_lattice_peak_is_bounded_by_its_output():
     # the whole cells are expanded slab group by slab group into the output
     cloud = point_cloud(circle_region([0, 0], 1.0))
-    import scipy.spatial  # noqa: F401  loaded untraced, as in a full test run
+    distance = cloud_distance(cloud)  # scipy loaded untraced
     tracemalloc.start()
     try:
-        out = shell_lattice(cloud, 4e-3, 64)
+        out = shell_lattice(cloud, 4e-3, 64, distance=distance)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -224,7 +242,8 @@ def test_tube_of_far_apart_points_on_a_fine_lattice(cloud, delta, res):
     d, _ = geometry.kd_tree(cloud).query(pts)
     want = pts[d < delta]
     assert want.shape[0] > 0
-    assert np.array_equal(shell_lattice(cloud, delta, res), want)
+    assert np.array_equal(shell_lattice(cloud, delta, res,
+                                        distance=cloud_distance(cloud)), want)
 
 
 def test_tube_budget_refuses_tiny_delta_on_unit_circle():
@@ -253,7 +272,17 @@ def _no_tree(monkeypatch):
     monkeypatch.setattr(geometry, "kd_tree", refuse)  # the only tree builder
 
 
-TUBE_LAYERS = [shell_lattice, sampling.tube_lattice]
+def tube_lattice(cloud, delta, res):
+    """The tube of a set of the cloud's points through the sampler's memo,
+    with a distance that a refused tube must not read."""
+    def unread(points):
+        raise AssertionError("the distance of a refused tube was read")
+
+    key = (cloud.shape, cloud.tobytes(), res, unread)
+    return sampling._memo.lattice(key, cloud, unread, delta, res)
+
+
+TUBE_LAYERS = [shell_lattice, tube_lattice]
 
 
 @pytest.mark.parametrize("lay", TUBE_LAYERS, ids=lambda fn: fn.__name__)
@@ -277,3 +306,21 @@ def test_tube_refuses_a_delta_not_positive_and_finite(monkeypatch, lay, delta):
     cloud = np.array([[0.0, 0.0, 0.0], [1.0, 0.5, 0.25]])
     with pytest.raises(PreconditionError, match="the tube's delta must be positive"):
         lay(cloud, delta, 128)
+
+
+def test_tube_about_several_points_needs_their_distance(monkeypatch):
+    # no KD default: a cloud of two distinct points without a distance is
+    # refused before its lattice is allocated; repeats of one point are its
+    # ball, which reads no distance
+    _no_tree(monkeypatch)
+    cloud = np.array([[0.0, 0.0], [1.0, 0.5]])
+    tracemalloc.start()
+    try:
+        with pytest.raises(PreconditionError, match="needs the set's distance"):
+            shell_lattice(cloud, 1e-3, 128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 16
+    ball = shell_lattice(cloud[:1].repeat(3, axis=0), 0.1, 16)
+    assert np.array_equal(ball, shell_lattice(cloud[:1], 0.1, 16))

@@ -11,25 +11,27 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 from scipy.stats import qmc
 
-from densilim.aplimits import ap_liminf, ap_limsup, ess_inf_near, ess_sup_near
+from densilim.aplimits import (ap_liminf, ap_limsup, ess_inf_near, ess_sup_near,
+                               support_function)
 from densilim import geometry, registry
-from densilim.clarke import convex_hull_vertices, gen_gradient
+from densilim.clarke import (convex_hull_vertices, dir_derivative_gradsup,
+                             dir_derivative_quotient, gen_gradient)
 from densilim.density import (cone_region, density_at_point, density_at_set,
                               is_density_set)
 from densilim.errors import PreconditionError
 from densilim.expr import (BoolLit, BoolOp, Bin, Call, Cmp, Neg, Not, Num, Var,
                            compile_field, compile_region, compile_vector_field,
                            derivative, evaluate, parse, to_source)
-from densilim.fields import ScalarField
+from densilim.fields import ScalarField, VectorField
 from densilim.gaussgreen import gg_residual
 from densilim.geometry import (Box, DeltaSchedule, QuadratureConfig, Region,
                                ball_region, ball_window, box_region,
                                circle_region, cloud_distance, complement,
-                               lattice, point_region, row_norm, segment_region,
-                               shell_lattice)
+                               irrational_fractions, lattice, point_region,
+                               row_norm, segment_region, shell_lattice)
 from densilim.representative import mean_limit
 from densilim.sampling import (REFINE_LEVELS, halton, neighborhood_levels,
-                               refine_extremum, tube_lattice)
+                               refine_extremum)
 
 BOX = Box([-2.0, -2.0], [2.0, 2.0])
 PROPERTY = settings(max_examples=15, deadline=None, derandomize=True,
@@ -138,6 +140,18 @@ def memo_points(draw):
     return np.array(x), delta
 
 
+def _memo_lattices(anchor, delta, res):
+    """The memo's lattices of the anchor's neighborhoods, a point's balls or
+    a set's tubes, at delta * 2^-k, k < 4, sampled by ``neighborhood_levels``
+    in a domain that holds them whole."""
+    n = anchor.dim if isinstance(anchor, Region) else anchor.size
+    space = Region(n, lambda p: np.ones(p.shape[0], dtype=bool),
+                   Box([-1e9] * n, [1e9] * n))
+    return [lv.points for lv in neighborhood_levels(
+        space, anchor, DeltaSchedule(delta, 0.5, 4, 2),
+        QuadratureConfig(resolution=res))]
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(a=memo_points(), b=memo_points(), res=st.sampled_from([5, 8, 15, 16, 33]))
 def test_memoized_ball_lattices_are_fresh_shell_lattices(a, b, res):
@@ -145,28 +159,32 @@ def test_memoized_ball_lattices_are_fresh_shell_lattices(a, b, res):
     # after other anchors and resolutions were sampled
     x, delta = a
     deltas = [delta * 0.5 ** k for k in range(4)]
-    anchors = [x[None, :]]
+    anchors = [x]
     if res ** x.size <= 2 ** 12:  # a 3-d tube at res 33 takes seconds
-        anchors.append(geometry.point_cloud(segment_region(x, x + delta)))
+        anchors.append(segment_region(x, x + delta))
     if x.size == 2:
-        anchors.append(geometry.point_cloud(circle_region(x, delta)))
-    fresh = [[shell_lattice(cloud, d, res) for d in deltas] for cloud in anchors]
+        anchors.append(circle_region(x, delta))
 
-    def check(cloud, r, refs):
-        for d, ref in zip(deltas, refs):
-            got = tube_lattice(cloud, d, r)
+    def fresh(anchor, r):
+        if not isinstance(anchor, Region):
+            return [shell_lattice(anchor[None, :], d, r) for d in deltas]
+        cloud = geometry.point_cloud(anchor)
+        return [shell_lattice(cloud, d, r, distance=anchor.distance_fn)
+                for d in deltas]
+
+    def check(anchor, r, refs):
+        for got, ref in zip(_memo_lattices(anchor, delta, r), refs):
             assert not got.flags.writeable
             assert np.array_equal(got.view(np.int64), ref.view(np.int64))
 
-    for cloud, refs in zip(anchors, fresh):
-        check(cloud, res, refs)
-    for cloud, r in ((b[0][None, :], res), (x[None, :], 2 * res)):
-        check(cloud, r, [shell_lattice(cloud, d, r) for d in deltas])
-    for cloud, refs in zip(anchors, fresh):
-        check(cloud, res, refs)
-    for d, ref in zip(deltas, fresh[0]):
-        assert np.array_equal(tube_lattice(x, d, res).view(np.int64),
-                              ref.view(np.int64))
+    refs = [fresh(anchor, res) for anchor in anchors]
+    for anchor, ref in zip(anchors, refs):
+        check(anchor, res, ref)
+    for anchor, r in ((b[0], res), (x, 2 * res)):
+        check(anchor, r, fresh(anchor, r))
+    for anchor, ref in zip(anchors, refs):
+        check(anchor, res, ref)
+    check(point_region(x), res, refs[0])
 
 
 # zeros, subnormals, squares that overflow or underflow, infinities and NaN
@@ -240,7 +258,8 @@ def _tube_reference(cloud, delta, res, distance=None):
 def test_shell_lattice_is_the_kd_tube(drawn, res):
     # the tube's lattice points, bit for bit and in lattice order
     cloud, delta = drawn
-    assert np.array_equal(shell_lattice(cloud, delta, res),
+    assert np.array_equal(shell_lattice(cloud, delta, res,
+                                        distance=cloud_distance(cloud)),
                           _tube_reference(cloud, delta, res))
 
 
@@ -283,7 +302,7 @@ def test_declared_tube_is_the_exact_tube(drawn, res):
     assert np.array_equal(tube.view(np.int64),
                           _tube_reference(cloud, delta, res, C.distance_fn)
                           .view(np.int64))
-    kd = shell_lattice(cloud, delta, res)
+    kd = shell_lattice(cloud, delta, res, distance=cloud_distance(cloud))
     assert set(map(tuple, kd.tolist())) <= set(map(tuple, tube.tolist()))
 
 
@@ -297,7 +316,8 @@ def test_full_size_tube_is_the_default_layout_kd_tube(region, delta, res):
     # 4096-point clouds fill many leaves; the reference tree has scipy's
     # default layout
     cloud = geometry.point_cloud(region)
-    assert np.array_equal(shell_lattice(cloud, delta, res),
+    assert np.array_equal(shell_lattice(cloud, delta, res,
+                                        distance=cloud_distance(cloud)),
                           _tube_reference(cloud, delta, res))
 
 
@@ -378,7 +398,8 @@ def witness_clouds(draw):
 def test_witnessed_tube_is_the_kd_tube(drawn):
     # cells kept whole on their centre's distance hold only tube points
     cloud, delta, res = drawn
-    assert np.array_equal(shell_lattice(cloud, delta, res),
+    assert np.array_equal(shell_lattice(cloud, delta, res,
+                                        distance=cloud_distance(cloud)),
                           _tube_reference(cloud, delta, res))
 
 
@@ -388,16 +409,19 @@ def test_witnessed_tube_is_the_kd_tube(drawn):
 def test_slab_groups_change_no_bit(drawn, res, group):
     # a tube assembled a few slabs at a time is the tube assembled at once
     cloud, delta = drawn
-    want = shell_lattice(cloud, delta, res)
+    distance = cloud_distance(cloud)
+    want = shell_lattice(cloud, delta, res, distance=distance)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(geometry, "TUBE_GROUP", group)
-        assert np.array_equal(shell_lattice(cloud, delta, res), want)
+        assert np.array_equal(shell_lattice(cloud, delta, res, distance=distance),
+                              want)
 
 
 def _declared(cloud):
-    """A null set whose only samples are the given rows."""
+    """A null set declared by the given rows: its samples and its distance."""
     return Region(cloud.shape[1], lambda p: np.zeros(p.shape[0], dtype=bool),
-                  Box(cloud.min(axis=0), cloud.max(axis=0)), cloud_fn=lambda m: cloud)
+                  Box(cloud.min(axis=0), cloud.max(axis=0)), cloud_fn=lambda m: cloud,
+                  distance_fn=cloud_distance(cloud))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -407,8 +431,9 @@ def test_cloud_order_changes_no_bit(drawn, res, seed):
     # point_cloud keeps the declared order; nothing downstream may read it
     cloud, delta = drawn
     shuffled = cloud[np.random.default_rng(seed).permutation(cloud.shape[0])]
-    assert np.array_equal(shell_lattice(cloud, delta, res),
-                          shell_lattice(shuffled, delta, res))
+    assert np.array_equal(
+        shell_lattice(cloud, delta, res, distance=cloud_distance(cloud)),
+        shell_lattice(shuffled, delta, res, distance=cloud_distance(shuffled)))
     n = cloud.shape[1]
     box = Box(cloud.min(axis=0) - 3.0 * delta, cloud.max(axis=0) + 3.0 * delta)
     space = compile_region("true", n, box)
@@ -513,6 +538,98 @@ def test_complement_densities_sum_to_one(A, Omega, x, grid, radius):
     assert (est is None) == (est_not is None)
     if est is not None:
         assert np.all(est.values + est_not.values == 1.0)
+
+
+@st.composite
+def disjoint_pairs(draw):
+    """Two disjoint sets with a common corner or edge near a drawn point:
+    adjacent wedges between three drawn rays, adjacent or separated strips,
+    or two half-planes.  Each is cut by strict inequalities on the same
+    terms, so no lattice point lies in both."""
+    p = draw(points)
+    kind = draw(st.sampled_from(["wedges", "strips", "half-planes"]))
+    if kind == "wedges":  # rays t, t + a, t + a + b, each wedge below pi
+        t, a, b = draw(angles), draw(st.floats(0.2, 2.8)), draw(st.floats(0.2, 2.8))
+        s1, s2, s3 = (_affine(0.0, _unit(r + math.pi / 2), p) for r in (t, t + a, t + a + b))
+        return f"{s1} > 0 and {s2} < 0", f"{s2} > 0 and {s3} < 0"
+    s = _affine(0.0, _unit(draw(angles)), p)
+    if kind == "strips":
+        w, gap = draw(st.floats(0.01, 0.5)), draw(st.sampled_from([0.0, 0.05]))
+        return (f"{s} > 0 and {s} < {w!r}",
+                f"{s} > {w + gap!r} and {s} < {2 * w + gap!r}")
+    return f"{s} > 0", f"{s} < {-draw(st.floats(0.0, 0.3))!r}"
+
+
+@PROPERTY
+@given(pair=disjoint_pairs(), Omega=domains(), x=points, grid=grids)
+def test_density_is_finitely_additive_over_disjoint_sets(pair, Omega, x, grid):
+    # the paper's first claim: the union's numerator counts are the sum of
+    # the parts' exactly, and its densities the sum within 2 ulp
+    sched, cfg = _schedule(grid)
+    a, b = pair
+    ests = [_outcome(lambda src=src: density_at_point(
+        compile_region(src, 2, BOX), Omega, x, sched, cfg))
+        for src in (a, b, f"({a}) or ({b})")]
+    assert len({e is None for e in ests}) == 1
+    if ests[0] is not None:
+        ea, eb, eu = ests
+        assert np.array_equal(ea.numerator_counts + eb.numerator_counts,
+                              eu.numerator_counts)
+        assert np.array_equal(ea.denominator_counts, eu.denominator_counts)
+        assert np.all(np.abs(ea.values + eb.values - eu.values)
+                      <= 2.0 * np.spacing(eu.values))
+
+
+@st.composite
+def affine_extremes(draw):
+    """max or min of 2-4 affine pieces in 2-d or 3-d at a drawn x0: the
+    first piece passes through f(x0), the others too or stay 1.5-3 away,
+    inactive on every sampled ball; the active gradients lie 0.5 or more
+    apart.  Returns (f, x0, active gradients, a drawn unit direction)."""
+    n = draw(st.sampled_from([2, 3]))
+    x0 = np.array(draw(st.lists(coord, min_size=n, max_size=n)))
+    op = draw(st.sampled_from(["max", "min"]))
+    pieces, active = [], []
+    for i in range(draw(st.integers(2, 4))):
+        a = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
+        gap = 0.0 if i == 0 or draw(st.booleans()) else draw(st.floats(1.5, 3.0))
+        c0 = -gap if op == "max" else gap
+        pieces.append(f"({c0!r})" + "".join(
+            f" + ({float(ai)!r})*(x{j + 1} - ({float(xj)!r}))"
+            for j, (ai, xj) in enumerate(zip(a, x0))))
+        if gap == 0.0:
+            active.append(a)
+    assume(all(np.linalg.norm(a - b) >= 0.5 for i, a in enumerate(active)
+               for b in active[:i]))
+    src = pieces[-1]
+    for piece in reversed(pieces[:-1]):
+        src = f"{op}({piece}, {src})"
+    v = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    assume(np.linalg.norm(v) >= 0.1)
+    return compile_field(src, n), x0, np.array(active), v / np.linalg.norm(v)
+
+
+@PROPERTY
+@given(drawn=affine_extremes())
+def test_clarke_derivative_is_the_max_over_active_gradients(drawn):
+    # f°(x; v) = max_i a_i . v over the pieces active at x, for max and min
+    # alike: by difference quotients, by the sup of Df . v, and as the
+    # support function of Df near the Clarke estimators' anchor
+    f, x0, active, v = drawn
+    want = float(np.max(active @ v))
+    sched, cfg = DeltaSchedule(0.5, 0.5, 6, 3), QuadratureConfig(resolution=16)
+    anchor = x0 + irrational_fractions(f.dim) * (
+        2.0 * float(sched.deltas[-1]) / cfg.resolution)
+    space = Region(f.dim, lambda p: np.ones(p.shape[0], dtype=bool),
+                   ball_window(anchor, sched.delta0))
+    dF = VectorField(f.dim, tuple(
+        ScalarField(f.dim, lambda p, i=i: f.gradient_at(p)[:, i])
+        for i in range(f.dim)))
+    tol = 1e-9 * max(1.0, abs(want))
+    assert abs(dir_derivative_gradsup(f, x0, v, sched, cfg) - want) <= tol
+    assert abs(dir_derivative_quotient(f, x0, v, sched, cfg) - want) <= tol
+    assert abs(support_function(dF, space, point_region(anchor), v, sched, cfg)
+               - want) <= tol
 
 
 kinks = st.one_of(st.none(), st.tuples(st.floats(0.3, 1.2), angles))

@@ -7,7 +7,10 @@ import importlib.util
 from pathlib import Path
 
 import densilim
-from densilim import fields, gaussgreen, geometry
+from densilim import aplimits, density, fields, gaussgreen, geometry, registry
+from densilim.expr import compile_field
+from densilim.geometry import (DeltaSchedule, QuadratureConfig, ball_region,
+                               circle_region, segment_region)
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -48,3 +51,25 @@ def test_tracer_installs_and_uninstalls_cleanly():
     finally:
         t.uninstall()
     assert [getattr(owner, attr) for owner, attr in bindings] == before
+
+
+def test_the_tracers_hooks_count_tubes_and_refinement_steps():
+    # the hooks read shell_lattice's first argument as the set's samples and
+    # count refine_extremum's reach calls: a library change that breaks
+    # either fails here, not only in run.py --trace 1
+    t = load_tracer().Tracer()
+    t.install()
+    try:
+        t.enabled = True
+        plane = registry.get_region("plane")
+        sched, cfg = DeltaSchedule(0.2, 0.5, 3, 2), QuadratureConfig(resolution=16)
+        density.density_at_set(ball_region([0.0, 0.0], 0.3), plane,
+                               circle_region([0.1, 0.0], 0.3), sched, cfg)
+        aplimits.ess_sup_near(compile_field("x1 + x2", 2), plane,
+                              segment_region([0.0, 0.0], [0.5, 0.2]), sched, cfg)
+    finally:
+        t.enabled = False
+        t.uninstall()
+    for key in ("geometry.shell_lattice.points", "geometry.shell_lattice.kept",
+                "sampling.refine.steps"):
+        assert t.counts[key] > 0, key
