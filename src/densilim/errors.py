@@ -20,7 +20,8 @@ class DimensionMismatch(PreconditionError):
 
 
 class EmptyRegion(PreconditionError):
-    """The region declares no sample generator, so it has no point cloud."""
+    """The region declares no point cloud (no generator, or one that gives
+    no point), or a cloud of several points without its distance."""
 
 
 class NotDensityPoint(PreconditionError):

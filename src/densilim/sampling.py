@@ -169,10 +169,11 @@ def neighborhood_levels(Omega: Region, anchor, sched: DeltaSchedule,
     refinement must stay below delta of.  Raises, before building any
     lattice, PreconditionError when the anchor has a non-finite coordinate
     or one so large that the finest lattice cell is at most four float
-    spacings wide there, and EmptyRegion for a set of more than one point
-    that declares no distance; NotDensityPoint (point) or NotDensitySet
-    (region) at the first level that carries no lattice point of the
-    domain.  The read-only lattices come from the memo.
+    spacings wide there, and EmptyRegion for a set whose cloud is empty or
+    of more than one point without a declared distance; NotDensityPoint
+    (point) or NotDensitySet (region) at the first level that carries no
+    lattice point of the domain.  The read-only lattices come from the
+    memo.
     """
     if isinstance(anchor, Region):
         cloud = point_cloud(anchor)
@@ -198,7 +199,10 @@ def neighborhood_levels(Omega: Region, anchor, sched: DeltaSchedule,
             f"the anchor {name} dwarfs the finest lattice cell: {cell:g} wide, "
             f"where floats are {spacing:g} apart; move the anchor nearer the "
             "origin, raise delta or lower the resolution")
-    if np.all(cloud.min(axis=0) == cloud.max(axis=0)):  # one point: its ball
+    # a point is one row; a set's columns are compared one at a time, since
+    # numpy reduces a C-ordered array over axis 0 a row at a time
+    if not isinstance(anchor, Region) or all(
+            col.min() == col.max() for col in cloud.T):  # one point: its ball
         cloud, declared = cloud[:1], None
         centre = cloud[0]
 

@@ -213,6 +213,49 @@ def test_a_set_of_several_points_without_a_distance_is_refused(monkeypatch):
     assert not rep.is_density_set and "declares no distance" in rep.failed
 
 
+@pytest.mark.parametrize("empty", [np.empty((0, 2)), []], ids=["no_rows", "no_list"])
+def test_a_set_whose_cloud_is_empty_is_refused(empty):
+    # a set whose generator gives no point is refused with EmptyRegion, not
+    # numpy's error on a zero-size reduction, and is_density_set reports the
+    # refusal as its verdict
+    C = Region(2, lambda p: np.zeros(p.shape[0], dtype=bool), Box([-1, -1], [1, 1]),
+               label="nothing", cloud_fn=lambda n: empty,
+               distance_fn=lambda p: np.full(p.shape[0], np.inf))
+    sched, cfg = DeltaSchedule(0.4, 0.5, 3, 2), QuadratureConfig(resolution=16)
+    with pytest.raises(EmptyRegion, match="'nothing' declares an empty sample cloud"):
+        density_at_set(region("x1 > 0"), PLANE, C, sched, cfg)
+    rep = is_density_set(C, PLANE, sched, cfg)
+    assert not rep.is_density_set and "empty sample cloud" in rep.failed
+
+
+def test_a_cloud_of_one_repeated_point_is_sampled_as_its_ball():
+    # 4096 rows of the origin, their zeros signed either way and each
+    # column's first -0.0 and first 0.0 in different rows: the one-point
+    # test and the tube's bbox compare columns, so the set is the point's
+    # ball, and its levels and tubes are those of point_region, bit for bit
+    cloud = np.zeros((geometry.CLOUD_SIZE, 2))
+    signs = np.random.default_rng(5).integers(0, 2, cloud.shape).astype(bool)
+    signs[:2] = [[False, True], [True, False]]
+    cloud[signs] = -0.0
+    C = Region(2, lambda p: np.zeros(p.shape[0], dtype=bool), Box([0, 0], [0, 0]),
+               label="repeated", cloud_fn=lambda n: cloud)
+    point = point_region([0.0, 0.0])
+    Omega, f = region("x2 > -0.1"), compile_field("x1 + 2*x2", 2)
+    sched, cfg = DeltaSchedule(0.4, 0.5, 4, 2), QuadratureConfig(resolution=17)
+    levels = [list(sampling.neighborhood_levels(Omega, A, sched, cfg, f))
+              for A in (C, point)]
+    for a, b in zip(*levels):
+        assert a.delta == b.delta and a.cell == b.cell
+        assert np.array_equal(a.points.view(np.int64), b.points.view(np.int64))
+        assert np.array_equal(a.values.view(np.int64), b.values.view(np.int64))
+        assert np.array_equal(a.reach(b.points), b.reach(b.points))
+    assert len(levels[0]) == len(levels[1]) == sched.steps
+    for d in sched.deltas:
+        tube = geometry.shell_lattice(cloud, float(d), 17)
+        ball = geometry.shell_lattice(np.zeros((1, 2)), float(d), 17)
+        assert np.array_equal(tube.view(np.int64), ball.view(np.int64))
+
+
 def test_density_at_unit_circle_on_the_default_schedule():
     # delta falls to 2^-10: about 2.9 million tube points at the last level
     sched = DeltaSchedule.default_for(PLANE.bbox)

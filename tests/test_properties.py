@@ -306,6 +306,20 @@ def test_declared_tube_is_the_exact_tube(drawn, res):
     assert set(map(tuple, kd.tolist())) <= set(map(tuple, tube.tolist()))
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(drawn=declared_sets(), res=st.sampled_from([3, 5, 8, 16, 17, 33]))
+def test_a_tube_reads_its_cloud_only_through_the_bbox(drawn, res):
+    # the cloud anchors the lattice and tells a point from a set; both by
+    # its bbox, so the two rows of its corners give the same tube, bit for bit
+    C, delta = drawn
+    cloud = geometry.point_cloud(C)
+    corners = np.array([cloud.min(axis=0), cloud.max(axis=0)])
+    tube = shell_lattice(cloud, delta, res, distance=C.distance_fn)
+    assert np.array_equal(
+        tube.view(np.int64),
+        shell_lattice(corners, delta, res, distance=C.distance_fn).view(np.int64))
+
+
 @pytest.mark.parametrize("region, delta, res", [
     (circle_region([0.1, -0.2], 0.15), 0.2, 32),
     (circle_region([0.1, -0.2], 0.15), 0.025, 32),
